@@ -1,5 +1,6 @@
 #include "engine/pipeline.h"
 
+#include <optional>
 #include <sstream>
 
 namespace sirius::engine {
@@ -10,16 +11,16 @@ using plan::PlanPtr;
 
 namespace {
 
-bool IsBreaker(const PlanNode& node) {
-  switch (node.kind) {
-    case PlanKind::kAggregate:
-    case PlanKind::kSort:
-    case PlanKind::kDistinct:
-    case PlanKind::kLimit:
-    case PlanKind::kExchange:
-      return true;
-    default:
-      return false;
+/// The sink a pipeline-breaking node compiles to; nullopt for the nodes a
+/// pipeline streams through.
+std::optional<SinkKind> BreakerSink(PlanKind kind) {
+  switch (kind) {
+    case PlanKind::kAggregate: return SinkKind::kAggregate;
+    case PlanKind::kSort: return SinkKind::kSort;
+    case PlanKind::kDistinct: return SinkKind::kDistinct;
+    case PlanKind::kLimit: return SinkKind::kLimit;
+    case PlanKind::kExchange: return SinkKind::kExchange;
+    default: return std::nullopt;
   }
 }
 
@@ -27,40 +28,16 @@ class Compiler {
  public:
   explicit Compiler(std::vector<Pipeline>* out) : out_(out) {}
 
-  /// Returns the id of a pipeline that materializes `node`'s output.
+  /// Returns the id of a pipeline that materializes `node`'s output: a
+  /// breaker sinks its child's chain, any other node is materialized as is.
   Result<int> Materialize(const PlanNode* node) {
-    Pipeline p;
-    p.id = static_cast<int>(out_->size());
-    out_->push_back(std::move(p));
-    const int id = out_->back().id;
-
-    if (IsBreaker(*node)) {
-      SIRIUS_RETURN_NOT_OK(BuildInto(node->children[0].get(), id));
-      Pipeline& self = (*out_)[id];
-      self.sink_node = node;
-      switch (node->kind) {
-        case PlanKind::kAggregate:
-          self.sink = SinkKind::kAggregate;
-          break;
-        case PlanKind::kSort:
-          self.sink = SinkKind::kSort;
-          break;
-        case PlanKind::kDistinct:
-          self.sink = SinkKind::kDistinct;
-          break;
-        case PlanKind::kLimit:
-          self.sink = SinkKind::kLimit;
-          break;
-        case PlanKind::kExchange:
-          self.sink = SinkKind::kExchange;
-          break;
-        default:
-          return Status::Internal("not a breaker");
-      }
-      return id;
-    }
-    SIRIUS_RETURN_NOT_OK(BuildInto(node, id));
-    (*out_)[id].sink = SinkKind::kMaterialize;
+    const int id = static_cast<int>(out_->size());
+    out_->push_back(Pipeline{});
+    (*out_)[id].id = id;
+    const std::optional<SinkKind> sink = BreakerSink(node->kind);
+    SIRIUS_RETURN_NOT_OK(
+        BuildInto(sink.has_value() ? node->children[0].get() : node, id));
+    (*out_)[id].sink = sink.value_or(SinkKind::kMaterialize);
     (*out_)[id].sink_node = node;
     return id;
   }
@@ -89,10 +66,7 @@ class Compiler {
         SIRIUS_ASSIGN_OR_RETURN(int build, Materialize(node->children[1].get()));
         SIRIUS_RETURN_NOT_OK(BuildInto(node->children[0].get(), pid));
         Pipeline& p = (*out_)[pid];
-        p.steps.push_back({node->join_type == plan::JoinType::kCross
-                               ? StepKind::kCrossJoin
-                               : StepKind::kProbeJoin,
-                           node, build});
+        p.steps.push_back({StepKind::kJoin, node, build});
         p.dependencies.push_back(build);
         return Status::OK();
       }
@@ -132,6 +106,18 @@ double EstimatedRowWidth(const format::Schema& schema) {
   return width;
 }
 
+const char* SinkName(SinkKind sink) {
+  switch (sink) {
+    case SinkKind::kMaterialize: return "materialize";
+    case SinkKind::kAggregate: return "aggregate";
+    case SinkKind::kSort: return "sort";
+    case SinkKind::kDistinct: return "distinct";
+    case SinkKind::kLimit: return "limit";
+    case SinkKind::kExchange: return "exchange";
+  }
+  return "?";
+}
+
 }  // namespace
 
 std::vector<FusedStage> FusedStageCompiler::Compile(
@@ -148,28 +134,19 @@ std::vector<FusedStage> FusedStageCompiler::Compile(
       stage.reason = "no streaming steps";
       continue;
     }
-    // Exclusions: chains the selection-vector flow cannot express.
-    bool excluded = false;
+    // Exclusions: joins that need the whole probe table materialized.
     for (const auto& s : p.steps) {
-      if (s.kind == StepKind::kCrossJoin) {
+      if (s.kind != StepKind::kJoin) continue;
+      if (s.node->join_type == plan::JoinType::kCross) {
         stage.reason = "cross join";
-        excluded = true;
-        break;
+      } else if (s.node->join_type == plan::JoinType::kAsof) {
+        stage.reason = "asof join";
+      } else if (s.node->residual != nullptr) {
+        stage.reason = "residual join predicate";
       }
-      if (s.kind == StepKind::kProbeJoin) {
-        if (s.node->join_type == plan::JoinType::kAsof) {
-          stage.reason = "asof join";
-          excluded = true;
-          break;
-        }
-        if (s.node->residual != nullptr) {
-          stage.reason = "residual join predicate";
-          excluded = true;
-          break;
-        }
-      }
+      if (!stage.reason.empty()) break;
     }
-    if (excluded) continue;
+    if (!stage.reason.empty()) continue;
 
     std::vector<opt::FusionStepDesc> descs;
     for (const auto& s : p.steps) {
@@ -186,8 +163,7 @@ std::vector<FusedStage> FusedStageCompiler::Compile(
           // differs.
           d.materialize_launches = 1;
           break;
-        case StepKind::kProbeJoin:
-        case StepKind::kCrossJoin:
+        case StepKind::kJoin:
           d.kind = opt::FusedOpKind::kProbe;
           // Materialized probe gathers both sides of the join output.
           d.materialize_launches = 2;
@@ -208,19 +184,13 @@ std::vector<FusedStage> FusedStageCompiler::Compile(
     }
     stage.exec = StageExec::kFused;
     stage.fused_ops = static_cast<int>(p.steps.size());
-    stage.credit_s = decision.credit_s;
-    stage.saved_bytes = decision.saved_bytes;
     stage.saved_launches = decision.saved_launches;
   }
   return out;
 }
 
-std::string PipelinesToString(const std::vector<Pipeline>& pipelines) {
-  return PipelinesToString(pipelines, nullptr);
-}
-
 std::string PipelinesToString(const std::vector<Pipeline>& pipelines,
-                              const std::vector<FusedStage>* stages) {
+                              const std::vector<FusedStage>& stages) {
   std::ostringstream os;
   for (const auto& p : pipelines) {
     os << "pipeline " << p.id << ": ";
@@ -232,50 +202,20 @@ std::string PipelinesToString(const std::vector<Pipeline>& pipelines,
       os << "<no source>";
     }
     for (const auto& s : p.steps) {
-      switch (s.kind) {
-        case StepKind::kFilter:
-          os << " -> filter";
-          break;
-        case StepKind::kProject:
-          os << " -> project";
-          break;
-        case StepKind::kProbeJoin:
-          os << " -> probe(p" << s.build_pipeline << ", "
-             << plan::JoinTypeName(s.node->join_type) << ")";
-          break;
-        case StepKind::kCrossJoin:
-          os << " -> cross(p" << s.build_pipeline << ")";
-          break;
-      }
-    }
-    switch (p.sink) {
-      case SinkKind::kMaterialize:
-        os << " => materialize";
-        break;
-      case SinkKind::kAggregate:
-        os << " => aggregate";
-        break;
-      case SinkKind::kSort:
-        os << " => sort";
-        break;
-      case SinkKind::kDistinct:
-        os << " => distinct";
-        break;
-      case SinkKind::kLimit:
-        os << " => limit";
-        break;
-      case SinkKind::kExchange:
-        os << " => exchange";
-        break;
-    }
-    if (stages != nullptr && static_cast<size_t>(p.id) < stages->size()) {
-      const FusedStage& st = (*stages)[p.id];
-      if (st.exec == StageExec::kFused) {
-        os << "  [fused ops=" << st.fused_ops
-           << " saved_launches=" << st.saved_launches << "]";
+      if (s.kind == StepKind::kJoin) {
+        os << " -> probe(p" << s.build_pipeline << ", "
+           << plan::JoinTypeName(s.node->join_type) << ")";
       } else {
-        os << "  [materialized: " << st.reason << "]";
+        os << (s.kind == StepKind::kFilter ? " -> filter" : " -> project");
       }
+    }
+    os << " => " << SinkName(p.sink);
+    const FusedStage& st = stages[p.id];
+    if (st.exec == StageExec::kFused) {
+      os << "  [fused ops=" << st.fused_ops
+         << " saved_launches=" << st.saved_launches << "]";
+    } else {
+      os << "  [materialized: " << st.reason << "]";
     }
     os << "\n";
   }

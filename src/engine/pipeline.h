@@ -22,15 +22,14 @@ namespace sirius::engine {
 enum class StepKind : uint8_t {
   kFilter,
   kProject,
-  kProbeJoin,   ///< probe a materialized build side
-  kCrossJoin,
+  kJoin,  ///< join a materialized build side (node->join_type says how)
 };
 
 /// One push-based operator step inside a pipeline.
 struct Step {
   StepKind kind = StepKind::kFilter;
   const plan::PlanNode* node = nullptr;  ///< borrowed from the plan tree
-  int build_pipeline = -1;               ///< kProbeJoin/kCrossJoin input
+  int build_pipeline = -1;               ///< kJoin build side
 };
 
 enum class SinkKind : uint8_t {
@@ -81,10 +80,6 @@ struct FusedStage {
   StageExec exec = StageExec::kMaterialized;
   /// Steps flowing through the fused pass (0 when materialized).
   int fused_ops = 0;
-  /// Modeled seconds the fusion is priced to save (opt::PriceFusion).
-  double credit_s = 0;
-  /// HBM round-trip bytes the fusion skips (unscaled estimate).
-  uint64_t saved_bytes = 0;
   /// Kernel launches skipped relative to the materialized chain.
   int saved_launches = 0;
   /// Why the stage stays materialized (empty when fused).
@@ -95,9 +90,8 @@ struct FusedStage {
 ///
 /// Describes each chain abstractly (opt::FusionStepDesc, from planner
 /// estimates) and lets opt::PriceFusion credit the skipped materializations
-/// and launches. Chains the selection-vector machinery cannot express —
-/// cross joins, ASOF joins, residual join predicates — stay materialized
-/// with a recorded reason.
+/// and launches. Chains with cross joins, ASOF joins or residual join
+/// predicates stay materialized, with a recorded reason.
 class FusedStageCompiler {
  public:
   /// One FusedStage per pipeline, indexed by pipeline id. With
@@ -108,10 +102,9 @@ class FusedStageCompiler {
                                          bool fusion_enabled);
 };
 
-/// Human-readable dump of a pipeline set (tests, EXPLAIN ANALYZE).
-std::string PipelinesToString(const std::vector<Pipeline>& pipelines);
-/// As above, annotated with each pipeline's fused-stage decision.
+/// Human-readable dump of a pipeline set, annotated with each pipeline's
+/// fused-stage decision (tests, EXPLAIN ANALYZE).
 std::string PipelinesToString(const std::vector<Pipeline>& pipelines,
-                              const std::vector<FusedStage>* stages);
+                              const std::vector<FusedStage>& stages);
 
 }  // namespace sirius::engine

@@ -33,6 +33,45 @@ SIRIUS_FAULT_DEFINE_SITE(kSiteReserve, "engine.reserve");
 // the query.
 SIRIUS_FAULT_DEFINE_SITE(kSiteFuseCompile, "engine.fuse.compile");
 
+namespace {
+
+using Stats = SiriusEngine::Stats;
+
+/// The registry counter behind each Stats field: the one place a counter's
+/// name is spelled. stats() reads the registry snapshot through it.
+constexpr std::pair<uint64_t Stats::*, const char*> kStatCounters[] = {
+    {&Stats::queries, "engine.queries"},
+    {&Stats::oom_events, "engine.oom_events"},
+    {&Stats::evictions_under_pressure, "engine.evictions_under_pressure"},
+    {&Stats::pipeline_retries, "engine.pipeline_retries"},
+    {&Stats::spill_events, "engine.spill_events"},
+    {&Stats::spill_host, "engine.spill.host"},
+    {&Stats::spill_nvme, "engine.spill.nvme"},
+    {&Stats::tier_loss_retries, "engine.tier_loss_retries"},
+    {&Stats::race_violations, "engine.race_violations"},
+    {&Stats::deadline_cancels, "engine.deadline_cancels"},
+    {&Stats::fused_stages, "engine.fused_stages"},
+    {&Stats::fusion_fallbacks, "engine.fusion_fallbacks"},
+};
+
+const char* CounterName(uint64_t Stats::*field) {
+  for (const auto& [f, name] : kStatCounters) {
+    if (f == field) return name;
+  }
+  SIRIUS_CHECK(false);
+  return nullptr;
+}
+
+/// Adds `n` to the registry counter behind `field` (and, when tracing, to
+/// the query's trace counters).
+void Bump(obs::MetricsRegistry* metrics, uint64_t Stats::*field,
+          uint64_t n = 1, obs::TraceRecorder* trace = nullptr) {
+  metrics->GetCounter(CounterName(field))->Add(n);
+  if (trace != nullptr) trace->AddCounter(CounterName(field), n);
+}
+
+}  // namespace
+
 SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
     : host_db_(host_db),
       options_(options),
@@ -50,19 +89,8 @@ SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
         return bm;
       }()),
       task_pool_(static_cast<size_t>(options.num_task_threads)) {
-  counters_.queries = metrics_.GetCounter("engine.queries");
-  counters_.oom_events = metrics_.GetCounter("engine.oom_events");
-  counters_.evictions_under_pressure =
-      metrics_.GetCounter("engine.evictions_under_pressure");
-  counters_.pipeline_retries = metrics_.GetCounter("engine.pipeline_retries");
-  counters_.spill_events = metrics_.GetCounter("engine.spill_events");
-  counters_.spill_host = metrics_.GetCounter("engine.spill.host");
-  counters_.spill_nvme = metrics_.GetCounter("engine.spill.nvme");
-  counters_.tier_loss_retries = metrics_.GetCounter("engine.tier_loss_retries");
-  counters_.race_violations = metrics_.GetCounter("engine.race_violations");
-  counters_.deadline_cancels = metrics_.GetCounter("engine.deadline_cancels");
-  counters_.fused_stages = metrics_.GetCounter("engine.fused_stages");
-  counters_.fusion_fallbacks = metrics_.GetCounter("engine.fusion_fallbacks");
+  // Registered up front so every counter shows in metrics() from the start.
+  for (const auto& [field, name] : kStatCounters) metrics_.GetCounter(name);
   if (options_.use_custom_kernels) {
     // Hand-tuned kernel variants: modestly better join/group-by efficiency
     // than the stock libcudf-class implementations.
@@ -75,7 +103,6 @@ SiriusEngine::~SiriusEngine() = default;
 
 namespace {
 
-/// Executes one compiled pipeline set against the device.
 /// Hazard-tracker resource ids for materialized pipeline results live in a
 /// namespace disjoint from LifetimeTracker generations (cache entries).
 constexpr uint64_t kPipelineResourceBase = 1ull << 32;
@@ -84,34 +111,23 @@ uint64_t PipelineResource(int id) {
   return kPipelineResourceBase + static_cast<uint64_t>(id);
 }
 
+/// Executes one compiled pipeline set against the device.
 class PipelineRunner {
  public:
-  /// Per-tier spill counters bumped alongside the `spill_events` aggregate.
-  struct SpillCounters {
-    obs::Counter* host = nullptr;
-    obs::Counter* nvme = nullptr;
-    obs::Counter* aggregate = nullptr;
-  };
-
   PipelineRunner(const SiriusEngine::Options& options, BufferManager* bm,
                  host::Database* host_db, ThreadPool* pool,
                  fault::FaultInjector* injector, mem::TierManager* tiers,
-                 SpillCounters spill_counters, obs::Counter* race_violations,
-                 obs::TraceRecorder* trace, const ExecLimits* limits = nullptr,
-                 obs::Counter* deadline_cancels = nullptr,
-                 obs::Counter* fused_stages = nullptr)
+                 obs::MetricsRegistry* metrics, obs::TraceRecorder* trace,
+                 const ExecLimits& limits)
       : options_(options),
         bm_(bm),
         host_db_(host_db),
         pool_(pool),
         injector_(injector),
         tiers_(tiers),
-        spill_counters_(spill_counters),
-        race_violations_(race_violations),
+        metrics_(metrics),
         trace_(trace),
-        limits_(limits),
-        deadline_cancels_(deadline_cancels),
-        fused_stages_(fused_stages) {}
+        limits_(limits) {}
 
   /// True when the last Run failed (or degraded) because a spill tier was
   /// lost mid-spill; tells the evict-and-retry path apart from other
@@ -182,8 +198,8 @@ class PipelineRunner {
     {
       std::unique_lock<std::mutex> lock(mu_);
       done_cv_.wait(lock, [&] { return inflight_ == 0; });
-      if (tracker_ != nullptr && race_violations_ != nullptr) {
-        race_violations_->Add(tracker_->violation_count());
+      if (tracker_ != nullptr) {
+        Bump(metrics_, &Stats::race_violations, tracker_->violation_count());
       }
       SIRIUS_RETURN_NOT_OK(error_);
       if (tracker_ != nullptr && tracker_->violation_count() > 0) {
@@ -281,20 +297,19 @@ class PipelineRunner {
   /// axis, so a trip is deterministic for a given plan and cache state and
   /// the partial work stays charged (cancellation costs simulated time).
   Status CheckLimits(const Pipeline& p) {
-    if (limits_ == nullptr) return Status::OK();
-    if (limits_->cancel != nullptr &&
-        limits_->cancel->load(std::memory_order_relaxed)) {
-      if (deadline_cancels_ != nullptr) deadline_cancels_->Add();
+    if (limits_.cancel != nullptr &&
+        limits_.cancel->load(std::memory_order_relaxed)) {
+      Bump(metrics_, &Stats::deadline_cancels);
       return Status::Timeout("query cancelled mid-pipeline (pipeline " +
                              std::to_string(p.id) + ")");
     }
-    if (limits_->deadline_s > 0) {
+    if (limits_.deadline_s > 0) {
       const double elapsed_s =
           start_s_[p.id] + timelines_[p.id].total_seconds();
-      if (elapsed_s > limits_->deadline_s) {
-        if (deadline_cancels_ != nullptr) deadline_cancels_->Add();
+      if (elapsed_s > limits_.deadline_s) {
+        Bump(metrics_, &Stats::deadline_cancels);
         return Status::Timeout(
-            "deadline of " + std::to_string(limits_->deadline_s) +
+            "deadline of " + std::to_string(limits_.deadline_s) +
             "s (simulated) exceeded mid-pipeline (pipeline " +
             std::to_string(p.id) + ")");
       }
@@ -312,46 +327,24 @@ class PipelineRunner {
                             "pipeline-" + std::to_string(p.id), "pipeline",
                             ctx.sim.TraceClock());
 
-    const bool fused = stages_ != nullptr &&
-                       static_cast<size_t>(p.id) < stages_->size() &&
-                       (*stages_)[p.id].exec == StageExec::kFused;
-
-    // --- Source ---
-    TablePtr current;
+    const bool fused = (*stages_)[p.id].exec == StageExec::kFused;
+    TablePtr out;
     if (p.source_scan != nullptr) {
-      if (fused) {
-        SIRIUS_ASSIGN_OR_RETURN(current, RunScanFused(p, ctx));
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(current, RunScanAndSteps(p, ctx));
-        SIRIUS_ASSIGN_OR_RETURN(current, RunSink(p, std::move(current), ctx));
-      }
-      SIRIUS_RETURN_NOT_OK(DrainSpill(p, ctx));
-      return current;
-    }
-    if (p.source_pipeline >= 0) {
-      current = results_[p.source_pipeline];
-      if (current == nullptr) {
+      SIRIUS_ASSIGN_OR_RETURN(out, RunScan(p, ctx, fused));
+    } else if (p.source_pipeline >= 0) {
+      TablePtr source = results_[p.source_pipeline];
+      if (source == nullptr) {
         return Status::Internal("source pipeline did not materialize");
       }
       ctx.sim.NoteRead(PipelineResource(p.source_pipeline),
                        "source of pipeline " + std::to_string(p.id));
-      if (fused) {
-        gdf::SelectionView view = gdf::SelectionView::FromTable(current);
-        // One register-residency scope for the chain + its sink: every
-        // input column is charged once for the whole fused kernel.
-        std::unordered_set<const format::Column*> resident;
-        gdf::Context fctx = ctx;
-        fctx.fused_reads = &resident;
-        SIRIUS_RETURN_NOT_OK(FusedPass(p, &view, fctx));
-        SIRIUS_ASSIGN_OR_RETURN(current, RunSinkFused(p, view, fctx));
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(current, RunSteps(p, std::move(current), ctx));
-        SIRIUS_ASSIGN_OR_RETURN(current, RunSink(p, std::move(current), ctx));
-      }
-      SIRIUS_RETURN_NOT_OK(DrainSpill(p, ctx));
-      return current;
+      SIRIUS_ASSIGN_OR_RETURN(
+          out, RunMorsel(p, std::move(source), ctx, fused, /*batch=*/false));
+    } else {
+      return Status::Internal("pipeline without source");
     }
-    return Status::Internal("pipeline without source");
+    SIRIUS_RETURN_NOT_OK(DrainSpill(p, ctx));
+    return out;
   }
 
   /// Pipeline-end barrier on the spill lane: every outstanding prefetch must
@@ -373,10 +366,13 @@ class PipelineRunner {
     return Status::OK();
   }
 
-  /// Scan source, including the §3.4 out-of-core batch mode: inputs that do
-  /// not fit the caching region stream from host memory in batches that are
-  /// pushed through the pipeline steps and concatenated before the sink.
-  Result<TablePtr> RunScanAndSteps(const Pipeline& p, const gdf::Context& ctx) {
+  /// Scan source. In core, the cached columns run through the chain and the
+  /// sink as one morsel. Inputs that do not fit the caching region take the
+  /// §3.4 out-of-core batch mode: each batch streams from host memory as its
+  /// own morsel (the morsel boundary is a materialization point), and the
+  /// sink runs once over the concatenated batch outputs.
+  Result<TablePtr> RunScan(const Pipeline& p, const gdf::Context& ctx,
+                           bool fused) {
     const PlanNode& scan = *p.source_scan;
     SIRIUS_ASSIGN_OR_RETURN(TablePtr host_table,
                             host_db_->catalog().GetTable(scan.table_name));
@@ -390,184 +386,102 @@ class PipelineRunner {
     const uint64_t compressed_bytes = static_cast<uint64_t>(
         static_cast<double>(modeled_bytes) / bm_->compression_ratio());
 
-    if (compressed_bytes > bm_->cache_capacity_bytes() && options_.out_of_core) {
-      // Batch execution: split the input so each modeled batch fits in half
-      // of the caching region, stream each batch over the host link.
-      const uint64_t budget = bm_->cache_capacity_bytes() / 2;
-      const size_t num_batches = static_cast<size_t>(
-          (modeled_bytes + budget - 1) / budget);
-      const size_t rows_per_batch =
-          (host_table->num_rows() + num_batches - 1) / num_batches;
-      std::vector<TablePtr> outputs;
-      for (size_t offset = 0; offset < host_table->num_rows();
-           offset += rows_per_batch) {
-        SIRIUS_ASSIGN_OR_RETURN(
-            TablePtr batch,
-            gdf::SliceTable(ctx, host_table, offset, rows_per_batch));
-        SIRIUS_ASSIGN_OR_RETURN(batch, batch->SelectColumns(scan.scan_columns));
-        ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
-                              options_.host_link.TransferSeconds(
-                                  batch->MemoryUsage(), ctx.sim.data_scale));
-        SIRIUS_ASSIGN_OR_RETURN(batch, RunSteps(p, std::move(batch), ctx));
-        outputs.push_back(std::move(batch));
-      }
-      if (outputs.size() == 1) return outputs[0];
-      return gdf::ConcatTables(ctx, outputs);
+    if (compressed_bytes <= bm_->cache_capacity_bytes() ||
+        !options_.out_of_core) {
+      // The buffer manager charges the scan read (compressed bytes + decode
+      // when the cache is compressed).
+      SIRIUS_ASSIGN_OR_RETURN(
+          TablePtr current,
+          bm_->GetOrCacheColumns(scan.table_name, host_table,
+                                 scan.scan_columns, ctx.sim));
+      return RunMorsel(p, std::move(current), ctx, fused, /*batch=*/false);
     }
 
-    // The buffer manager charges the scan read (compressed bytes + decode
-    // when the cache is compressed).
-    SIRIUS_ASSIGN_OR_RETURN(
-        TablePtr current,
-        bm_->GetOrCacheColumns(scan.table_name, host_table, scan.scan_columns,
-                               ctx.sim));
-    return RunSteps(p, std::move(current), ctx);
+    // Batch execution: split the input so each modeled batch fits in half of
+    // the caching region, stream each batch over the host link.
+    const uint64_t budget = bm_->cache_capacity_bytes() / 2;
+    const size_t num_batches =
+        static_cast<size_t>((modeled_bytes + budget - 1) / budget);
+    const size_t rows_per_batch =
+        (host_table->num_rows() + num_batches - 1) / num_batches;
+    std::vector<TablePtr> outputs;
+    for (size_t offset = 0; offset < host_table->num_rows();
+         offset += rows_per_batch) {
+      SIRIUS_ASSIGN_OR_RETURN(
+          TablePtr batch,
+          gdf::SliceTable(ctx, host_table, offset, rows_per_batch));
+      SIRIUS_ASSIGN_OR_RETURN(batch, batch->SelectColumns(scan.scan_columns));
+      ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
+                            options_.host_link.TransferSeconds(
+                                batch->MemoryUsage(), ctx.sim.data_scale));
+      SIRIUS_ASSIGN_OR_RETURN(
+          TablePtr out, RunMorsel(p, std::move(batch), ctx, fused,
+                                  /*batch=*/true));
+      outputs.push_back(std::move(out));
+    }
+    TablePtr all;
+    if (outputs.size() == 1) {
+      all = outputs[0];
+    } else {
+      SIRIUS_ASSIGN_OR_RETURN(all, gdf::ConcatTables(ctx, outputs));
+      // A fused stage prices the concatenation like its other
+      // materialization points.
+      if (fused) {
+        SIRIUS_RETURN_NOT_OK(CheckProcessingFit(all->MemoryUsage(), p, ctx));
+      }
+    }
+    return RunSink(p, gdf::SelectionView::FromTable(std::move(all)), ctx,
+                   /*fused=*/false);
   }
 
-  /// Schema of the fused chain's logical output (the last step's node).
-  /// Fused stages always have steps (the compiler refuses empty chains).
-  static const format::Schema& StepOutputSchema(const Pipeline& p) {
-    return p.steps.back().node->output_schema;
-  }
-
-  /// Fused scan source: the in-core path runs the whole input as one morsel
-  /// through FusedPass and materializes at the sink; the §3.4 out-of-core
-  /// path runs one fused pass per batch — the morsel boundary is a
-  /// materialization point — concatenates, and applies the sink materialized.
-  Result<TablePtr> RunScanFused(const Pipeline& p, const gdf::Context& ctx) {
-    const PlanNode& scan = *p.source_scan;
-    SIRIUS_ASSIGN_OR_RETURN(TablePtr host_table,
-                            host_db_->catalog().GetTable(scan.table_name));
-    uint64_t scanned_raw = 0;
-    for (int c : scan.scan_columns) {
-      scanned_raw += host_table->column(c)->MemoryUsage();
-    }
-    const uint64_t modeled_bytes =
-        static_cast<uint64_t>(static_cast<double>(scanned_raw) *
-                              ctx.sim.data_scale);
-    const uint64_t compressed_bytes = static_cast<uint64_t>(
-        static_cast<double>(modeled_bytes) / bm_->compression_ratio());
-
-    if (compressed_bytes > bm_->cache_capacity_bytes() && options_.out_of_core) {
-      const uint64_t budget = bm_->cache_capacity_bytes() / 2;
-      const size_t num_batches = static_cast<size_t>(
-          (modeled_bytes + budget - 1) / budget);
-      const size_t rows_per_batch =
-          (host_table->num_rows() + num_batches - 1) / num_batches;
-      std::vector<TablePtr> outputs;
-      for (size_t offset = 0; offset < host_table->num_rows();
-           offset += rows_per_batch) {
-        SIRIUS_ASSIGN_OR_RETURN(
-            TablePtr batch,
-            gdf::SliceTable(ctx, host_table, offset, rows_per_batch));
-        SIRIUS_ASSIGN_OR_RETURN(batch, batch->SelectColumns(scan.scan_columns));
-        ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
-                              options_.host_link.TransferSeconds(
-                                  batch->MemoryUsage(), ctx.sim.data_scale));
-        gdf::SelectionView view = gdf::SelectionView::FromTable(batch);
-        // Per-batch residency scope: the morsel boundary flushes registers.
-        // The transfer above already brought the batch on-device, so its
-        // columns start resident — the fused kernel reads them as it streams.
-        std::unordered_set<const format::Column*> resident;
-        for (const auto& c : batch->columns()) resident.insert(c.get());
-        gdf::Context fctx = ctx;
-        fctx.fused_reads = &resident;
-        SIRIUS_RETURN_NOT_OK(FusedPass(p, &view, fctx));
-        SIRIUS_ASSIGN_OR_RETURN(
-            TablePtr out, gdf::MaterializeView(fctx, view, StepOutputSchema(p),
-                                               sim::OpCategory::kOther));
-        // The morsel boundary is a real materialization: the batch output
-        // must fit the processing region like any materialized intermediate,
-        // and overflows take the same tiered spill round trip (§3.4).
-        SIRIUS_RETURN_NOT_OK(CheckProcessingFit(out, p, fctx));
-        outputs.push_back(std::move(out));
-      }
-      TablePtr all;
-      if (outputs.size() == 1) {
-        all = outputs[0];
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(all, gdf::ConcatTables(ctx, outputs));
-        SIRIUS_RETURN_NOT_OK(CheckProcessingFit(all, p, ctx));
-      }
-      return RunSink(p, std::move(all), ctx);
-    }
-
-    SIRIUS_ASSIGN_OR_RETURN(
-        TablePtr current,
-        bm_->GetOrCacheColumns(scan.table_name, host_table, scan.scan_columns,
-                               ctx.sim));
-    gdf::SelectionView view = gdf::SelectionView::FromTable(current);
-    // The scan charge above IS the fused kernel's read of the base columns:
-    // they enter the pass register-resident, so the chained operators and
-    // the sink never pay an HBM re-read for them.
+  /// Runs one morsel through the chain, then through the sink — or, for an
+  /// out-of-core `batch`, only up to the morsel-boundary gather. A fused
+  /// stage opens one register-residency scope for the chain and its sink; a
+  /// scanned morsel enters it resident (the scan read or the host-link
+  /// transfer already loaded the columns), a materialized source is read
+  /// cold.
+  Result<TablePtr> RunMorsel(const Pipeline& p, TablePtr input,
+                             const gdf::Context& ctx, bool fused, bool batch) {
+    gdf::SelectionView view = gdf::SelectionView::FromTable(input);
     std::unordered_set<const format::Column*> resident;
-    for (const auto& c : current->columns()) resident.insert(c.get());
-    gdf::Context fctx = ctx;
-    fctx.fused_reads = &resident;
-    SIRIUS_RETURN_NOT_OK(FusedPass(p, &view, fctx));
-    return RunSinkFused(p, view, fctx);
+    gdf::Context mctx = ctx;
+    if (fused) {
+      if (p.source_scan != nullptr) {
+        for (const auto& c : input->columns()) resident.insert(c.get());
+      }
+      mctx.fused_reads = &resident;
+    }
+    SIRIUS_RETURN_NOT_OK(RunChain(p, &view, mctx, fused));
+    if (batch) return GatherView(p, view, mctx, fused);
+    return RunSink(p, std::move(view), mctx, fused);
   }
 
-  /// One fused pass over the chain: selection vectors flow between the
-  /// operators, nothing gathers until the sink. The whole chain is one
-  /// kernel for launch accounting; the per-op kernel spans are suppressed
-  /// and replaced by a single "fused-stage" span carrying `fused_ops`.
-  Status FusedPass(const Pipeline& p, gdf::SelectionView* view,
-                   const gdf::Context& ctx) {
+  /// The streaming chain over one morsel. A fused stage runs it as one
+  /// kernel: selection vectors flow between the steps, nothing gathers until
+  /// the sink, and the per-op kernel spans collapse into one "fused-stage"
+  /// span carrying `fused_ops`. A materialized stage runs every step as its
+  /// own kernels and materializes the view after each one.
+  Status RunChain(const Pipeline& p, gdf::SelectionView* view,
+                  const gdf::Context& ctx, bool fused) {
     const double t0 = ctx.sim.TraceNow();
-    gdf::Context inner = ctx;
-    inner.sim.trace = nullptr;
-    sim::KernelCost launch;
-    launch.ops_per_row = 0;
-    launch.launches = 1;
-    inner.sim.Charge(sim::OpCategory::kOther, launch);
-
+    gdf::Context step_ctx = ctx;
+    if (fused) {
+      step_ctx.sim.trace = nullptr;
+      sim::KernelCost launch;
+      launch.ops_per_row = 0;
+      launch.launches = 1;
+      step_ctx.Charge(sim::OpCategory::kOther, launch);
+    }
     for (const auto& step : p.steps) {
-      switch (step.kind) {
-        case StepKind::kFilter: {
-          SIRIUS_ASSIGN_OR_RETURN(
-              ColumnPtr mask,
-              gdf::ComputeColumnView(inner, *step.node->predicate, *view,
-                                     sim::OpCategory::kFilter));
-          SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> sel,
-                                  gdf::MaskToSelection(inner, mask));
-          // uint64 <-> int32 boundary kept for parity with the materialized
-          // path (§3.2.3); the selection refines the view instead of
-          // gathering.
-          std::vector<uint64_t> engine_rows =
-              BufferManager::FromGdfIndices(sel, inner.sim);
-          SIRIUS_ASSIGN_OR_RETURN(
-              sel, BufferManager::ToGdfIndices(engine_rows, inner.sim));
-          SIRIUS_RETURN_NOT_OK(
-              gdf::RefineView(inner, view, sel, sim::OpCategory::kFilter));
-          break;
-        }
-        case StepKind::kProject: {
-          std::vector<ColumnPtr> cols;
-          for (const auto& e : step.node->projections) {
-            SIRIUS_ASSIGN_OR_RETURN(
-                ColumnPtr c, gdf::ComputeColumnView(inner, *e, *view,
-                                                    sim::OpCategory::kProject));
-            cols.push_back(std::move(c));
-          }
-          SIRIUS_ASSIGN_OR_RETURN(
-              TablePtr t,
-              format::Table::Make(step.node->output_schema, std::move(cols)));
-          // Computed columns are already compact; the view restarts dense.
-          view->ResetToTable(std::move(t));
-          break;
-        }
-        case StepKind::kProbeJoin: {
-          SIRIUS_RETURN_NOT_OK(ProbeFused(p, step, view, inner));
-          break;
-        }
-        case StepKind::kCrossJoin:
-          return Status::Internal("cross join cannot run fused");
-      }
-      SIRIUS_RETURN_NOT_OK(
-          CheckProcessingFitBytes(view->SelectionBytes(), p, inner));
+      SIRIUS_RETURN_NOT_OK(RunStep(p, step, view, step_ctx, !fused));
+      // What the step leaves live must fit the processing region: the
+      // gathered intermediate, or a fused pass's selection vectors.
+      SIRIUS_RETURN_NOT_OK(CheckProcessingFit(
+          fused ? view->SelectionBytes() : Dense(*view)->MemoryUsage(), p,
+          step_ctx));
       SIRIUS_RETURN_NOT_OK(CheckLimits(p));
     }
+    if (!fused) return Status::OK();
     if (trace_ != nullptr) {
       const double charged = ctx.sim.TraceNow() - t0;
       trace_->AddComplete(
@@ -576,17 +490,105 @@ class PipelineRunner {
            {"charged_s", charged},
            {"predicted_s", charged}});
     }
-    if (fused_stages_ != nullptr) fused_stages_->Add();
+    Bump(metrics_, &Stats::fused_stages);
     return Status::OK();
   }
 
-  /// Fused join probe: gathers only the probe-side key columns through the
-  /// view, hash-joins against the materialized build side, and composes the
-  /// pair lists back into the view (probe side refined, build side appended
-  /// as a new segment) — the full-width gathers the materialized path pays
-  /// are deferred to the sink.
-  Status ProbeFused(const Pipeline& p, const Step& step,
-                    gdf::SelectionView* view, const gdf::Context& ctx) {
+  /// One step over the view. With `materialize` the step runs as standalone
+  /// kernels and leaves a dense view behind (the HBM round trip and launches
+  /// of step-at-a-time execution); without it the step composes into the
+  /// view's selection vectors.
+  Status RunStep(const Pipeline& p, const Step& step,
+                 gdf::SelectionView* view, const gdf::Context& ctx,
+                 bool materialize) {
+    switch (step.kind) {
+      case StepKind::kFilter: {
+        SIRIUS_ASSIGN_OR_RETURN(
+            ColumnPtr mask, Compute(ctx, *step.node->predicate, *view,
+                                    sim::OpCategory::kFilter, materialize));
+        SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> sel,
+                                materialize ? gdf::MaskToIndices(ctx, mask)
+                                            : gdf::MaskToSelection(ctx, mask));
+        // Engine-side row ids are uint64; GDF gathers take int32
+        // (§3.2.3's stated conversion boundary).
+        std::vector<uint64_t> engine_rows =
+            BufferManager::FromGdfIndices(sel, ctx.sim);
+        SIRIUS_ASSIGN_OR_RETURN(
+            sel, BufferManager::ToGdfIndices(engine_rows, ctx.sim));
+        return Select(ctx, view, sel, sim::OpCategory::kFilter, materialize);
+      }
+      case StepKind::kProject: {
+        std::vector<ColumnPtr> cols;
+        for (const auto& e : step.node->projections) {
+          SIRIUS_ASSIGN_OR_RETURN(
+              ColumnPtr c, Compute(ctx, *e, *view, sim::OpCategory::kProject,
+                                   materialize));
+          cols.push_back(std::move(c));
+        }
+        SIRIUS_ASSIGN_OR_RETURN(
+            TablePtr t,
+            format::Table::Make(step.node->output_schema, std::move(cols)));
+        // Computed columns are already compact; the view restarts dense.
+        view->ResetToTable(std::move(t));
+        return Status::OK();
+      }
+      case StepKind::kJoin:
+        return Join(p, step, view, ctx, materialize);
+    }
+    return Status::Internal("unknown step kind");
+  }
+
+  /// The dense table behind a materialized chain's view (every materialized
+  /// step leaves the view as one identity segment).
+  static const TablePtr& Dense(const gdf::SelectionView& view) {
+    SIRIUS_CHECK(view.IsIdentity());
+    return view.segments().front().table;
+  }
+
+  /// Evaluates `e` over the view: a standalone kernel over the dense table
+  /// when materializing, through the selection vectors otherwise.
+  static Result<ColumnPtr> Compute(const gdf::Context& ctx, const expr::Expr& e,
+                                   const gdf::SelectionView& view,
+                                   sim::OpCategory cat, bool materialize) {
+    if (materialize) return gdf::ComputeColumn(ctx, e, Dense(view), cat);
+    return gdf::ComputeColumnView(ctx, e, view, cat);
+  }
+
+  /// Keeps the view rows `sel` names: a fused chain refines its row maps, a
+  /// materialized one gathers a new dense table.
+  static Status Select(const gdf::Context& ctx, gdf::SelectionView* view,
+                       const std::vector<gdf::index_t>& sel,
+                       sim::OpCategory cat, bool materialize) {
+    if (!materialize) return gdf::RefineView(ctx, view, sel, cat);
+    SIRIUS_ASSIGN_OR_RETURN(TablePtr t,
+                            gdf::GatherTable(ctx, Dense(*view), sel, cat));
+    view->ResetToTable(std::move(t));
+    return Status::OK();
+  }
+
+  /// Hash-join type of an equi-join (cross and ASOF joins have their own
+  /// kernels and never reach the hash join).
+  static gdf::JoinType GdfJoinType(plan::JoinType type) {
+    switch (type) {
+      case plan::JoinType::kLeft:
+        return gdf::JoinType::kLeft;
+      case plan::JoinType::kSemi:
+        return gdf::JoinType::kSemi;
+      case plan::JoinType::kAnti:
+        return gdf::JoinType::kAnti;
+      default:
+        return gdf::JoinType::kInner;
+    }
+  }
+
+  /// Join step against the materialized build side. Probe keys gather
+  /// through the view; the pair lists then either compose back into the view
+  /// (probe side refined, build side appended as a new segment) or, when
+  /// materializing, gather both sides into a dense table. Cross joins, ASOF
+  /// joins and residual predicates only run materialized: the fused-stage
+  /// compiler keeps their stages that way.
+  Status Join(const Pipeline& p, const Step& step, gdf::SelectionView* view,
+              const gdf::Context& ctx, bool materialize) {
     const PlanNode& node = *step.node;
     TablePtr build = results_[step.build_pipeline];
     if (build == nullptr) {
@@ -594,6 +596,21 @@ class PipelineRunner {
     }
     ctx.sim.NoteRead(PipelineResource(step.build_pipeline),
                      "build side probed by pipeline " + std::to_string(p.id));
+
+    // Predicate transfer (§3.4, [29, 30]): when the build side is selective,
+    // a Bloom filter on its key cheaply pre-filters the probe input. False
+    // positives are harmless — the hash join re-checks exactly.
+    const bool prefilter = options_.predicate_transfer &&
+                           node.join_type == plan::JoinType::kInner &&
+                           node.left_keys.size() == 1 &&
+                           build->num_rows() * 2 < view->num_rows();
+    if (prefilter && materialize) {
+      SIRIUS_ASSIGN_OR_RETURN(
+          TablePtr kept,
+          gdf::BloomPrefilter(ctx, Dense(*view), node.left_keys,
+                              build->column(node.right_keys[0])));
+      view->ResetToTable(std::move(kept));
+    }
     std::vector<ColumnPtr> lkeys, rkeys;
     for (int k : node.left_keys) {
       SIRIUS_ASSIGN_OR_RETURN(
@@ -602,12 +619,9 @@ class PipelineRunner {
       lkeys.push_back(std::move(c));
     }
     for (int k : node.right_keys) rkeys.push_back(build->column(k));
-
-    // Predicate transfer stays selection-shaped in a fused pass: the Bloom
-    // test emits a selection that refines the view; no gathered probe table.
-    if (options_.predicate_transfer &&
-        node.join_type == plan::JoinType::kInner && node.left_keys.size() == 1 &&
-        build->num_rows() * 2 < view->num_rows()) {
+    if (prefilter && !materialize) {
+      // In a fused pass the Bloom test emits a selection that refines the
+      // view; no gathered probe table.
       SIRIUS_ASSIGN_OR_RETURN(
           std::vector<gdf::index_t> keep,
           gdf::BloomPrefilterSelection(ctx, lkeys[0], rkeys[0]));
@@ -621,306 +635,167 @@ class PipelineRunner {
       }
     }
 
-    gdf::JoinOptions joptions;
-    switch (node.join_type) {
-      case plan::JoinType::kInner:
-        joptions.type = gdf::JoinType::kInner;
-        break;
-      case plan::JoinType::kLeft:
-        joptions.type = gdf::JoinType::kLeft;
-        break;
-      case plan::JoinType::kSemi:
-        joptions.type = gdf::JoinType::kSemi;
-        break;
-      case plan::JoinType::kAnti:
-        joptions.type = gdf::JoinType::kAnti;
-        break;
-      case plan::JoinType::kCross:
-      case plan::JoinType::kAsof:
-        return Status::Internal("join type cannot run fused");
+    gdf::JoinResult pairs;
+    if (node.join_type == plan::JoinType::kCross) {
+      SIRIUS_ASSIGN_OR_RETURN(
+          pairs, gdf::CrossJoin(ctx, view->num_rows(), build->num_rows()));
+    } else if (node.join_type == plan::JoinType::kAsof) {
+      SIRIUS_ASSIGN_OR_RETURN(
+          ColumnPtr left_on,
+          gdf::GatherViewColumn(ctx, *view, node.asof_left_on,
+                                sim::OpCategory::kJoin));
+      SIRIUS_ASSIGN_OR_RETURN(
+          pairs, gdf::AsofJoin(ctx, left_on, build->column(node.asof_right_on),
+                               lkeys, rkeys));
+    } else {
+      gdf::JoinOptions joptions;
+      joptions.type = GdfJoinType(node.join_type);
+      if (node.residual != nullptr) {
+        joptions.residual = node.residual.get();
+        joptions.left_table = Dense(*view);
+        joptions.right_table = build;
+      }
+      SIRIUS_ASSIGN_OR_RETURN(pairs,
+                              gdf::HashJoin(ctx, lkeys, rkeys, joptions));
     }
-    SIRIUS_ASSIGN_OR_RETURN(gdf::JoinResult pairs,
-                            gdf::HashJoin(ctx, lkeys, rkeys, joptions));
     // uint64 <-> int32 index boundary on the join outputs (§3.2.3).
     std::vector<uint64_t> engine_left =
         BufferManager::FromGdfIndices(pairs.left_indices, ctx.sim);
     SIRIUS_ASSIGN_OR_RETURN(pairs.left_indices,
                             BufferManager::ToGdfIndices(engine_left, ctx.sim));
-    const bool emits_right = node.join_type == plan::JoinType::kInner ||
-                             node.join_type == plan::JoinType::kLeft;
-    return gdf::ApplyJoinToView(
-        ctx, view, pairs, build, emits_right,
-        /*nullable_right=*/node.join_type == plan::JoinType::kLeft,
-        sim::OpCategory::kJoin);
-  }
-
-  /// Sink of a fused stage: the view's one materialization point. Aggregates
-  /// consume the view directly (only referenced columns gather); limits
-  /// refine the selection before gathering; everything else materializes the
-  /// view and delegates to the existing sink kernel.
-  Result<TablePtr> RunSinkFused(const Pipeline& p,
-                                const gdf::SelectionView& view,
-                                const gdf::Context& ctx) {
-    switch (p.sink) {
-      case SinkKind::kAggregate: {
-        const PlanNode& node = *p.sink_node;
-        std::vector<std::string> key_names;
-        for (size_t k = 0; k < node.group_by.size(); ++k) {
-          key_names.push_back(node.output_schema.field(k).name);
-        }
-        std::vector<gdf::AggRequest> aggs;
-        for (size_t a = 0; a < node.aggregates.size(); ++a) {
-          gdf::AggRequest req;
-          req.kind = host::ToGdfAgg(node.aggregates[a].func);
-          req.column = node.aggregates[a].arg_column;
-          req.name = node.output_schema.field(node.group_by.size() + a).name;
-          aggs.push_back(std::move(req));
-        }
-        return gdf::GroupByAggregateView(ctx, view, node.group_by, key_names,
-                                         aggs);
-      }
-      case SinkKind::kLimit: {
-        // The limit refines the selection before the chain's single gather,
-        // so only the surviving rows ever materialize.
-        const PlanNode& node = *p.sink_node;
-        const size_t start =
-            std::min(static_cast<size_t>(node.offset), view.num_rows());
-        const size_t count =
-            node.limit < 0 ? view.num_rows() - start
-                           : std::min(static_cast<size_t>(node.limit),
-                                      view.num_rows() - start);
-        std::vector<gdf::index_t> sel(count);
-        for (size_t i = 0; i < count; ++i) {
-          sel[i] = static_cast<gdf::index_t>(start + i);
-        }
-        gdf::SelectionView sliced = view;
-        SIRIUS_RETURN_NOT_OK(
-            gdf::RefineView(ctx, &sliced, sel, sim::OpCategory::kOther));
-        return gdf::MaterializeView(ctx, sliced, StepOutputSchema(p),
-                                    sim::OpCategory::kOther);
-      }
-      default: {
-        SIRIUS_ASSIGN_OR_RETURN(
-            TablePtr t, gdf::MaterializeView(ctx, view, StepOutputSchema(p),
-                                             sim::OpCategory::kOther));
-        // The sink gather is the fused stage's materialization point; it
-        // pays the same fit check (and, out of core, the same spill round
-        // trip) the materialized path pays per intermediate.
-        SIRIUS_RETURN_NOT_OK(CheckProcessingFit(t, p, ctx));
-        return RunSink(p, std::move(t), ctx);
-      }
-    }
-  }
-
-  Result<TablePtr> RunSteps(const Pipeline& p, TablePtr current,
-                            const gdf::Context& ctx) {
-    for (const auto& step : p.steps) {
-      switch (step.kind) {
-        case StepKind::kFilter: {
-          SIRIUS_ASSIGN_OR_RETURN(
-              ColumnPtr mask,
-              gdf::ComputeColumn(ctx, *step.node->predicate, current,
-                                 sim::OpCategory::kFilter));
-          SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> sel,
-                                  gdf::MaskToIndices(ctx, mask));
-          // Engine-side row ids are uint64; GDF gathers take int32
-          // (§3.2.3's stated conversion boundary).
-          std::vector<uint64_t> engine_rows =
-              BufferManager::FromGdfIndices(sel, ctx.sim);
-          SIRIUS_ASSIGN_OR_RETURN(sel, BufferManager::ToGdfIndices(engine_rows,
-                                                                   ctx.sim));
-          SIRIUS_ASSIGN_OR_RETURN(
-              current,
-              gdf::GatherTable(ctx, current, sel, sim::OpCategory::kFilter));
-          break;
-        }
-        case StepKind::kProject: {
-          std::vector<ColumnPtr> cols;
-          for (const auto& e : step.node->projections) {
-            SIRIUS_ASSIGN_OR_RETURN(
-                ColumnPtr c, gdf::ComputeColumn(ctx, *e, current,
-                                                sim::OpCategory::kProject));
-            cols.push_back(std::move(c));
-          }
-          SIRIUS_ASSIGN_OR_RETURN(
-              current,
-              format::Table::Make(step.node->output_schema, std::move(cols)));
-          break;
-        }
-        case StepKind::kProbeJoin:
-        case StepKind::kCrossJoin: {
-          TablePtr build = results_[step.build_pipeline];
-          if (build == nullptr) {
-            return Status::Internal("build side not materialized");
-          }
-          ctx.sim.NoteRead(PipelineResource(step.build_pipeline),
-                           "build side probed by pipeline " +
-                               std::to_string(p.id));
-          SIRIUS_ASSIGN_OR_RETURN(current,
-                                  Probe(*step.node, current, build, ctx));
-          break;
-        }
-      }
-      SIRIUS_RETURN_NOT_OK(CheckProcessingFit(current, p, ctx));
-      SIRIUS_RETURN_NOT_OK(CheckLimits(p));
-    }
-    return current;
-  }
-
-  Result<TablePtr> Probe(const PlanNode& node, TablePtr left, TablePtr right,
-                         const gdf::Context& ctx) {
-    // Predicate transfer (§3.4, [29, 30]): when the build side is selective,
-    // a Bloom filter on its key cheaply pre-filters the probe input. False
-    // positives are harmless — the hash join re-checks exactly.
-    if (options_.predicate_transfer && node.join_type == plan::JoinType::kInner &&
-        node.left_keys.size() == 1 &&
-        right->num_rows() * 2 < left->num_rows()) {
-      SIRIUS_ASSIGN_OR_RETURN(
-          left, gdf::BloomPrefilter(ctx, left, node.left_keys,
-                                    right->column(node.right_keys[0])));
-    }
-    gdf::JoinResult pairs;
-    if (node.join_type == plan::JoinType::kCross) {
-      SIRIUS_ASSIGN_OR_RETURN(
-          pairs, gdf::CrossJoin(ctx, left->num_rows(), right->num_rows()));
-    } else if (node.join_type == plan::JoinType::kAsof) {
-      std::vector<ColumnPtr> lby, rby;
-      for (int k : node.left_keys) lby.push_back(left->column(k));
-      for (int k : node.right_keys) rby.push_back(right->column(k));
-      SIRIUS_ASSIGN_OR_RETURN(
-          pairs, gdf::AsofJoin(ctx, left->column(node.asof_left_on),
-                               right->column(node.asof_right_on), lby, rby));
-    } else {
-      std::vector<ColumnPtr> lkeys, rkeys;
-      for (int k : node.left_keys) lkeys.push_back(left->column(k));
-      for (int k : node.right_keys) rkeys.push_back(right->column(k));
-      gdf::JoinOptions options;
-      switch (node.join_type) {
-        case plan::JoinType::kInner:
-          options.type = gdf::JoinType::kInner;
-          break;
-        case plan::JoinType::kLeft:
-          options.type = gdf::JoinType::kLeft;
-          break;
-        case plan::JoinType::kSemi:
-          options.type = gdf::JoinType::kSemi;
-          break;
-        case plan::JoinType::kAnti:
-          options.type = gdf::JoinType::kAnti;
-          break;
-        case plan::JoinType::kCross:
-        case plan::JoinType::kAsof:
-          break;
-      }
-      if (node.residual != nullptr) {
-        options.residual = node.residual.get();
-        options.left_table = left;
-        options.right_table = right;
-      }
-      SIRIUS_ASSIGN_OR_RETURN(pairs, gdf::HashJoin(ctx, lkeys, rkeys, options));
-    }
-    // uint64 <-> int32 index boundary on the join outputs (§3.2.3).
-    std::vector<uint64_t> engine_left =
-        BufferManager::FromGdfIndices(pairs.left_indices, ctx.sim);
-    SIRIUS_ASSIGN_OR_RETURN(
-        pairs.left_indices, BufferManager::ToGdfIndices(engine_left, ctx.sim));
 
     const bool emits_right = node.join_type == plan::JoinType::kInner ||
                              node.join_type == plan::JoinType::kLeft ||
                              node.join_type == plan::JoinType::kCross ||
                              node.join_type == plan::JoinType::kAsof;
+    const bool nullable_right = node.join_type == plan::JoinType::kLeft ||
+                                node.join_type == plan::JoinType::kAsof;
+    if (!materialize) {
+      return gdf::ApplyJoinToView(ctx, view, pairs, build, emits_right,
+                                  nullable_right, sim::OpCategory::kJoin);
+    }
     SIRIUS_ASSIGN_OR_RETURN(
-        TablePtr lg, gdf::GatherTable(ctx, left, pairs.left_indices,
+        TablePtr lg, gdf::GatherTable(ctx, Dense(*view), pairs.left_indices,
                                       sim::OpCategory::kJoin));
     std::vector<ColumnPtr> cols = lg->columns();
     if (emits_right) {
       SIRIUS_ASSIGN_OR_RETURN(
           TablePtr rg,
-          gdf::GatherTable(ctx, right, pairs.right_indices, sim::OpCategory::kJoin,
-                           /*nulls_for_negative=*/node.join_type ==
-                                   plan::JoinType::kLeft ||
-                               node.join_type == plan::JoinType::kAsof));
+          gdf::GatherTable(ctx, build, pairs.right_indices,
+                           sim::OpCategory::kJoin, nullable_right));
       for (const auto& c : rg->columns()) cols.push_back(c);
     }
-    return format::Table::Make(node.output_schema, std::move(cols));
+    SIRIUS_ASSIGN_OR_RETURN(
+        TablePtr out, format::Table::Make(node.output_schema, std::move(cols)));
+    view->ResetToTable(std::move(out));
+    return Status::OK();
   }
 
-  Result<TablePtr> RunSink(const Pipeline& p, TablePtr current,
-                           const gdf::Context& ctx) {
+  /// The chain's materialization point. A fused view gathers once, and the
+  /// gathered table must fit the processing region like any materialized
+  /// intermediate (out of core, the same tiered spill round trip, §3.4); a
+  /// materialized chain's view is already dense.
+  Result<TablePtr> GatherView(const Pipeline& p, const gdf::SelectionView& view,
+                              const gdf::Context& ctx, bool fused) {
+    if (!fused) return Dense(view);
+    SIRIUS_ASSIGN_OR_RETURN(
+        TablePtr t, gdf::MaterializeView(ctx, view, StepOutputSchema(p),
+                                         sim::OpCategory::kOther));
+    SIRIUS_RETURN_NOT_OK(CheckProcessingFit(t->MemoryUsage(), p, ctx));
+    return t;
+  }
+
+  /// Schema of the chain's logical output (the last step's node). Only
+  /// fused views need it, and fused stages always have steps (the compiler
+  /// refuses empty chains).
+  static const format::Schema& StepOutputSchema(const Pipeline& p) {
+    return p.steps.back().node->output_schema;
+  }
+
+  /// Sink. Aggregates consume the view directly (only referenced columns
+  /// gather); limits select their rows before the gather, so only survivors
+  /// materialize; every other sink runs over the gathered table.
+  Result<TablePtr> RunSink(const Pipeline& p, gdf::SelectionView view,
+                           const gdf::Context& ctx, bool fused) {
+    const PlanNode* node = p.sink_node;
     switch (p.sink) {
-      case SinkKind::kMaterialize:
-        return current;
       case SinkKind::kAggregate: {
-        const PlanNode& node = *p.sink_node;
-        std::vector<ColumnPtr> keys;
         std::vector<std::string> key_names;
-        for (size_t k = 0; k < node.group_by.size(); ++k) {
-          keys.push_back(current->column(node.group_by[k]));
-          key_names.push_back(node.output_schema.field(k).name);
+        for (size_t k = 0; k < node->group_by.size(); ++k) {
+          key_names.push_back(node->output_schema.field(k).name);
         }
         std::vector<gdf::AggRequest> aggs;
-        for (size_t a = 0; a < node.aggregates.size(); ++a) {
+        for (size_t a = 0; a < node->aggregates.size(); ++a) {
           gdf::AggRequest req;
-          req.kind = host::ToGdfAgg(node.aggregates[a].func);
-          req.column = node.aggregates[a].arg_column;
-          req.name = node.output_schema.field(node.group_by.size() + a).name;
+          req.kind = host::ToGdfAgg(node->aggregates[a].func);
+          req.column = node->aggregates[a].arg_column;
+          req.name = node->output_schema.field(node->group_by.size() + a).name;
           aggs.push_back(std::move(req));
         }
-        return gdf::GroupByAggregate(ctx, keys, key_names, current, aggs);
+        return gdf::GroupByAggregateView(ctx, view, node->group_by, key_names,
+                                         aggs);
       }
+      case SinkKind::kLimit: {
+        const size_t start =
+            std::min(static_cast<size_t>(node->offset), view.num_rows());
+        const size_t count =
+            node->limit < 0 ? view.num_rows() - start
+                            : std::min(static_cast<size_t>(node->limit),
+                                       view.num_rows() - start);
+        std::vector<gdf::index_t> sel(count);
+        for (size_t i = 0; i < count; ++i) {
+          sel[i] = static_cast<gdf::index_t>(start + i);
+        }
+        SIRIUS_RETURN_NOT_OK(
+            Select(ctx, &view, sel, sim::OpCategory::kOther, !fused));
+        if (!fused) return Dense(view);
+        return gdf::MaterializeView(ctx, view, StepOutputSchema(p),
+                                    sim::OpCategory::kOther);
+      }
+      default:
+        break;
+    }
+    SIRIUS_ASSIGN_OR_RETURN(TablePtr t, GatherView(p, view, ctx, fused));
+    switch (p.sink) {
       case SinkKind::kSort: {
-        const PlanNode& node = *p.sink_node;
         std::vector<int> cols;
         std::vector<bool> desc;
-        for (const auto& k : node.sort_keys) {
+        for (const auto& k : node->sort_keys) {
           cols.push_back(k.column);
           desc.push_back(k.descending);
         }
-        return gdf::SortTable(ctx, current, cols, desc);
+        return gdf::SortTable(ctx, t, cols, desc);
       }
       case SinkKind::kDistinct: {
-        if (current->num_columns() == 0) return current;
+        if (t->num_columns() == 0) return t;
         SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> indices,
-                                gdf::DistinctIndices(ctx, current->columns()));
-        return gdf::GatherTable(ctx, current, indices,
-                                sim::OpCategory::kGroupBy);
+                                gdf::DistinctIndices(ctx, t->columns()));
+        return gdf::GatherTable(ctx, t, indices, sim::OpCategory::kGroupBy);
       }
-      case SinkKind::kLimit: {
-        const PlanNode& node = *p.sink_node;
-        size_t limit = node.limit < 0 ? current->num_rows()
-                                      : static_cast<size_t>(node.limit);
-        return gdf::SliceTable(ctx, current, static_cast<size_t>(node.offset),
-                               limit);
-      }
-      case SinkKind::kExchange:
-        // Single-node deployments bypass the exchange layer (§3.2.4).
-        return current;
+      default:
+        // kMaterialize, and kExchange: single-node deployments bypass the
+        // exchange layer (§3.2.4).
+        return t;
     }
-    return Status::Internal("unknown sink");
   }
 
-  Status CheckProcessingFit(const TablePtr& t, const Pipeline& p,
+  /// Fit check for `raw_bytes` of live intermediate state: a gathered
+  /// intermediate, or a fused pass's selection vectors (its only per-step
+  /// allocation).
+  Status CheckProcessingFit(uint64_t raw_bytes, const Pipeline& p,
                             const gdf::Context& ctx) const {
-    return CheckProcessingFitBytes(t->MemoryUsage(), p, ctx);
-  }
-
-  /// Bytes-based fit check shared by both execution modes: materialized
-  /// stages check the gathered intermediate, fused stages check the live
-  /// selection-vector state (their only per-step allocation).
-  Status CheckProcessingFitBytes(uint64_t raw_bytes, const Pipeline& p,
-                                 const gdf::Context& ctx) const {
     const uint64_t modeled = static_cast<uint64_t>(
         static_cast<double>(raw_bytes) * ctx.sim.data_scale);
     // The injector models an allocation failing under pressure even when
     // the capacity pre-check would pass.
     Status st = injector_->Check(kSiteReserve);
     if (st.ok()) st = bm_->ReserveProcessing(modeled);
-    if (st.ok() && limits_ != nullptr && limits_->reservation != nullptr) {
+    if (st.ok() && limits_.reservation != nullptr) {
       // Per-query accounting: intermediates beyond the admission-time
       // estimate grow the query's reservation; refusal means the serving
       // layer's budget is exhausted, not the device.
       std::lock_guard<std::mutex> lock(reservation_mu_);
-      st = limits_->reservation->EnsureAtLeast(modeled);
+      st = limits_.reservation->EnsureAtLeast(modeled);
     }
     if (!st.ok() && st.IsOutOfMemory() && options_.out_of_core) {
       // §3.4 spilling, tiered: the overflow is staged on the first surviving
@@ -935,23 +810,17 @@ class PipelineRunner {
                                     : modeled;
       const double now = start_s_[p.id] + timelines_[p.id].total_seconds();
       Result<mem::SpillSession::Ticket> trip = spill_->RoundTrip(
-          p.id, overflow, now, limits_ != nullptr ? limits_->spill : nullptr,
-          ctx.sim.hazards, ctx.sim.stream);
+          p.id, overflow, now, limits_.spill, ctx.sim.hazards, ctx.sim.stream);
       if (!trip.ok()) return trip.status();
       const mem::SpillSession::Ticket& tk = trip.ValueOrDie();
       if (tk.stall_s > 0) {
         ctx.sim.ChargeSeconds(sim::OpCategory::kOther, tk.stall_s);
       }
-      if (spill_counters_.aggregate != nullptr) spill_counters_.aggregate->Add();
-      obs::Counter* per_tier = tk.tier == mem::Tier::kHost
-                                   ? spill_counters_.host
-                                   : spill_counters_.nvme;
-      if (per_tier != nullptr) per_tier->Add();
-      if (trace_ != nullptr) {
-        trace_->AddCounter("engine.spill_events");
-        trace_->AddCounter(std::string("engine.spill.") +
-                           mem::TierName(tk.tier));
-      }
+      Bump(metrics_, &Stats::spill_events, 1, trace_);
+      Bump(metrics_,
+           tk.tier == mem::Tier::kHost ? &Stats::spill_host
+                                       : &Stats::spill_nvme,
+           1, trace_);
       return Status::OK();
     }
     return st;
@@ -963,15 +832,12 @@ class PipelineRunner {
   ThreadPool* pool_;
   fault::FaultInjector* injector_;
   mem::TierManager* tiers_;
-  SpillCounters spill_counters_;
+  obs::MetricsRegistry* metrics_;
   /// Per-run spill state; lanes are per-pipeline, so concurrent pipelines
   /// never share an overlap horizon (determinism).
   std::unique_ptr<mem::SpillSession> spill_;
-  obs::Counter* race_violations_;
   obs::TraceRecorder* trace_;
-  const ExecLimits* limits_;
-  obs::Counter* deadline_cancels_;
-  obs::Counter* fused_stages_;
+  const ExecLimits& limits_;
   /// Per-pipeline fused-stage decisions for the current Run (not owned).
   const std::vector<FusedStage>* stages_ = nullptr;
   /// Reservation growth is cross-pipeline (the Reservation is per-query,
@@ -1023,10 +889,6 @@ Result<host::QueryResult> SiriusEngine::ExecuteSubstrait(
   return ExecutePlan(plan);
 }
 
-Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan) {
-  return ExecutePlan(plan, ExecLimits{});
-}
-
 Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
                                                     const ExecLimits& limits) {
   SIRIUS_RETURN_NOT_OK(options_.capabilities.Check(*plan));
@@ -1034,7 +896,7 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
   SIRIUS_ASSIGN_OR_RETURN(int result_id,
                           PipelineCompiler::Compile(plan, &pipelines));
 
-  counters_.queries->Add();
+  Bump(&metrics_, &Stats::queries);
   host::QueryResult result;
   result.optimized_plan = plan;
   result.timeline.Charge(sim::OpCategory::kOther,
@@ -1059,60 +921,40 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
     Status fuse_st = injector()->Check(kSiteFuseCompile);
     if (!fuse_st.ok()) {
       fusion_on = false;
-      counters_.fusion_fallbacks->Add();
-      if (recorder != nullptr) {
-        recorder->AddCounter("engine.fusion_fallbacks");
-      }
+      Bump(&metrics_, &Stats::fusion_fallbacks, 1, recorder.get());
     }
   }
   const std::vector<FusedStage> stages = FusedStageCompiler::Compile(
       pipelines, options_.device, options_.data_scale, fusion_on);
 
-  PipelineRunner::SpillCounters spill_counters;
-  spill_counters.host = counters_.spill_host;
-  spill_counters.nvme = counters_.spill_nvme;
-  spill_counters.aggregate = counters_.spill_events;
   PipelineRunner runner(options_, &buffer_manager_, host_db_, &task_pool_,
-                        injector(), &tiers_, spill_counters,
-                        counters_.race_violations, recorder.get(),
-                        limits.any() ? &limits : nullptr,
-                        counters_.deadline_cancels, counters_.fused_stages);
+                        injector(), &tiers_, &metrics_, recorder.get(),
+                        limits);
   Result<TablePtr> table = runner.Run(pipelines, stages, result_id,
                                       &result.timeline, &result.kernels,
                                       result.timeline.total_seconds());
-  if (!table.ok() && table.status().IsOutOfMemory()) {
-    counters_.oom_events->Add();
-    if (options_.retry_after_evict) {
-      // Device-memory pressure recovery: drop the caching region (base
-      // columns re-load from the host) and give the pipeline set one more
-      // chance before the host falls back to its CPU engine (§3.4).
-      counters_.evictions_under_pressure->Add(buffer_manager_.EvictAll());
-      counters_.pipeline_retries->Add();
-      if (recorder != nullptr) {
-        recorder->AddCounter("engine.pipeline_retries");
-        recorder->AddInstant(recorder->RegisterTrack("engine"),
-                             "oom-evict-retry", "engine",
-                             result.timeline.total_seconds());
-      }
-      table = runner.Run(pipelines, stages, result_id, &result.timeline,
-                         &result.kernels, result.timeline.total_seconds());
+  // Device-memory recovery, one retry per query: drop the caching region
+  // (base columns re-load from the host) and re-run the pipeline set before
+  // the host falls back to its CPU engine (§3.4). A mid-spill tier loss
+  // first revives the lost tiers (a transient loss heals; a persistent fault
+  // re-fires on the next placement). A second failure propagates, so the
+  // serving layer can re-admit the query or the host can fall back.
+  const bool oom = !table.ok() && table.status().IsOutOfMemory();
+  const bool tier_loss = !table.ok() && table.status().IsUnavailable() &&
+                         runner.tier_loss_seen();
+  if (oom) Bump(&metrics_, &Stats::oom_events);
+  if ((oom || tier_loss) && options_.retry_after_evict) {
+    if (tier_loss) tiers_.ReviveLostTiers();
+    Bump(&metrics_, &Stats::evictions_under_pressure,
+         buffer_manager_.EvictAll());
+    Bump(&metrics_, &Stats::pipeline_retries, 1, recorder.get());
+    if (tier_loss) {
+      Bump(&metrics_, &Stats::tier_loss_retries, 1, recorder.get());
     }
-  } else if (!table.ok() && table.status().IsUnavailable() &&
-             runner.tier_loss_seen() && options_.retry_after_evict) {
-    // Mid-spill tier loss: revive the lost tiers (a transient loss heals;
-    // a persistent fault re-fires on the next placement), drop the cache,
-    // and re-run once on the survivors — the same one-retry contract as the
-    // OOM path. A second loss propagates, so the serving layer can re-admit
-    // the query or the host can fall back to its CPU engine.
-    tiers_.ReviveLostTiers();
-    counters_.evictions_under_pressure->Add(buffer_manager_.EvictAll());
-    counters_.pipeline_retries->Add();
-    counters_.tier_loss_retries->Add();
     if (recorder != nullptr) {
-      recorder->AddCounter("engine.tier_loss_retries");
       recorder->AddInstant(recorder->RegisterTrack("engine"),
-                           "tier-loss-retry", "engine",
-                           result.timeline.total_seconds());
+                           oom ? "oom-evict-retry" : "tier-loss-retry",
+                           "engine", result.timeline.total_seconds());
     }
     table = runner.Run(pipelines, stages, result_id, &result.timeline,
                        &result.kernels, result.timeline.total_seconds());
@@ -1132,23 +974,11 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
 
 SiriusEngine::Stats SiriusEngine::stats() const {
   const auto snap = metrics_.Snapshot();
-  auto get = [&snap](const char* name) -> uint64_t {
-    auto it = snap.find(name);
-    return it == snap.end() ? 0 : it->second;
-  };
   Stats s;
-  s.queries = get("engine.queries");
-  s.oom_events = get("engine.oom_events");
-  s.evictions_under_pressure = get("engine.evictions_under_pressure");
-  s.pipeline_retries = get("engine.pipeline_retries");
-  s.spill_events = get("engine.spill_events");
-  s.spill_host = get("engine.spill.host");
-  s.spill_nvme = get("engine.spill.nvme");
-  s.tier_loss_retries = get("engine.tier_loss_retries");
-  s.race_violations = get("engine.race_violations");
-  s.deadline_cancels = get("engine.deadline_cancels");
-  s.fused_stages = get("engine.fused_stages");
-  s.fusion_fallbacks = get("engine.fusion_fallbacks");
+  for (const auto& [field, name] : kStatCounters) {
+    auto it = snap.find(name);
+    if (it != snap.end()) s.*field = it->second;
+  }
   return s;
 }
 
@@ -1203,7 +1033,7 @@ Result<std::string> SiriusEngine::ExplainPipelines(const PlanPtr& plan) const {
   SIRIUS_RETURN_NOT_OK(PipelineCompiler::Compile(plan, &pipelines).status());
   const std::vector<FusedStage> stages = FusedStageCompiler::Compile(
       pipelines, options_.device, options_.data_scale, options_.fusion);
-  return PipelinesToString(pipelines, &stages);
+  return PipelinesToString(pipelines, stages);
 }
 
 }  // namespace sirius::engine

@@ -50,11 +50,6 @@ struct ExecLimits {
   /// Reservation::Grow; exhaustion surfaces as Status::ResourceExhausted
   /// with a "; retry-after=<s>s" hint so the serving layer can shed.
   mem::Reservation* spill = nullptr;
-
-  bool any() const {
-    return deadline_s > 0 || cancel != nullptr || reservation != nullptr ||
-           spill != nullptr;
-  }
 };
 
 /// \brief The GPU engine, attachable to a host database as a drop-in
@@ -89,11 +84,11 @@ class SiriusEngine : public host::Accelerator {
     /// on each inner-join build side and pre-filter the probe input with it
     /// when the build side is selective.
     bool predicate_transfer = false;
-    /// Fused pipeline execution: compile each pipeline's streaming chain
-    /// into one pass per morsel where selection vectors flow between
-    /// operators and sinks are the only materialization points. Chains the
-    /// selection flow cannot express (cross/asof/residual joins) fall back
-    /// to materialized step-at-a-time execution per stage.
+    /// Fused pipeline execution: run each pipeline's streaming chain as one
+    /// pass per morsel where selection vectors flow between operators and
+    /// sinks are the only materialization points. Off, every step
+    /// materializes its output (step-at-a-time execution). Stages with
+    /// cross/asof/residual joins always materialize.
     bool fusion = true;
     /// Fault injector consulted at the device-memory sites ("engine.reserve");
     /// nullptr uses the (disarmed) global injector.
@@ -124,8 +119,8 @@ class SiriusEngine : public host::Accelerator {
     size_t trace_capacity = 8192;
   };
 
-  /// \brief Memory-path recovery counters — a view over the metrics
-  /// registry (snapshot; see stats()).
+  /// \brief Engine counters — a view over the metrics registry (snapshot;
+  /// see stats()). Each field reads one "engine.*" registry counter.
   struct Stats {
     uint64_t queries = 0;            ///< plans executed (attempts not counted)
     uint64_t oom_events = 0;         ///< OutOfMemory statuses seen from the device
@@ -150,18 +145,16 @@ class SiriusEngine : public host::Accelerator {
   /// capabilities, and executes it on the device.
   Result<host::QueryResult> ExecuteSubstrait(const std::string& plan_text) override;
 
-  /// Executes an already-deserialized plan.
+  /// Executes an already-deserialized plan under per-query `limits`
+  /// (deadline / cancel flag / memory reservation; the serving layer sets
+  /// them).
   ///
   /// Re-entrant: any number of threads may execute plans against one engine
   /// concurrently. Pipeline tasks from every in-flight query share the
   /// global task queue (paper §3.2.2); the buffer manager and metrics are
   /// internally synchronized.
-  Result<host::QueryResult> ExecutePlan(const plan::PlanPtr& plan);
-
-  /// Executes a plan under per-query limits (deadline / cancel flag /
-  /// memory reservation) — the serving-layer entry point.
   Result<host::QueryResult> ExecutePlan(const plan::PlanPtr& plan,
-                                        const ExecLimits& limits);
+                                        const ExecLimits& limits = {});
 
   std::string name() const override { return "sirius"; }
 
@@ -202,23 +195,6 @@ class SiriusEngine : public host::Accelerator {
                                         sim::Timeline* timeline = nullptr);
 
  private:
-  /// Cached registry handles for the hot counters (workers bump these
-  /// lock-free; the registry owns the values).
-  struct CounterRefs {
-    obs::Counter* queries = nullptr;
-    obs::Counter* oom_events = nullptr;
-    obs::Counter* evictions_under_pressure = nullptr;
-    obs::Counter* pipeline_retries = nullptr;
-    obs::Counter* spill_events = nullptr;
-    obs::Counter* spill_host = nullptr;
-    obs::Counter* spill_nvme = nullptr;
-    obs::Counter* tier_loss_retries = nullptr;
-    obs::Counter* race_violations = nullptr;
-    obs::Counter* deadline_cancels = nullptr;
-    obs::Counter* fused_stages = nullptr;
-    obs::Counter* fusion_fallbacks = nullptr;
-  };
-
   fault::FaultInjector* injector() const {
     return options_.injector != nullptr ? options_.injector
                                         : fault::FaultInjector::Global();
@@ -230,7 +206,6 @@ class SiriusEngine : public host::Accelerator {
   BufferManager buffer_manager_;
   ThreadPool task_pool_;
   obs::MetricsRegistry metrics_;
-  CounterRefs counters_;
 };
 
 }  // namespace sirius::engine

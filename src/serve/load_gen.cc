@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "common/hash.h"
@@ -40,34 +41,29 @@ std::vector<OpenLoopArrival> GenerateOpenLoopArrivals(
       base_clients.push_back(i);
     }
   }
-  // With no overrides every client is a base client and the loop below is
-  // the legacy one: the caller's rng is consumed identically, arrival for
-  // arrival, so existing seeds keep their exact schedules.
   std::vector<OpenLoopArrival> arrivals;
-  if (!base_clients.empty()) {
-    const double rate = std::max(options.arrival_rate_qps, 1e-9);
+  // One Poisson stream at `qps` drawn from `gen`, round-robin over `slots`.
+  auto stream = [&](std::mt19937_64& gen, double qps,
+                    const std::vector<size_t>& slots) {
+    const double rate = std::max(qps, 1e-9);
     double t = start_s;
-    size_t rr = 0;
-    while (true) {
-      t += -std::log(1.0 - UniformFrom(*rng)) / rate;
+    for (size_t rr = 0;; rr = (rr + 1) % slots.size()) {
+      t += -std::log(1.0 - UniformFrom(gen)) / rate;
       if (t >= start_s + options.duration_s) break;
-      arrivals.push_back(OpenLoopArrival{t, base_clients[rr]});
-      rr = (rr + 1) % base_clients.size();
+      arrivals.push_back(OpenLoopArrival{t, slots[rr]});
     }
+  };
+  // With no overrides every client is a base client and this is the legacy
+  // stream: the caller's rng is consumed identically, arrival for arrival,
+  // so existing seeds keep their exact schedules.
+  if (!base_clients.empty()) {
+    stream(*rng, options.arrival_rate_qps, base_clients);
   }
   for (const auto& [tenant, qps] : options.tenant_arrival_rate_qps) {
     const auto it = override_clients.find(tenant);
     if (it == override_clients.end()) continue;  // tenant has no client slot
     std::mt19937_64 derived(HashCombine(options.seed, HashString(tenant)));
-    const double rate = std::max(qps, 1e-9);
-    double t = start_s;
-    size_t rr = 0;
-    while (true) {
-      t += -std::log(1.0 - UniformFrom(derived)) / rate;
-      if (t >= start_s + options.duration_s) break;
-      arrivals.push_back(OpenLoopArrival{t, it->second[rr]});
-      rr = (rr + 1) % it->second.size();
-    }
+    stream(derived, qps, it->second);
   }
   return arrivals;
 }
@@ -109,10 +105,6 @@ struct ClientState {
   int retries_left = 0;
   bool outstanding = false;  ///< closed loop: a query is in flight
   QueryId in_flight = 0;
-};
-
-struct PendingOutcome {
-  QueryId id = 0;
 };
 
 void Record(const QueryOutcome& out, LoadReport* report) {
@@ -176,6 +168,33 @@ Result<LoadReport> LoadGenerator::Run() {
   double first_arrival = std::numeric_limits<double>::infinity();
   double last_finish = 0;
 
+  std::vector<ClientState> clients(
+      static_cast<size_t>(std::max(1, options_.num_clients)));
+  for (size_t i = 0; i < clients.size(); ++i) {
+    clients[i].tenant = options_.tenants[i % options_.tenants.size()];
+    clients[i].session = server_->OpenSession(clients[i].tenant);
+    clients[i].next_s = server_->now_s();
+    clients[i].remaining = options_.queries_per_client;
+    clients[i].retries_left = options_.max_retries;
+  }
+  // Submits one query for `c` arriving at `at_s`. A shed submit yields no
+  // id and sets `*hint` to the server's retry-after delay.
+  auto submit = [&](const ClientState& c, double at_s,
+                    double* hint) -> Result<std::optional<QueryId>> {
+    SubmitOptions per = sub;
+    per.arrival_s = at_s;
+    per.priority = Uniform() < options_.interactive_fraction ? 1 : 0;
+    const std::string& sql = PickSql(c.tenant);
+    ++report.submitted;
+    first_arrival = std::min(first_arrival, at_s);
+    auto submitted = server_->Submit(c.session, sql, per);
+    if (submitted.ok()) return std::optional<QueryId>(submitted.ValueOrDie());
+    if (!submitted.status().IsResourceExhausted()) return submitted.status();
+    ++report.shed;
+    *hint = std::max(RetryAfterHint(submitted.status()), 1e-3);
+    return std::optional<QueryId>();
+  };
+
   if (!options_.open_loop) {
     // Closed loop: one outstanding query per client; the next submit waits
     // for the previous completion plus think time. Submits and dispatch
@@ -183,15 +202,6 @@ Result<LoadReport> LoadGenerator::Run() {
     // before the server's next dispatch must land first, so the fair
     // scheduler arbitrates over everything actually queued at each decision
     // point (and real executions genuinely overlap on the worker pool).
-    std::vector<ClientState> clients(
-        static_cast<size_t>(std::max(1, options_.num_clients)));
-    for (size_t i = 0; i < clients.size(); ++i) {
-      clients[i].tenant = options_.tenants[i % options_.tenants.size()];
-      clients[i].session = server_->OpenSession(clients[i].tenant);
-      clients[i].next_s = server_->now_s();
-      clients[i].remaining = options_.queries_per_client;
-      clients[i].retries_left = options_.max_retries;
-    }
     // Collects finished in-flight queries and schedules their clients.
     auto harvest = [&]() -> Status {
       for (auto& c : clients) {
@@ -216,33 +226,22 @@ Result<LoadReport> LoadGenerator::Run() {
       }
       const double next_dispatch = server_->NextDispatchTime();
       if (next != nullptr && next->next_s <= next_dispatch) {
-        SubmitOptions per = sub;
-        per.arrival_s = next->next_s;
-        per.priority = Uniform() < options_.interactive_fraction ? 1 : 0;
-        const std::string& sql = PickSql(next->tenant);
-        ++report.submitted;
-        first_arrival = std::min(first_arrival, next->next_s);
-        auto submitted = server_->Submit(next->session, sql, per);
-        if (!submitted.ok()) {
-          if (!submitted.status().IsResourceExhausted()) {
-            return submitted.status();
-          }
-          ++report.shed;
-          const double hint =
-              std::max(RetryAfterHint(submitted.status()), 1e-3);
+        double hint = 0;
+        SIRIUS_ASSIGN_OR_RETURN(std::optional<QueryId> id,
+                                submit(*next, next->next_s, &hint));
+        if (id.has_value()) {
+          next->outstanding = true;
+          next->in_flight = *id;
+        } else {
           if (next->retries_left > 0) {
             --next->retries_left;
             ++report.retries;
-            next->next_s += hint;
           } else {
             ++report.abandoned;
             --next->remaining;
             next->retries_left = options_.max_retries;
-            next->next_s += hint;
           }
-        } else {
-          next->outstanding = true;
-          next->in_flight = submitted.ValueOrDie();
+          next->next_s += hint;
         }
       } else if (std::isfinite(next_dispatch)) {
         SIRIUS_ASSIGN_OR_RETURN(QueryOutcome stepped, server_->Step());
@@ -267,49 +266,30 @@ Result<LoadReport> LoadGenerator::Run() {
     std::priority_queue<Arrival, std::vector<Arrival>, decltype(later)>
         arrivals(later);
 
-    std::vector<ClientState> clients(
-        static_cast<size_t>(std::max(1, options_.num_clients)));
-    for (size_t i = 0; i < clients.size(); ++i) {
-      clients[i].tenant = options_.tenants[i % options_.tenants.size()];
-      clients[i].session = server_->OpenSession(clients[i].tenant);
-    }
     for (const OpenLoopArrival& oa :
          GenerateOpenLoopArrivals(options_, server_->now_s(), &rng_)) {
       arrivals.push(Arrival{oa.at_s, options_.max_retries, oa.client});
     }
 
-    std::vector<PendingOutcome> pending;
+    std::vector<QueryId> pending;
     while (!arrivals.empty()) {
       Arrival a = arrivals.top();
       arrivals.pop();
-      ClientState& c = clients[a.client];
-      SubmitOptions per = sub;
-      per.arrival_s = a.at_s;
-      per.priority = Uniform() < options_.interactive_fraction ? 1 : 0;
-      const std::string& sql = PickSql(c.tenant);
-      ++report.submitted;
-      first_arrival = std::min(first_arrival, a.at_s);
-      auto submitted = server_->Submit(c.session, sql, per);
-      if (!submitted.ok()) {
-        if (!submitted.status().IsResourceExhausted()) {
-          return submitted.status();
-        }
-        ++report.shed;
-        const double hint =
-            std::max(RetryAfterHint(submitted.status()), 1e-3);
-        if (a.retries_left > 0) {
-          ++report.retries;
-          arrivals.push(Arrival{a.at_s + hint, a.retries_left - 1, a.client});
-        } else {
-          ++report.abandoned;
-        }
-        continue;
+      double hint = 0;
+      SIRIUS_ASSIGN_OR_RETURN(std::optional<QueryId> id,
+                              submit(clients[a.client], a.at_s, &hint));
+      if (id.has_value()) {
+        pending.push_back(*id);
+      } else if (a.retries_left > 0) {
+        ++report.retries;
+        arrivals.push(Arrival{a.at_s + hint, a.retries_left - 1, a.client});
+      } else {
+        ++report.abandoned;
       }
-      pending.push_back(PendingOutcome{submitted.ValueOrDie()});
     }
     SIRIUS_RETURN_NOT_OK(server_->DrainAll());
-    for (const PendingOutcome& p : pending) {
-      SIRIUS_ASSIGN_OR_RETURN(QueryOutcome out, server_->Resolve(p.id));
+    for (QueryId id : pending) {
+      SIRIUS_ASSIGN_OR_RETURN(QueryOutcome out, server_->Resolve(id));
       Record(out, &report);
       last_finish = std::max(last_finish, out.finish_s);
     }

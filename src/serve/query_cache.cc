@@ -140,12 +140,6 @@ size_t QueryCache::EvictStale(uint64_t current_version) {
   return dropped;
 }
 
-void QueryCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
-}
-
 QueryCache::Stats QueryCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

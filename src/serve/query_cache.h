@@ -84,9 +84,6 @@ class QueryCache {
   /// fabric so replica occupancy reflects live entries only.
   size_t EvictStale(uint64_t current_version);
 
-  /// Drops everything (tests; version stamping handles correctness).
-  void Clear();
-
   Stats stats() const;
   size_t size() const;
 

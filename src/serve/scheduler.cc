@@ -7,8 +7,7 @@
 namespace sirius::serve {
 
 void FairScheduler::RegisterTenant(const std::string& tenant, double weight) {
-  Tenant& t = GetTenant(tenant);
-  t.weight = std::max(weight, 1e-9);
+  GetTenant(tenant).weight = std::max(weight, 1e-9);
 }
 
 FairScheduler::Tenant& FairScheduler::GetTenant(const std::string& name) {
@@ -63,12 +62,6 @@ void FairScheduler::Charge(const std::string& tenant, double device_seconds) {
   t.charged += device_seconds;
 }
 
-size_t FairScheduler::Depth(const std::string& tenant) const {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return 0;
-  return it->second.lanes[0].size() + it->second.lanes[1].size();
-}
-
 double FairScheduler::EarliestArrival() const {
   double earliest = std::numeric_limits<double>::infinity();
   for (const auto& [name, t] : tenants_) {
@@ -113,26 +106,18 @@ PlacementPolicy::Decision PlacementPolicy::Place(
   }
   if (d.device < 0) return d;  // nothing alive
 
+  // A cold tenant, or inputs that would be (re)loaded wherever the query
+  // lands (nothing to be warm about): balance wins outright.
   const int warm = warm_device(tenant);
-  if (warm < 0 || warm >= static_cast<int>(alive.size()) ||
+  if (!inputs_resident || warm < 0 || warm >= static_cast<int>(alive.size()) ||
       !alive[static_cast<size_t>(warm)]) {
-    d.reason = "cold";
-    return d;
-  }
-  if (!inputs_resident) {
-    // Nothing to be warm about: the inputs would be (re)loaded wherever the
-    // query lands, so balance wins outright.
-    d.reason = "cold";
-    return d;
+    return d;  // "cold"
   }
   const double warm_backlog = backlog_s[static_cast<size_t>(warm)];
   const double least_backlog = backlog_s[static_cast<size_t>(d.device)];
   if (warm_backlog <=
       options_.imbalance_ratio * least_backlog + options_.imbalance_slack_s) {
-    d.device = warm;
-    d.warm = true;
-    d.reason = "warm";
-    return d;
+    return Decision{warm, true, "warm"};
   }
   d.reason = "spill";
   return d;

@@ -55,7 +55,6 @@ class FairScheduler {
   void Charge(const std::string& tenant, double device_seconds);
 
   size_t depth() const { return depth_; }
-  size_t Depth(const std::string& tenant) const;
   /// Earliest arrival among all queued entries; +inf when empty.
   double EarliestArrival() const;
   bool empty() const { return depth_ == 0; }

@@ -38,10 +38,6 @@ std::string WithRetryAfter(const std::string& msg, double retry_after_s) {
   return msg + "; retry-after=" + std::to_string(retry_after_s) + "s";
 }
 
-std::string DeviceTag(int device) {
-  return "device " + std::to_string(device);
-}
-
 /// True when every base-table column the plan scans is resident in `bm`.
 /// Plans without scans report false (nothing resident to be warm about).
 bool ScansResident(const plan::PlanPtr& plan, const engine::BufferManager& bm) {
@@ -100,47 +96,6 @@ QueryServer::QueryServer(host::Database* db, engine::SiriusEngine* engine,
           per_device, "serve-dev" + std::to_string(d)));
       pools_.push_back(owned_pools_.back().get());
     }
-  }
-  if (options_.tracing) {
-    for (int d = 0; d < devices_.num_devices(); ++d) {
-      for (int i = 0; i < options_.num_streams; ++i) {
-        const std::string name =
-            devices_.num_devices() == 1
-                ? "stream-" + std::to_string(i)
-                : "dev" + std::to_string(d) + "/stream-" + std::to_string(i);
-        stream_tracks_.push_back(trace_.RegisterTrack(name));
-      }
-    }
-    admission_track_ = trace_.RegisterTrack("admission");
-    placement_track_ = trace_.RegisterTrack("placement");
-  }
-}
-
-QueryServer::QueryServer(dist::DorisCluster* cluster, ServeOptions options)
-    : options_(options),
-      cluster_(cluster),
-      devices_(sim::DeviceGroup::Options{
-          options.num_devices,
-          sim::StreamSet::Options{options.num_streams,
-                                  options.solo_utilization},
-          options.fabric}),
-      placer_(PlacementPolicy::Options{options.placement_imbalance_ratio,
-                                       1e-3}),
-      cache_(QueryCache::Options{options.cache_entries,
-                                 /*cache_plans=*/false,  // cluster plans itself
-                                 options.result_cache}),
-      exec_pool_(static_cast<size_t>(std::max(1, options.execution_threads))),
-      trace_(obs::TraceRecorder::Options{options.tracing, 8192,
-                                         /*unbounded=*/true}) {
-  SIRIUS_CHECK(cluster_ != nullptr);
-  // The cluster has no single buffer manager to borrow a budget from; the
-  // caller must size one explicitly.
-  SIRIUS_CHECK(options_.admission_budget_bytes > 0);
-  scheds_.resize(static_cast<size_t>(devices_.num_devices()));
-  for (int d = 0; d < devices_.num_devices(); ++d) {
-    owned_pools_.push_back(std::make_unique<mem::ReservationPool>(
-        options_.admission_budget_bytes, "serve-dev" + std::to_string(d)));
-    pools_.push_back(owned_pools_.back().get());
   }
   if (options_.tracing) {
     for (int d = 0; d < devices_.num_devices(); ++d) {
@@ -252,32 +207,37 @@ void QueryServer::BumpTenantCounter(const std::string& tenant,
   metrics_.GetCounter("serve.tenant." + tenant + "." + what)->Add();
 }
 
-std::vector<double> QueryServer::DeviceBacklogs() const {
-  // Per-device backlog: time until one of its streams frees up, plus its
-  // queued work's expected drain time spread across the streams.
-  // Deterministic (simulated state only) so placement decisions replay.
-  const double mean = exec_samples_ > 0 ? mean_exec_s_ : 10e-3;
-  std::vector<double> backlog(static_cast<size_t>(devices_.num_devices()),
-                              kInf);
-  for (int d = 0; d < devices_.num_devices(); ++d) {
-    if (devices_.lost(d)) continue;
-    const double until_free =
-        std::max(0.0, devices_.EarliestStart(d, now_s_) - now_s_);
-    backlog[static_cast<size_t>(d)] =
-        until_free + static_cast<double>(scheds_[static_cast<size_t>(d)].depth()) *
-                         mean / devices_.streams_per_device();
-  }
-  return backlog;
-}
-
-double QueryServer::ComputeRetryAfter(int device) const {
+double QueryServer::Backlog(int device) const {
+  // Time until one of the device's streams frees up, plus its queued work's
+  // expected drain time spread across the streams. Deterministic (simulated
+  // state only) so placement decisions replay.
   const double mean = exec_samples_ > 0 ? mean_exec_s_ : 10e-3;
   const double until_free =
       std::max(0.0, devices_.EarliestStart(device, now_s_) - now_s_);
-  const double backlog =
-      static_cast<double>(scheds_[static_cast<size_t>(device)].depth()) *
-      mean / devices_.streams_per_device();
-  return std::max(1e-3, until_free + backlog);
+  return until_free +
+         static_cast<double>(scheds_[static_cast<size_t>(device)].depth()) *
+             mean / devices_.streams_per_device();
+}
+
+double QueryServer::ComputeRetryAfter(int device) const {
+  return std::max(1e-3, Backlog(device));
+}
+
+Status QueryServer::Overloaded(int device, const std::string& why) const {
+  return Status::ResourceExhausted(
+      WithRetryAfter("device " + std::to_string(device) + ": " + why,
+                     ComputeRetryAfter(device)));
+}
+
+PlacementPolicy::Decision QueryServer::PlaceQuery(const std::string& tenant,
+                                                  bool resident) const {
+  std::vector<double> backlogs;
+  std::vector<bool> alive;
+  for (int d = 0; d < devices_.num_devices(); ++d) {
+    alive.push_back(!devices_.lost(d));
+    backlogs.push_back(alive.back() ? Backlog(d) : kInf);
+  }
+  return placer_.Place(tenant, resident, backlogs, alive);
 }
 
 bool QueryServer::InputsResident(const plan::PlanPtr& plan,
@@ -287,7 +247,6 @@ bool QueryServer::InputsResident(const plan::PlanPtr& plan,
   // catalog recently — its plan (and possibly result) were produced from
   // inputs that were resident then.
   if (cache_.HasLiveEntry(norm, version)) return true;
-  if (engine_ == nullptr) return false;
   return ScansResident(plan, engine_->buffer_manager());
 }
 
@@ -300,7 +259,7 @@ void QueryServer::UpdateDeviceGauges() {
   // Per-tier spill gauges ride along with the device gauges: the engine's
   // tier hierarchy is a shared resource the operator watches next to the
   // queues (mem.tier.host.*, mem.tier.nvme.*, mem.pinned_host.in_use_bytes).
-  if (engine_ != nullptr) engine_->tiers().PublishGauges(&metrics_);
+  engine_->tiers().PublishGauges(&metrics_);
   if (devices_.num_devices() == 1) return;
   for (int d = 0; d < devices_.num_devices(); ++d) {
     const std::string prefix = "serve.device." + std::to_string(d);
@@ -327,36 +286,21 @@ void QueryServer::LoseDevice(int device, double at_s) {
   }
   std::vector<QueuedEntry> orphans =
       scheds_[static_cast<size_t>(device)].Drain();
-  std::vector<bool> alive(static_cast<size_t>(devices_.num_devices()));
-  for (int d = 0; d < devices_.num_devices(); ++d) {
-    alive[static_cast<size_t>(d)] = !devices_.lost(d);
-  }
   for (QueuedEntry& qe : orphans) {
     auto it = entries_.find(qe.query_id);
     SIRIUS_CHECK(it != entries_.end());
     Entry* entry = it->second.get();
 
-    auto shed_entry = [&](const Status& status) {
+    auto shed_entry = [&](Status status) {
       // The survivor pools cannot carry this admission: join the real
       // execution (cancelled, result discarded) and finalize as shed.
-      entry->exec->cancel.store(true, std::memory_order_relaxed);
-      ExecResult discarded = entry->future.get();
-      (void)discarded;
-      entry->exec->reservation.Release();
-      entry->exec->spill.Release();
-      entry->requeue_reservation.Release();
-      entry->outcome.state = QueryState::kShed;
-      entry->outcome.status = status;
-      entry->outcome.finish_s = at_s;
-      entry->outcome.retry_after_s = RetryAfterHint(status);
-      BumpTenantCounter(entry->outcome.tenant, "shed");
+      (void)JoinExecution(entry, /*cancel=*/true);
       metrics_.GetCounter("serve.requeue_shed")->Add();
-      Finalize(entry);
+      FinishUnplaced(entry, QueryState::kShed, std::move(status), at_s);
     };
 
-    const std::vector<double> backlogs = DeviceBacklogs();
-    PlacementPolicy::Decision dec =
-        placer_.Place(qe.tenant, entry->inputs_resident, backlogs, alive);
+    const PlacementPolicy::Decision dec =
+        PlaceQuery(qe.tenant, entry->inputs_resident);
     if (dec.device < 0) {
       shed_entry(Status::Unavailable(
           "device group lost every device; query cannot be re-placed"));
@@ -369,9 +313,7 @@ void QueryServer::LoseDevice(int device, double at_s) {
     auto reservation = mem::Reservation::Take(
         pools_[static_cast<size_t>(dec.device)], entry->reservation_bytes);
     if (!reservation.ok()) {
-      shed_entry(Status::ResourceExhausted(WithRetryAfter(
-          DeviceTag(dec.device) + ": " + reservation.status().message(),
-          ComputeRetryAfter(dec.device))));
+      shed_entry(Overloaded(dec.device, reservation.status().message()));
       continue;
     }
     entry->requeue_reservation = std::move(reservation).ValueOrDie();
@@ -414,68 +356,50 @@ Result<QueryId> QueryServer::Submit(SessionId session, const std::string& sql,
   Pump(arrival);
   now_s_ = std::max(now_s_, arrival);
 
-  metrics_.GetCounter("serve.submitted")->Add();
-  metrics_.GetCounter("serve.tenant." + tenant + ".submitted")->Add();
+  BumpTenantCounter(tenant, "submitted");
 
   // Overload fault site: chaos tests shed here without real memory pressure.
   Status admit = injector()->Check(kAdmitSite);
   if (!admit.ok()) {
-    BumpTenantCounter(tenant, "shed");
-    if (options_.tracing) {
-      trace_.AddInstant(admission_track_, "shed(fault) " + tenant,
-                        "admission", arrival);
-    }
-    return Status::ResourceExhausted(
-        WithRetryAfter(admit.message(), ComputeRetryAfter(0)));
+    return ShedSubmit(tenant, "fault", arrival,
+                      Status::ResourceExhausted(WithRetryAfter(
+                          admit.message(), ComputeRetryAfter(0))));
   }
 
   const std::string norm = NormalizeSql(sql);
-  const uint64_t version = db_ != nullptr
-                               ? db_->catalog().version()
-                               : cluster_->coordinator().catalog().version();
+  const uint64_t version = db_->catalog().version();
 
   // Result cache first: a hit costs no admission, no stream, no execution.
   if (!sub.bypass_cache) {
     QueryCache::CachedResult hit;
     if (cache_.LookupResult(norm, version, &hit)) {
-      QueryId id = next_query_id_++;
-      auto entry = std::make_unique<Entry>();
-      entry->outcome.id = id;
-      entry->outcome.tenant = tenant;
-      entry->outcome.priority = sub.priority;
-      entry->outcome.state = QueryState::kCompleted;
-      entry->outcome.status = Status::OK();
-      entry->outcome.arrival_s = arrival;
-      entry->outcome.dispatch_s = arrival;
-      entry->outcome.finish_s = arrival + options_.cache_hit_cost_s;
-      entry->outcome.cache_hit = true;
-      entry->outcome.exec_solo_s = hit.exec_seconds;  // saved device time
-      if (hit.table != nullptr) {
-        entry->outcome.result_rows = hit.table->num_rows();
-      }
-      if (sub.keep_result) entry->outcome.table = hit.table;
+      Entry* entry = AddEntry(tenant, sub, arrival);
+      QueryOutcome& out = entry->outcome;
+      out.state = QueryState::kCompleted;
+      out.dispatch_s = arrival;
+      out.finish_s = arrival + options_.cache_hit_cost_s;
+      out.cache_hit = true;
+      out.exec_solo_s = hit.exec_seconds;  // saved device time
+      if (hit.table != nullptr) out.result_rows = hit.table->num_rows();
+      if (sub.keep_result) out.table = hit.table;
       BumpTenantCounter(tenant, "cache_hits");
-      BumpTenantCounter(tenant, "completed");
       if (options_.tracing) {
         trace_.AddInstant(admission_track_, "cache-hit " + tenant,
                           "admission", arrival);
       }
-      entries_.emplace(id, std::move(entry));
-      return id;
+      Finalize(entry);
+      return out.id;
     }
   }
 
-  // Plan (single-node backend; the cluster coordinator plans per query).
   // Planned before placement so the residency consult can walk the scans.
-  plan::PlanPtr plan;
-  if (db_ != nullptr) {
-    plan = sub.bypass_cache ? nullptr : cache_.LookupPlan(norm, version);
-    if (plan == nullptr) {
-      auto planned = db_->PlanSql(sql);
-      if (!planned.ok()) return planned.status();
-      plan = std::move(planned).ValueOrDie();
-      if (!sub.bypass_cache) cache_.InsertPlan(norm, version, plan);
-    }
+  plan::PlanPtr plan =
+      sub.bypass_cache ? nullptr : cache_.LookupPlan(norm, version);
+  if (plan == nullptr) {
+    auto planned = db_->PlanSql(sql);
+    if (!planned.ok()) return planned.status();
+    plan = std::move(planned).ValueOrDie();
+    if (!sub.bypass_cache) cache_.InsertPlan(norm, version, plan);
   }
 
   // Placement: pick the device this query is admitted against. The
@@ -483,53 +407,35 @@ Result<QueryId> QueryServer::Submit(SessionId session, const std::string& sql,
   // mis-placement (any other code) ahead of the policy's choice.
   const bool resident = InputsResident(plan, norm, version);
   Status place_fault = injector()->Check(kPlaceSite);
-  std::vector<double> backlogs = DeviceBacklogs();
-  std::vector<bool> alive(static_cast<size_t>(devices_.num_devices()));
-  for (int d = 0; d < devices_.num_devices(); ++d) {
-    alive[static_cast<size_t>(d)] = !devices_.lost(d);
-  }
-  PlacementPolicy::Decision dec = placer_.Place(tenant, resident, backlogs, alive);
-  if (!place_fault.ok()) {
-    if (place_fault.IsUnavailable()) {
-      if (dec.device >= 0) {
-        LoseDevice(dec.device, arrival);
-        backlogs = DeviceBacklogs();
-        for (int d = 0; d < devices_.num_devices(); ++d) {
-          alive[static_cast<size_t>(d)] = !devices_.lost(d);
-        }
-        dec = placer_.Place(tenant, resident, backlogs, alive);
+  PlacementPolicy::Decision dec = PlaceQuery(tenant, resident);
+  if (place_fault.IsUnavailable() && dec.device >= 0) {
+    LoseDevice(dec.device, arrival);
+    dec = PlaceQuery(tenant, resident);
+  } else if (!place_fault.ok() && !place_fault.IsUnavailable()) {
+    // Forced mis-placement: the most-loaded alive device (deterministic
+    // worst choice), ignoring warmth.
+    int worst = -1;
+    for (int d = 0; d < devices_.num_devices(); ++d) {
+      if (!devices_.lost(d) && (worst < 0 || Backlog(d) > Backlog(worst))) {
+        worst = d;
       }
-    } else {
-      // Forced mis-placement: the most-loaded alive device (deterministic
-      // worst choice), ignoring warmth.
-      int worst = -1;
-      for (int d = 0; d < devices_.num_devices(); ++d) {
-        if (!alive[static_cast<size_t>(d)]) continue;
-        if (worst < 0 || backlogs[static_cast<size_t>(d)] >
-                             backlogs[static_cast<size_t>(worst)]) {
-          worst = d;
-        }
-      }
-      dec = PlacementPolicy::Decision{worst, false, "forced"};
     }
+    dec = PlacementPolicy::Decision{worst, false, "forced"};
   }
   if (dec.device < 0) {
-    BumpTenantCounter(tenant, "shed");
-    return Status::Unavailable("no device available: every device is lost");
+    return ShedSubmit(
+        tenant, "lost", arrival,
+        Status::Unavailable("no device available: every device is lost"));
   }
   const size_t dev = static_cast<size_t>(dec.device);
 
   // Queue-depth shed: bound admitted-but-waiting work per device.
   if (scheds_[dev].depth() >= options_.max_queue_depth) {
-    BumpTenantCounter(tenant, "shed");
-    if (options_.tracing) {
-      trace_.AddInstant(admission_track_, "shed(queue) " + tenant,
-                        "admission", arrival);
-    }
-    return Status::ResourceExhausted(WithRetryAfter(
-        DeviceTag(dec.device) + ": admission queue full (depth " +
-            std::to_string(scheds_[dev].depth()) + ")",
-        ComputeRetryAfter(dec.device)));
+    return ShedSubmit(tenant, "queue", arrival,
+                      Overloaded(dec.device,
+                                 "admission queue full (depth " +
+                                     std::to_string(scheds_[dev].depth()) +
+                                     ")"));
   }
 
   // Memory admission: reserve the estimated working set up front, from the
@@ -539,15 +445,8 @@ Result<QueryId> QueryServer::Submit(SessionId session, const std::string& sql,
                              : options_.default_reservation_bytes;
   auto reservation = mem::Reservation::Take(pools_[dev], bytes);
   if (!reservation.ok()) {
-    BumpTenantCounter(tenant, "shed");
-    if (options_.tracing) {
-      trace_.AddInstant(admission_track_, "shed(memory) " + tenant,
-                        "admission", arrival);
-    }
-    return Status::ResourceExhausted(
-        WithRetryAfter(DeviceTag(dec.device) + ": " +
-                           reservation.status().message(),
-                       ComputeRetryAfter(dec.device)));
+    return ShedSubmit(tenant, "memory", arrival,
+                      Overloaded(dec.device, reservation.status().message()));
   }
 
   // Spilling away from a warm device drags the resident working set across
@@ -573,69 +472,63 @@ Result<QueryId> QueryServer::Submit(SessionId session, const std::string& sql,
          {"migrate_s", migrate_s}});
   }
 
-  QueryId id = next_query_id_++;
-  auto entry = std::make_unique<Entry>();
-  entry->outcome.id = id;
-  entry->outcome.tenant = tenant;
-  entry->outcome.priority = sub.priority;
-  entry->outcome.arrival_s = arrival;
+  Entry* entry = AddEntry(tenant, sub, arrival);
   entry->outcome.device = dec.device;
   entry->outcome.warm_placed = dec.warm;
   entry->normalized_sql = norm;
   entry->timeout_s =
       sub.timeout_s < 0 ? options_.default_timeout_s : sub.timeout_s;
-  entry->keep_result = sub.keep_result;
   entry->bypass_cache = sub.bypass_cache;
   entry->catalog_version = version;
   entry->device = dec.device;
   entry->migrate_s = migrate_s;
   entry->inputs_resident = resident;
   entry->reservation_bytes = bytes;
-  entry->exec = std::make_shared<ExecState>();
-  entry->exec->reservation = std::move(reservation).ValueOrDie();
-  entry->future = entry->exec->promise.get_future();
+  entry->plan = std::move(plan);
+  LaunchExecution(entry, std::move(reservation).ValueOrDie());
 
-  Entry* raw = entry.get();
-  entries_.emplace(id, std::move(entry));
-  if (db_ != nullptr) {
-    // Charge this execution's spilled bytes to the tenant's quota pool. The
-    // handle starts empty; the engine grows it per spilled extent.
-    auto spill = mem::Reservation::Take(SpillPoolFor(tenant), 0);
-    if (spill.ok()) raw->exec->spill = std::move(spill).ValueOrDie();
-    // Kept for tier-loss re-admission (relaunch without re-planning).
-    raw->plan = plan;
-    LaunchExecution(raw, std::move(plan));
-  } else {
-    // Cluster backend: ship the SQL; the coordinator plans and fragments.
-    auto exec = raw->exec;
-    dist::DorisCluster* cluster = cluster_;
-    exec_pool_.Submit([exec, cluster, sql] {
-      ExecResult r;
-      if (exec->cancel.load(std::memory_order_relaxed)) {
-        r.status = Status::Timeout("query cancelled before cluster dispatch");
-      } else {
-        auto res = cluster->Query(sql);
-        if (res.ok()) {
-          const dist::DistQueryResult& d = res.ValueOrDie();
-          r.status = Status::OK();
-          r.solo_seconds = d.total_seconds;
-          r.table = d.table;
-        } else {
-          r.status = res.status();
-        }
-      }
-      exec->promise.set_value(std::move(r));
-    });
-  }
-
-  scheds_[dev].Enqueue(QueuedEntry{id, tenant, sub.priority, arrival});
+  scheds_[dev].Enqueue(
+      QueuedEntry{entry->outcome.id, tenant, sub.priority, arrival});
   UpdateDeviceGauges();
   Pump(arrival);
-  return id;
+  return entry->outcome.id;
 }
 
-void QueryServer::LaunchExecution(Entry* entry, plan::PlanPtr plan) {
-  auto exec = entry->exec;
+Status QueryServer::ShedSubmit(const std::string& tenant, const char* why,
+                               double at_s, Status status) {
+  BumpTenantCounter(tenant, "shed");
+  if (options_.tracing) {
+    trace_.AddInstant(admission_track_,
+                      std::string("shed(") + why + ") " + tenant, "admission",
+                      at_s);
+  }
+  return status;
+}
+
+QueryServer::Entry* QueryServer::AddEntry(const std::string& tenant,
+                                          const SubmitOptions& sub,
+                                          double arrival_s) {
+  auto entry = std::make_unique<Entry>();
+  entry->outcome.id = next_query_id_++;
+  entry->outcome.tenant = tenant;
+  entry->outcome.priority = sub.priority;
+  entry->outcome.arrival_s = arrival_s;
+  entry->keep_result = sub.keep_result;
+  Entry* raw = entry.get();
+  entries_.emplace(raw->outcome.id, std::move(entry));
+  return raw;
+}
+
+void QueryServer::LaunchExecution(Entry* entry, mem::Reservation reservation) {
+  auto exec = std::make_shared<ExecState>();
+  exec->reservation = std::move(reservation);
+  // Charge this execution's spilled bytes to the tenant's quota pool. The
+  // handle starts empty; the engine grows it per spilled extent.
+  auto spill = mem::Reservation::Take(SpillPoolFor(entry->outcome.tenant), 0);
+  if (spill.ok()) exec->spill = std::move(spill).ValueOrDie();
+  entry->exec = exec;
+  entry->future = exec->promise.get_future();
+  plan::PlanPtr plan = entry->plan;
   engine::SiriusEngine* engine = engine_;
   host::Database* db = db_;
   const double deadline = entry->timeout_s;
@@ -653,7 +546,7 @@ void QueryServer::LaunchExecution(Entry* entry, plan::PlanPtr plan) {
     limits.reservation = &exec->reservation;
     limits.spill = &exec->spill;
     auto res = engine->ExecutePlan(plan, limits);
-    if (!res.ok() && res.status().IsUnsupportedOnDevice() && db != nullptr) {
+    if (!res.ok() && res.status().IsUnsupportedOnDevice()) {
       auto cpu = db->ExecutePlanCpu(plan);
       if (cpu.ok()) {
         r.fell_back = true;
@@ -688,18 +581,33 @@ int QueryServer::EarliestDecision(double* start_s) const {
   return best_device;
 }
 
-void QueryServer::Pump(double until_s) {
+QueryServer::Entry* QueryServer::DispatchNext(double until_s) {
+  double start = kInf;
+  const int dev = EarliestDecision(&start);
   QueuedEntry next;
-  for (;;) {
-    double start = kInf;
-    const int dev = EarliestDecision(&start);
-    if (dev < 0 || start > until_s) break;
-    if (!scheds_[static_cast<size_t>(dev)].PopNext(start, &next)) break;
-    auto it = entries_.find(next.query_id);
-    SIRIUS_CHECK(it != entries_.end());
-    DispatchEntry(it->second.get(), start);
+  if (dev < 0 || start > until_s ||
+      !scheds_[static_cast<size_t>(dev)].PopNext(start, &next)) {
+    return nullptr;
+  }
+  auto it = entries_.find(next.query_id);
+  SIRIUS_CHECK(it != entries_.end());
+  DispatchEntry(it->second.get(), start);
+  return it->second.get();
+}
+
+void QueryServer::Pump(double until_s) {
+  while (DispatchNext(until_s) != nullptr) {
   }
   UpdateDeviceGauges();
+}
+
+QueryServer::ExecResult QueryServer::JoinExecution(Entry* entry, bool cancel) {
+  if (cancel) entry->exec->cancel.store(true, std::memory_order_relaxed);
+  ExecResult r = entry->future.get();
+  entry->exec->reservation.Release();
+  entry->exec->spill.Release();
+  entry->requeue_reservation.Release();
+  return r;
 }
 
 void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
@@ -713,28 +621,18 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
   if (ready_s >= deadline) {
     // The deadline passed while the query sat in the queue: cancel the real
     // execution (its result is discarded) and charge nothing to a stream.
-    entry->exec->cancel.store(true, std::memory_order_relaxed);
-    ExecResult discarded = entry->future.get();
-    (void)discarded;
-    entry->exec->reservation.Release();
-    entry->exec->spill.Release();
-    entry->requeue_reservation.Release();
-    out.state = QueryState::kTimedOut;
-    out.dispatch_s = deadline;
-    out.finish_s = deadline;
-    out.status = Status::Timeout(
-        "deadline expired in admission queue (waited " +
-        std::to_string(deadline - out.arrival_s) + "s)");
-    Finalize(entry);
+    (void)JoinExecution(entry, /*cancel=*/true);
+    FinishUnplaced(entry, QueryState::kTimedOut,
+                   Status::Timeout(
+                       "deadline expired in admission queue (waited " +
+                       std::to_string(deadline - out.arrival_s) + "s)"),
+                   deadline);
     return;
   }
 
   // Join the real execution; every simulated instant below derives from its
   // charged timeline plus stream arbitration.
-  ExecResult r = entry->future.get();
-  entry->exec->reservation.Release();
-  entry->exec->spill.Release();
-  entry->requeue_reservation.Release();
+  ExecResult r = JoinExecution(entry, /*cancel=*/false);
 
   // A mid-spill tier loss voided staged extents out from under the query.
   // The engine already revived the tiers and re-ran once; if the loss still
@@ -747,35 +645,24 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
     entry->tier_requeued = true;
     auto reservation = mem::Reservation::Take(
         pools_[static_cast<size_t>(entry->device)], entry->reservation_bytes);
-    if (reservation.ok()) {
-      entry->exec = std::make_shared<ExecState>();
-      entry->exec->reservation = std::move(reservation).ValueOrDie();
-      auto spill = mem::Reservation::Take(SpillPoolFor(out.tenant), 0);
-      if (spill.ok()) entry->exec->spill = std::move(spill).ValueOrDie();
-      entry->future = entry->exec->promise.get_future();
-      out.state = QueryState::kQueued;
-      LaunchExecution(entry, entry->plan);
-      scheds_[static_cast<size_t>(entry->device)].Enqueue(
-          QueuedEntry{out.id, out.tenant, out.priority, ready_s});
-      BumpTenantCounter(out.tenant, "tier_requeued");
-      if (options_.tracing) {
-        trace_.AddInstant(placement_track_,
-                          "tier-loss-requeue q" + std::to_string(out.id),
-                          "serve.place", ready_s);
-      }
+    if (!reservation.ok()) {
+      // Admission cannot cover the relaunch right now: shed with a hint —
+      // the loss was the system's fault, not the query's.
+      FinishUnplaced(entry, QueryState::kShed,
+                     Overloaded(entry->device, reservation.status().message()),
+                     ready_s);
       return;
     }
-    // Admission cannot cover the relaunch right now: shed with a hint —
-    // the loss was the system's fault, not the query's.
-    out.state = QueryState::kShed;
-    out.status = Status::ResourceExhausted(WithRetryAfter(
-        DeviceTag(entry->device) + ": " + reservation.status().message(),
-        ComputeRetryAfter(entry->device)));
-    out.retry_after_s = RetryAfterHint(out.status);
-    out.dispatch_s = ready_s;
-    out.finish_s = ready_s;
-    BumpTenantCounter(out.tenant, "shed");
-    Finalize(entry);
+    out.state = QueryState::kQueued;
+    LaunchExecution(entry, std::move(reservation).ValueOrDie());
+    scheds_[static_cast<size_t>(entry->device)].Enqueue(
+        QueuedEntry{out.id, out.tenant, out.priority, ready_s});
+    BumpTenantCounter(out.tenant, "tier_requeued");
+    if (options_.tracing) {
+      trace_.AddInstant(placement_track_,
+                        "tier-loss-requeue q" + std::to_string(out.id),
+                        "serve.place", ready_s);
+    }
     return;
   }
 
@@ -784,40 +671,26 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
   // backs off while its other queries drain their staged bytes.
   if (!r.status.ok() && r.status.IsResourceExhausted() &&
       r.status.message().find("spill") != std::string::npos) {
-    out.state = QueryState::kShed;
-    out.status = RetryAfterHint(r.status) > 0
-                     ? r.status
-                     : Status::ResourceExhausted(WithRetryAfter(
-                           r.status.message(), ComputeRetryAfter(entry->device)));
-    out.retry_after_s = RetryAfterHint(out.status);
-    out.dispatch_s = ready_s;
-    out.finish_s = ready_s;
     BumpTenantCounter(out.tenant, "spill_quota_shed");
-    BumpTenantCounter(out.tenant, "shed");
-    Finalize(entry);
-    return;
-  }
-
-  if (!r.status.ok() && !r.status.IsTimeout()) {
-    out.state = QueryState::kFailed;
-    out.status = r.status;
-    out.dispatch_s = ready_s;
-    out.finish_s = ready_s;
-    Finalize(entry);
+    FinishUnplaced(entry, QueryState::kShed,
+                   RetryAfterHint(r.status) > 0
+                       ? r.status
+                       : Status::ResourceExhausted(WithRetryAfter(
+                             r.status.message(),
+                             ComputeRetryAfter(entry->device))),
+                   ready_s);
     return;
   }
 
   // An engine-side Timeout means execution alone exceeded the budget: the
   // lane stays busy up to the deadline, then the cancellation frees it. A
   // cancellation with no deadline (chaos "serve.cancel", shutdown) has no
-  // well-defined occupancy — it ends where it started.
+  // well-defined occupancy — like a failure, it ends where it started.
   const bool engine_timeout = r.status.IsTimeout();
-  if (engine_timeout && !std::isfinite(deadline)) {
-    out.state = QueryState::kTimedOut;
-    out.status = r.status;
-    out.dispatch_s = ready_s;
-    out.finish_s = ready_s;
-    Finalize(entry);
+  if (!r.status.ok() && (!engine_timeout || !std::isfinite(deadline))) {
+    FinishUnplaced(entry,
+                   engine_timeout ? QueryState::kTimedOut : QueryState::kFailed,
+                   r.status, ready_s);
     return;
   }
   // A migrating placement pays the fabric transfer ahead of execution on
@@ -892,6 +765,9 @@ void QueryServer::Finalize(Entry* entry) {
     case QueryState::kFailed:
       BumpTenantCounter(out.tenant, "failed");
       break;
+    case QueryState::kShed:
+      BumpTenantCounter(out.tenant, "shed");
+      break;
     default:
       break;
   }
@@ -920,6 +796,19 @@ void QueryServer::Finalize(Entry* entry) {
   now_s_ = std::max(now_s_, out.dispatch_s);
 }
 
+void QueryServer::FinishUnplaced(Entry* entry, QueryState state,
+                                 Status status, double at_s) {
+  QueryOutcome& out = entry->outcome;
+  out.state = state;
+  out.status = std::move(status);
+  out.dispatch_s = at_s;
+  out.finish_s = at_s;
+  if (state == QueryState::kShed) {
+    out.retry_after_s = RetryAfterHint(out.status);
+  }
+  Finalize(entry);
+}
+
 Result<QueryOutcome> QueryServer::Resolve(QueryId id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(id);
@@ -927,20 +816,11 @@ Result<QueryOutcome> QueryServer::Resolve(QueryId id) {
     return Status::KeyError("Resolve: unknown query " + std::to_string(id));
   }
   Entry* target = it->second.get();
-  QueuedEntry next;
   while (!target->outcome.terminal()) {
-    double start = kInf;
-    const int dev = EarliestDecision(&start);
-    if (dev < 0) {
+    if (DispatchNext(kInf) == nullptr) {
       return Status::Internal("Resolve: query " + std::to_string(id) +
                               " is neither queued nor terminal");
     }
-    if (!scheds_[static_cast<size_t>(dev)].PopNext(start, &next)) {
-      return Status::Internal("Resolve: scheduler stalled");
-    }
-    auto nit = entries_.find(next.query_id);
-    SIRIUS_CHECK(nit != entries_.end());
-    DispatchEntry(nit->second.get(), start);
   }
   UpdateDeviceGauges();
   return target->outcome;
@@ -955,18 +835,10 @@ double QueryServer::NextDispatchTime() const {
 
 Result<QueryOutcome> QueryServer::Step() {
   std::lock_guard<std::mutex> lock(mu_);
-  double start = kInf;
-  const int dev = EarliestDecision(&start);
-  if (dev < 0) return Status::Invalid("Step: nothing queued");
-  QueuedEntry next;
-  if (!scheds_[static_cast<size_t>(dev)].PopNext(start, &next)) {
-    return Status::Internal("Step: scheduler stalled");
-  }
-  auto it = entries_.find(next.query_id);
-  SIRIUS_CHECK(it != entries_.end());
-  DispatchEntry(it->second.get(), start);
+  Entry* entry = DispatchNext(kInf);
+  if (entry == nullptr) return Status::Invalid("Step: nothing queued");
   UpdateDeviceGauges();
-  return it->second->outcome;
+  return entry->outcome;
 }
 
 Result<QueryOutcome> QueryServer::Peek(QueryId id) const {

@@ -2,7 +2,7 @@
 // traffic from many sessions against one shared engine).
 //
 // QueryServer multiplexes queries from many sessions onto a shared
-// SiriusEngine (or DorisCluster). Three mechanisms:
+// SiriusEngine. Three mechanisms:
 //
 //  * Admission control — every query reserves its estimated processing-region
 //    working set from the buffer manager's reservation pool *before*
@@ -54,7 +54,6 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "dist/cluster.h"
 #include "engine/sirius.h"
 #include "fault/fault_injector.h"
 #include "host/database.h"
@@ -167,8 +166,7 @@ struct ServeOptions {
   /// Admission budget in bytes, per device. 0 = the engine buffer manager's
   /// processing-region pool: with one device that pool is shared directly;
   /// with several, each device owns a private pool of the same capacity
-  /// (each simulated GPU has its own processing region). The cluster
-  /// backend requires an explicit budget.
+  /// (each simulated GPU has its own processing region).
   uint64_t admission_budget_bytes = 0;
   /// Reservation for submits that do not specify one.
   uint64_t default_reservation_bytes = 256ull << 20;
@@ -235,13 +233,10 @@ class QueryService {
 /// on one mutex while executions proceed in parallel on the worker pool.
 class QueryServer : public QueryService {
  public:
-  /// Single-node backend: queries run on `engine` (attached to `db` for
-  /// planning and CPU fallback). Both not owned.
+  /// Queries run on `engine` (attached to `db` for planning and CPU
+  /// fallback). Both not owned.
   QueryServer(host::Database* db, engine::SiriusEngine* engine,
               ServeOptions options);
-  /// Distributed backend: queries run through `cluster`'s coordinator.
-  /// Requires ServeOptions::admission_budget_bytes > 0. Not owned.
-  QueryServer(dist::DorisCluster* cluster, ServeOptions options);
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
@@ -339,7 +334,7 @@ class QueryServer : public QueryService {
 
  private:
   struct ExecResult {
-    Status status;             ///< engine/cluster status
+    Status status;             ///< engine status
     double solo_seconds = 0;   ///< charged duration when OK
     format::TablePtr table;
     bool fell_back = false;
@@ -371,8 +366,9 @@ class QueryServer : public QueryService {
     /// entry (the original reservation stays on the lost pool until the
     /// execution joins — it may still be growing it).
     mem::Reservation requeue_reservation;
-    /// Kept so a mid-spill tier loss can relaunch the execution without
-    /// re-planning (mirrors the device-loss re-admission protocol).
+    /// The plan LaunchExecution runs; kept so a mid-spill tier loss can
+    /// relaunch the execution without re-planning (mirrors the device-loss
+    /// re-admission protocol).
     plan::PlanPtr plan;
     /// One tier-loss re-admission per query; a second loss fails it.
     bool tier_requeued = false;
@@ -380,11 +376,28 @@ class QueryServer : public QueryService {
     std::future<ExecResult> future;
   };
 
-  /// Launches the real execution of `plan` for `entry` on the worker pool.
-  void LaunchExecution(Entry* entry, plan::PlanPtr plan);
+  /// Registers a fresh entry for a submit of `tenant` arriving at
+  /// `arrival_s`. Caller holds mu_.
+  Entry* AddEntry(const std::string& tenant, const SubmitOptions& sub,
+                  double arrival_s);
+  /// Launches the real execution of `entry->plan` on the worker pool under
+  /// the admission `reservation` (plus an empty spill-quota charge). Caller
+  /// holds mu_.
+  void LaunchExecution(Entry* entry, mem::Reservation reservation);
+  /// Counts (and traces) a submit of `tenant` shed at admission for `why`;
+  /// returns `status`. Caller holds mu_.
+  Status ShedSubmit(const std::string& tenant, const char* why, double at_s,
+                    Status status);
   /// Dispatches queued entries whose start time lands at or before
   /// `until_s`. Caller holds mu_.
   void Pump(double until_s);
+  /// Dispatches the earliest queued entry when it starts at or before
+  /// `until_s`; returns it, or null when there is none. Caller holds mu_.
+  Entry* DispatchNext(double until_s);
+  /// Waits for `entry`'s real execution — cancelled first when `cancel`,
+  /// its result then discarded — and releases every reservation it held.
+  /// Caller holds mu_.
+  ExecResult JoinExecution(Entry* entry, bool cancel);
   /// Earliest (start, device) dispatch decision across alive devices;
   /// device -1 when nothing is queued. Caller holds mu_.
   int EarliestDecision(double* start_s) const;
@@ -393,11 +406,22 @@ class QueryServer : public QueryService {
   void DispatchEntry(Entry* entry, double ready_s);
   /// Marks `entry` terminal and updates metrics/trace. Caller holds mu_.
   void Finalize(Entry* entry);
-  /// Projected per-device backlog in simulated seconds (+inf when lost).
+  /// Ends `entry` in `state` at `at_s` without a stream (dispatch ==
+  /// finish; a shed takes the status's retry-after hint) and finalizes it.
   /// Caller holds mu_.
-  std::vector<double> DeviceBacklogs() const;
+  void FinishUnplaced(Entry* entry, QueryState state, Status status,
+                      double at_s);
+  /// Projected backlog of `device` in simulated seconds. Caller holds mu_.
+  double Backlog(int device) const;
   /// Suggested resubmit delay given `device`'s load. Caller holds mu_.
   double ComputeRetryAfter(int device) const;
+  /// ResourceExhausted naming `device` and `why`, with a retry-after hint
+  /// from the device's load. Caller holds mu_.
+  Status Overloaded(int device, const std::string& why) const;
+  /// The placement policy's choice for `tenant` over the alive devices'
+  /// backlogs. Caller holds mu_.
+  PlacementPolicy::Decision PlaceQuery(const std::string& tenant,
+                                       bool resident) const;
   /// True when the query's inputs are warm: every scanned column resident
   /// in the engine's buffer manager, or a live cache entry stamp for the
   /// statement. Caller holds mu_.
@@ -419,9 +443,8 @@ class QueryServer : public QueryService {
   }
 
   const ServeOptions options_;
-  host::Database* db_ = nullptr;             ///< single-node backend
-  engine::SiriusEngine* engine_ = nullptr;   ///< single-node backend
-  dist::DorisCluster* cluster_ = nullptr;    ///< distributed backend
+  host::Database* db_;
+  engine::SiriusEngine* engine_;
 
   mutable std::mutex mu_;  ///< DES core: schedulers, devices, entries, clock
   std::vector<FairScheduler> scheds_;  ///< one stride scheduler per device

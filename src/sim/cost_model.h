@@ -34,15 +34,6 @@ struct KernelCost {
   double ops_per_row = 1.0;
   /// Number of kernel launches (GPU) or task dispatches (CPU).
   int launches = 1;
-
-  KernelCost& operator+=(const KernelCost& o) {
-    seq_bytes += o.seq_bytes;
-    rand_bytes += o.rand_bytes;
-    rows += o.rows;
-    ops_per_row += o.ops_per_row;  // approximation: treat as combined pass
-    launches += o.launches;
-    return *this;
-  }
 };
 
 /// \brief Aggregated device-activity counters: kernel launches and HBM

@@ -370,6 +370,36 @@ TEST_F(FusionEngineTest, PredicateTransferStaysFusedAndCorrect) {
 }
 
 // ---------------------------------------------------------------------------
+// Cross joins: join steps that only run materialized, inside fused queries
+// ---------------------------------------------------------------------------
+
+TEST_F(FusionEngineTest, CrossJoinStageRunsMaterializedBesideFusedStages) {
+  auto plan = db()->PlanSql(
+                      "select n_name, r_name from nation, region "
+                      "where n_regionkey > 2 and r_regionkey < 2 "
+                      "order by n_name, r_name")
+                  .ValueOrDie();
+  engine::SiriusEngine fused(db(), BaseOptions());
+  auto text = fused.ExplainPipelines(plan).ValueOrDie();
+  EXPECT_NE(text.find("probe(p1, cross)"), std::string::npos) << text;
+  EXPECT_NE(text.find("[materialized: cross join]"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("[fused ops=1"), std::string::npos) << text;
+
+  auto off_opts = BaseOptions();
+  off_opts.fusion = false;
+  engine::SiriusEngine mat(db(), off_opts);
+  auto f = fused.ExecutePlan(plan).ValueOrDie();
+  auto m = mat.ExecutePlan(plan).ValueOrDie();
+  auto cpu = db()->ExecutePlanCpu(plan).ValueOrDie();
+  EXPECT_TRUE(f.table->Equals(*m.table));
+  EXPECT_TRUE(f.table->Equals(*cpu.table));
+  EXPECT_GT(f.table->num_rows(), 0u);
+  EXPECT_EQ(fused.stats().fused_stages, 1u);  // the region filter only
+  EXPECT_EQ(mat.stats().fused_stages, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Happens-before: fused stages keep the pipeline DAG's ordering edges
 // ---------------------------------------------------------------------------
 
