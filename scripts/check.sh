@@ -38,7 +38,7 @@ stage_desc() {
     spill)        echo "tiered memory: spill governance + fault recovery (ctest -L spill)" ;;
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
     tsan)         echo "ThreadSanitizer build + serving-layer suite" ;;
-    asan)         echo "AddressSanitizer build + chaos/race suites" ;;
+    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion suites" ;;
     bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots" ;;
     *)            echo "unknown" ;;
   esac
@@ -151,10 +151,12 @@ stage_tsan() {
 stage_asan() {
   cmake -B "$ASAN_BUILD" -S . -DSIRIUS_SANITIZE=address >/dev/null
   cmake --build "$ASAN_BUILD" -j "$JOBS"
-  # "fault" covers the chaos suites (including the serve.place placement
-  # faults); "race" re-runs the checked device tests under ASan.
+  # The address build carries UBSan too. "fault" covers the chaos suites
+  # (including the serve.place placement faults); "race" re-runs the checked
+  # device tests; "fusion" runs the view kernels both inside and outside a
+  # fused pass.
   SIRIUS_RACE_CHECK=1 \
-    ctest --test-dir "$ASAN_BUILD" -L 'fault|race' --output-on-failure --no-tests=error -j "$JOBS"
+    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_bench_gate() {

@@ -95,17 +95,6 @@ Result<int> PipelineCompiler::Compile(const PlanPtr& plan,
 
 namespace {
 
-/// Nominal estimated width of one output row of `schema`, in bytes.
-/// Variable-width fields (strings) count a nominal 16 bytes.
-double EstimatedRowWidth(const format::Schema& schema) {
-  double width = 0;
-  for (size_t f = 0; f < schema.num_fields(); ++f) {
-    const int w = schema.field(f).type.byte_width();
-    width += w > 0 ? w : 16;
-  }
-  return width;
-}
-
 const char* SinkName(SinkKind sink) {
   switch (sink) {
     case SinkKind::kMaterialize: return "materialize";
@@ -118,73 +107,27 @@ const char* SinkName(SinkKind sink) {
   return "?";
 }
 
+/// Why `p`'s chain cannot run as one fused pass; empty when it can.
+std::string UnfusableReason(const Pipeline& p) {
+  if (p.steps.empty()) return "no streaming steps";
+  for (const auto& s : p.steps) {
+    if (s.kind != StepKind::kJoin) continue;
+    if (s.node->join_type == plan::JoinType::kCross) return "cross join";
+    if (s.node->join_type == plan::JoinType::kAsof) return "asof join";
+    if (s.node->residual != nullptr) return "residual join predicate";
+  }
+  return "";
+}
+
 }  // namespace
 
 std::vector<FusedStage> FusedStageCompiler::Compile(
-    const std::vector<Pipeline>& pipelines, const sim::DeviceProfile& device,
-    double data_scale, bool fusion_enabled) {
+    const std::vector<Pipeline>& pipelines, bool fusion_enabled) {
   std::vector<FusedStage> out(pipelines.size());
   for (const auto& p : pipelines) {
     FusedStage& stage = out[p.id];
-    if (!fusion_enabled) {
-      stage.reason = "fusion disabled";
-      continue;
-    }
-    if (p.steps.empty()) {
-      stage.reason = "no streaming steps";
-      continue;
-    }
-    // Exclusions: joins that need the whole probe table materialized.
-    for (const auto& s : p.steps) {
-      if (s.kind != StepKind::kJoin) continue;
-      if (s.node->join_type == plan::JoinType::kCross) {
-        stage.reason = "cross join";
-      } else if (s.node->join_type == plan::JoinType::kAsof) {
-        stage.reason = "asof join";
-      } else if (s.node->residual != nullptr) {
-        stage.reason = "residual join predicate";
-      }
-      if (!stage.reason.empty()) break;
-    }
-    if (!stage.reason.empty()) continue;
-
-    std::vector<opt::FusionStepDesc> descs;
-    for (const auto& s : p.steps) {
-      opt::FusionStepDesc d;
-      switch (s.kind) {
-        case StepKind::kFilter:
-          d.kind = opt::FusedOpKind::kFilter;
-          // Materialized filter pays mask compaction plus a full gather.
-          d.materialize_launches = 2;
-          break;
-        case StepKind::kProject:
-          d.kind = opt::FusedOpKind::kProject;
-          // Projected columns are compact either way; only the dispatch
-          // differs.
-          d.materialize_launches = 1;
-          break;
-        case StepKind::kJoin:
-          d.kind = opt::FusedOpKind::kProbe;
-          // Materialized probe gathers both sides of the join output.
-          d.materialize_launches = 2;
-          break;
-      }
-      d.est_rows_out = s.node->estimated_rows;
-      if (d.est_rows_out >= 0) {
-        d.est_bytes_out =
-            d.est_rows_out * EstimatedRowWidth(s.node->output_schema);
-      }
-      descs.push_back(d);
-    }
-    const opt::FusionDecision decision =
-        opt::PriceFusion(device, descs, data_scale);
-    if (!decision.fuse) {
-      stage.reason = "not priced profitable";
-      continue;
-    }
-    stage.exec = StageExec::kFused;
-    stage.fused_ops = static_cast<int>(p.steps.size());
-    stage.saved_launches = decision.saved_launches;
+    stage.reason = fusion_enabled ? UnfusableReason(p) : "fusion disabled";
+    if (stage.reason.empty()) stage.exec = StageExec::kFused;
   }
   return out;
 }
@@ -212,8 +155,7 @@ std::string PipelinesToString(const std::vector<Pipeline>& pipelines,
     os << " => " << SinkName(p.sink);
     const FusedStage& st = stages[p.id];
     if (st.exec == StageExec::kFused) {
-      os << "  [fused ops=" << st.fused_ops
-         << " saved_launches=" << st.saved_launches << "]";
+      os << "  [fused ops=" << p.steps.size() << "]";
     } else {
       os << "  [materialized: " << st.reason << "]";
     }

@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "opt/fusion.h"
 #include "plan/plan.h"
-#include "sim/device.h"
 
 namespace sirius::engine {
 
@@ -78,27 +76,20 @@ enum class StageExec : uint8_t {
 /// \brief Per-pipeline fusion plan, compiled alongside the pipeline set.
 struct FusedStage {
   StageExec exec = StageExec::kMaterialized;
-  /// Steps flowing through the fused pass (0 when materialized).
-  int fused_ops = 0;
-  /// Kernel launches skipped relative to the materialized chain.
-  int saved_launches = 0;
   /// Why the stage stays materialized (empty when fused).
   std::string reason;
 };
 
 /// \brief Decides, per pipeline, whether its streaming chain runs fused.
 ///
-/// Describes each chain abstractly (opt::FusionStepDesc, from planner
-/// estimates) and lets opt::PriceFusion credit the skipped materializations
-/// and launches. Chains with cross joins, ASOF joins or residual join
-/// predicates stay materialized, with a recorded reason.
+/// A rule: every non-empty chain fuses unless it has a cross join, an ASOF
+/// join or a residual join predicate (their kernels need the whole probe
+/// table materialized); those stay materialized with a recorded reason.
 class FusedStageCompiler {
  public:
   /// One FusedStage per pipeline, indexed by pipeline id. With
   /// `fusion_enabled` false every stage is kMaterialized ("fusion disabled").
   static std::vector<FusedStage> Compile(const std::vector<Pipeline>& pipelines,
-                                         const sim::DeviceProfile& device,
-                                         double data_scale,
                                          bool fusion_enabled);
 };
 

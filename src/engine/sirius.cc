@@ -327,10 +327,9 @@ class PipelineRunner {
                             "pipeline-" + std::to_string(p.id), "pipeline",
                             ctx.sim.TraceClock());
 
-    const bool fused = (*stages_)[p.id].exec == StageExec::kFused;
     TablePtr out;
     if (p.source_scan != nullptr) {
-      SIRIUS_ASSIGN_OR_RETURN(out, RunScan(p, ctx, fused));
+      SIRIUS_ASSIGN_OR_RETURN(out, RunScan(p, ctx));
     } else if (p.source_pipeline >= 0) {
       TablePtr source = results_[p.source_pipeline];
       if (source == nullptr) {
@@ -339,12 +338,18 @@ class PipelineRunner {
       ctx.sim.NoteRead(PipelineResource(p.source_pipeline),
                        "source of pipeline " + std::to_string(p.id));
       SIRIUS_ASSIGN_OR_RETURN(
-          out, RunMorsel(p, std::move(source), ctx, fused, /*batch=*/false));
+          out, RunMorsel(p, std::move(source), ctx, /*batch=*/false));
     } else {
       return Status::Internal("pipeline without source");
     }
     SIRIUS_RETURN_NOT_OK(DrainSpill(p, ctx));
     return out;
+  }
+
+  /// True when the compiler fused `p`'s chain: each morsel then runs it in
+  /// one register-residency scope (`gdf::Context::fused_reads`).
+  bool Fused(const Pipeline& p) const {
+    return (*stages_)[p.id].exec == StageExec::kFused;
   }
 
   /// Pipeline-end barrier on the spill lane: every outstanding prefetch must
@@ -371,8 +376,7 @@ class PipelineRunner {
   /// §3.4 out-of-core batch mode: each batch streams from host memory as its
   /// own morsel (the morsel boundary is a materialization point), and the
   /// sink runs once over the concatenated batch outputs.
-  Result<TablePtr> RunScan(const Pipeline& p, const gdf::Context& ctx,
-                           bool fused) {
+  Result<TablePtr> RunScan(const Pipeline& p, const gdf::Context& ctx) {
     const PlanNode& scan = *p.source_scan;
     SIRIUS_ASSIGN_OR_RETURN(TablePtr host_table,
                             host_db_->catalog().GetTable(scan.table_name));
@@ -394,7 +398,7 @@ class PipelineRunner {
           TablePtr current,
           bm_->GetOrCacheColumns(scan.table_name, host_table,
                                  scan.scan_columns, ctx.sim));
-      return RunMorsel(p, std::move(current), ctx, fused, /*batch=*/false);
+      return RunMorsel(p, std::move(current), ctx, /*batch=*/false);
     }
 
     // Batch execution: split the input so each modeled batch fits in half of
@@ -415,8 +419,7 @@ class PipelineRunner {
                             options_.host_link.TransferSeconds(
                                 batch->MemoryUsage(), ctx.sim.data_scale));
       SIRIUS_ASSIGN_OR_RETURN(
-          TablePtr out, RunMorsel(p, std::move(batch), ctx, fused,
-                                  /*batch=*/true));
+          TablePtr out, RunMorsel(p, std::move(batch), ctx, /*batch=*/true));
       outputs.push_back(std::move(out));
     }
     TablePtr all;
@@ -426,12 +429,11 @@ class PipelineRunner {
       SIRIUS_ASSIGN_OR_RETURN(all, gdf::ConcatTables(ctx, outputs));
       // A fused stage prices the concatenation like its other
       // materialization points.
-      if (fused) {
+      if (Fused(p)) {
         SIRIUS_RETURN_NOT_OK(CheckProcessingFit(all->MemoryUsage(), p, ctx));
       }
     }
-    return RunSink(p, gdf::SelectionView::FromTable(std::move(all)), ctx,
-                   /*fused=*/false);
+    return RunSink(p, gdf::SelectionView::FromTable(std::move(all)), ctx);
   }
 
   /// Runs one morsel through the chain, then through the sink — or, for an
@@ -441,28 +443,29 @@ class PipelineRunner {
   /// transfer already loaded the columns), a materialized source is read
   /// cold.
   Result<TablePtr> RunMorsel(const Pipeline& p, TablePtr input,
-                             const gdf::Context& ctx, bool fused, bool batch) {
+                             const gdf::Context& ctx, bool batch) {
     gdf::SelectionView view = gdf::SelectionView::FromTable(input);
     std::unordered_set<const format::Column*> resident;
     gdf::Context mctx = ctx;
-    if (fused) {
+    if (Fused(p)) {
       if (p.source_scan != nullptr) {
         for (const auto& c : input->columns()) resident.insert(c.get());
       }
       mctx.fused_reads = &resident;
     }
-    SIRIUS_RETURN_NOT_OK(RunChain(p, &view, mctx, fused));
-    if (batch) return GatherView(p, view, mctx, fused);
-    return RunSink(p, std::move(view), mctx, fused);
+    SIRIUS_RETURN_NOT_OK(RunChain(p, &view, mctx));
+    if (batch) return GatherView(p, view, mctx);
+    return RunSink(p, std::move(view), mctx);
   }
 
-  /// The streaming chain over one morsel. A fused stage runs it as one
-  /// kernel: selection vectors flow between the steps, nothing gathers until
-  /// the sink, and the per-op kernel spans collapse into one "fused-stage"
-  /// span carrying `fused_ops`. A materialized stage runs every step as its
-  /// own kernels and materializes the view after each one.
+  /// The streaming chain over one morsel, one kernel per step. Inside a
+  /// fused pass the chain is one kernel: selection vectors flow between the
+  /// steps, nothing gathers until the sink, and the per-op kernel spans
+  /// collapse into one "fused-stage" span carrying `fused_ops`. Outside one
+  /// every step is a standalone kernel that leaves a dense view behind.
   Status RunChain(const Pipeline& p, gdf::SelectionView* view,
-                  const gdf::Context& ctx, bool fused) {
+                  const gdf::Context& ctx) {
+    const bool fused = ctx.fused_reads != nullptr;
     const double t0 = ctx.sim.TraceNow();
     gdf::Context step_ctx = ctx;
     if (fused) {
@@ -473,11 +476,11 @@ class PipelineRunner {
       step_ctx.Charge(sim::OpCategory::kOther, launch);
     }
     for (const auto& step : p.steps) {
-      SIRIUS_RETURN_NOT_OK(RunStep(p, step, view, step_ctx, !fused));
+      SIRIUS_RETURN_NOT_OK(RunStep(p, step, view, step_ctx));
       // What the step leaves live must fit the processing region: the
       // gathered intermediate, or a fused pass's selection vectors.
       SIRIUS_RETURN_NOT_OK(CheckProcessingFit(
-          fused ? view->SelectionBytes() : Dense(*view)->MemoryUsage(), p,
+          fused ? view->SelectionBytes() : view->dense()->MemoryUsage(), p,
           step_ctx));
       SIRIUS_RETURN_NOT_OK(CheckLimits(p));
     }
@@ -494,35 +497,33 @@ class PipelineRunner {
     return Status::OK();
   }
 
-  /// One step over the view. With `materialize` the step runs as standalone
-  /// kernels and leaves a dense view behind (the HBM round trip and launches
-  /// of step-at-a-time execution); without it the step composes into the
-  /// view's selection vectors.
+  /// One step over the view. Each kernel prices itself by `ctx`: inside a
+  /// fused pass it composes into the view's selection vectors, outside one
+  /// it runs standalone and gathers a dense view.
   Status RunStep(const Pipeline& p, const Step& step,
-                 gdf::SelectionView* view, const gdf::Context& ctx,
-                 bool materialize) {
+                 gdf::SelectionView* view, const gdf::Context& ctx) {
     switch (step.kind) {
       case StepKind::kFilter: {
         SIRIUS_ASSIGN_OR_RETURN(
-            ColumnPtr mask, Compute(ctx, *step.node->predicate, *view,
-                                    sim::OpCategory::kFilter, materialize));
+            ColumnPtr mask,
+            gdf::ComputeColumnView(ctx, *step.node->predicate, *view,
+                                   sim::OpCategory::kFilter));
         SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> sel,
-                                materialize ? gdf::MaskToIndices(ctx, mask)
-                                            : gdf::MaskToSelection(ctx, mask));
+                                gdf::MaskToIndices(ctx, mask));
         // Engine-side row ids are uint64; GDF gathers take int32
         // (§3.2.3's stated conversion boundary).
         std::vector<uint64_t> engine_rows =
             BufferManager::FromGdfIndices(sel, ctx.sim);
         SIRIUS_ASSIGN_OR_RETURN(
             sel, BufferManager::ToGdfIndices(engine_rows, ctx.sim));
-        return Select(ctx, view, sel, sim::OpCategory::kFilter, materialize);
+        return gdf::RefineView(ctx, view, sel, sim::OpCategory::kFilter);
       }
       case StepKind::kProject: {
         std::vector<ColumnPtr> cols;
         for (const auto& e : step.node->projections) {
           SIRIUS_ASSIGN_OR_RETURN(
-              ColumnPtr c, Compute(ctx, *e, *view, sim::OpCategory::kProject,
-                                   materialize));
+              ColumnPtr c, gdf::ComputeColumnView(ctx, *e, *view,
+                                                  sim::OpCategory::kProject));
           cols.push_back(std::move(c));
         }
         SIRIUS_ASSIGN_OR_RETURN(
@@ -533,37 +534,9 @@ class PipelineRunner {
         return Status::OK();
       }
       case StepKind::kJoin:
-        return Join(p, step, view, ctx, materialize);
+        return Join(p, step, view, ctx);
     }
     return Status::Internal("unknown step kind");
-  }
-
-  /// The dense table behind a materialized chain's view (every materialized
-  /// step leaves the view as one identity segment).
-  static const TablePtr& Dense(const gdf::SelectionView& view) {
-    SIRIUS_CHECK(view.IsIdentity());
-    return view.segments().front().table;
-  }
-
-  /// Evaluates `e` over the view: a standalone kernel over the dense table
-  /// when materializing, through the selection vectors otherwise.
-  static Result<ColumnPtr> Compute(const gdf::Context& ctx, const expr::Expr& e,
-                                   const gdf::SelectionView& view,
-                                   sim::OpCategory cat, bool materialize) {
-    if (materialize) return gdf::ComputeColumn(ctx, e, Dense(view), cat);
-    return gdf::ComputeColumnView(ctx, e, view, cat);
-  }
-
-  /// Keeps the view rows `sel` names: a fused chain refines its row maps, a
-  /// materialized one gathers a new dense table.
-  static Status Select(const gdf::Context& ctx, gdf::SelectionView* view,
-                       const std::vector<gdf::index_t>& sel,
-                       sim::OpCategory cat, bool materialize) {
-    if (!materialize) return gdf::RefineView(ctx, view, sel, cat);
-    SIRIUS_ASSIGN_OR_RETURN(TablePtr t,
-                            gdf::GatherTable(ctx, Dense(*view), sel, cat));
-    view->ResetToTable(std::move(t));
-    return Status::OK();
   }
 
   /// Hash-join type of an equi-join (cross and ASOF joins have their own
@@ -582,13 +555,13 @@ class PipelineRunner {
   }
 
   /// Join step against the materialized build side. Probe keys gather
-  /// through the view; the pair lists then either compose back into the view
-  /// (probe side refined, build side appended as a new segment) or, when
-  /// materializing, gather both sides into a dense table. Cross joins, ASOF
-  /// joins and residual predicates only run materialized: the fused-stage
-  /// compiler keeps their stages that way.
+  /// through the view, and ApplyJoinToView applies the pair lists: inside a
+  /// fused pass the probe side refines and the build side appends as a new
+  /// segment; outside one both sides gather into a dense table. Cross
+  /// joins, ASOF joins and residual predicates only run outside a fused
+  /// pass: the fused-stage compiler keeps their stages materialized.
   Status Join(const Pipeline& p, const Step& step, gdf::SelectionView* view,
-              const gdf::Context& ctx, bool materialize) {
+              const gdf::Context& ctx) {
     const PlanNode& node = *step.node;
     TablePtr build = results_[step.build_pipeline];
     if (build == nullptr) {
@@ -597,20 +570,6 @@ class PipelineRunner {
     ctx.sim.NoteRead(PipelineResource(step.build_pipeline),
                      "build side probed by pipeline " + std::to_string(p.id));
 
-    // Predicate transfer (§3.4, [29, 30]): when the build side is selective,
-    // a Bloom filter on its key cheaply pre-filters the probe input. False
-    // positives are harmless — the hash join re-checks exactly.
-    const bool prefilter = options_.predicate_transfer &&
-                           node.join_type == plan::JoinType::kInner &&
-                           node.left_keys.size() == 1 &&
-                           build->num_rows() * 2 < view->num_rows();
-    if (prefilter && materialize) {
-      SIRIUS_ASSIGN_OR_RETURN(
-          TablePtr kept,
-          gdf::BloomPrefilter(ctx, Dense(*view), node.left_keys,
-                              build->column(node.right_keys[0])));
-      view->ResetToTable(std::move(kept));
-    }
     std::vector<ColumnPtr> lkeys, rkeys;
     for (int k : node.left_keys) {
       SIRIUS_ASSIGN_OR_RETURN(
@@ -619,17 +578,20 @@ class PipelineRunner {
       lkeys.push_back(std::move(c));
     }
     for (int k : node.right_keys) rkeys.push_back(build->column(k));
-    if (prefilter && !materialize) {
-      // In a fused pass the Bloom test emits a selection that refines the
-      // view; no gathered probe table.
-      SIRIUS_ASSIGN_OR_RETURN(
-          std::vector<gdf::index_t> keep,
-          gdf::BloomPrefilterSelection(ctx, lkeys[0], rkeys[0]));
+    // Predicate transfer (§3.4, [29, 30]): when the build side is selective,
+    // a Bloom filter on its key cheaply pre-filters the probe input. False
+    // positives are harmless — the hash join re-checks exactly.
+    if (options_.predicate_transfer &&
+        node.join_type == plan::JoinType::kInner &&
+        node.left_keys.size() == 1 &&
+        build->num_rows() * 2 < view->num_rows()) {
+      SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> keep,
+                              gdf::BloomPrefilter(ctx, lkeys[0], rkeys[0]));
       if (keep.size() < view->num_rows()) {
         SIRIUS_RETURN_NOT_OK(
             gdf::RefineView(ctx, view, keep, sim::OpCategory::kJoin));
         // Compact the gathered key alongside the view; the Bloom charge
-        // already covered writing the surviving keys.
+        // and the refine already covered its rows.
         SIRIUS_ASSIGN_OR_RETURN(
             lkeys[0], gdf::GatherColumnUncharged(ctx, lkeys[0], keep));
       }
@@ -652,7 +614,7 @@ class PipelineRunner {
       joptions.type = GdfJoinType(node.join_type);
       if (node.residual != nullptr) {
         joptions.residual = node.residual.get();
-        joptions.left_table = Dense(*view);
+        joptions.left_table = view->dense();
         joptions.right_table = build;
       }
       SIRIUS_ASSIGN_OR_RETURN(pairs,
@@ -670,44 +632,38 @@ class PipelineRunner {
                              node.join_type == plan::JoinType::kAsof;
     const bool nullable_right = node.join_type == plan::JoinType::kLeft ||
                                 node.join_type == plan::JoinType::kAsof;
-    if (!materialize) {
-      return gdf::ApplyJoinToView(ctx, view, pairs, build, emits_right,
-                                  nullable_right, sim::OpCategory::kJoin);
-    }
-    SIRIUS_ASSIGN_OR_RETURN(
-        TablePtr lg, gdf::GatherTable(ctx, Dense(*view), pairs.left_indices,
-                                      sim::OpCategory::kJoin));
-    std::vector<ColumnPtr> cols = lg->columns();
-    if (emits_right) {
-      SIRIUS_ASSIGN_OR_RETURN(
-          TablePtr rg,
-          gdf::GatherTable(ctx, build, pairs.right_indices,
-                           sim::OpCategory::kJoin, nullable_right));
-      for (const auto& c : rg->columns()) cols.push_back(c);
-    }
-    SIRIUS_ASSIGN_OR_RETURN(
-        TablePtr out, format::Table::Make(node.output_schema, std::move(cols)));
-    view->ResetToTable(std::move(out));
-    return Status::OK();
+    return gdf::ApplyJoinToView(ctx, view, pairs, build, node.output_schema,
+                                emits_right, nullable_right,
+                                sim::OpCategory::kJoin);
   }
 
-  /// The chain's materialization point. A fused view gathers once, and the
-  /// gathered table must fit the processing region like any materialized
-  /// intermediate (out of core, the same tiered spill round trip, §3.4); a
-  /// materialized chain's view is already dense.
+  /// The view as one table. An identity view already is one (always
+  /// outside a fused pass); a selected view gathers once here, the fused
+  /// chain's single materialization kernel.
+  static Result<TablePtr> Materialize(const Pipeline& p,
+                                      const gdf::SelectionView& view,
+                                      const gdf::Context& ctx) {
+    if (view.IsIdentity()) return view.dense();
+    return gdf::MaterializeView(ctx, view, StepOutputSchema(p),
+                                sim::OpCategory::kOther);
+  }
+
+  /// The chain's materialization point. Inside a fused pass the gathered
+  /// table must fit the processing region like any materialized
+  /// intermediate (out of core, the same tiered spill round trip, §3.4);
+  /// outside one every step already fit-checked the dense view it left.
   Result<TablePtr> GatherView(const Pipeline& p, const gdf::SelectionView& view,
-                              const gdf::Context& ctx, bool fused) {
-    if (!fused) return Dense(view);
-    SIRIUS_ASSIGN_OR_RETURN(
-        TablePtr t, gdf::MaterializeView(ctx, view, StepOutputSchema(p),
-                                         sim::OpCategory::kOther));
-    SIRIUS_RETURN_NOT_OK(CheckProcessingFit(t->MemoryUsage(), p, ctx));
+                              const gdf::Context& ctx) {
+    SIRIUS_ASSIGN_OR_RETURN(TablePtr t, Materialize(p, view, ctx));
+    if (ctx.fused_reads != nullptr) {
+      SIRIUS_RETURN_NOT_OK(CheckProcessingFit(t->MemoryUsage(), p, ctx));
+    }
     return t;
   }
 
   /// Schema of the chain's logical output (the last step's node). Only
-  /// fused views need it, and fused stages always have steps (the compiler
-  /// refuses empty chains).
+  /// selected views need it, and they exist only in fused stages, which
+  /// always have steps (the compiler keeps empty chains materialized).
   static const format::Schema& StepOutputSchema(const Pipeline& p) {
     return p.steps.back().node->output_schema;
   }
@@ -716,7 +672,7 @@ class PipelineRunner {
   /// gather); limits select their rows before the gather, so only survivors
   /// materialize; every other sink runs over the gathered table.
   Result<TablePtr> RunSink(const Pipeline& p, gdf::SelectionView view,
-                           const gdf::Context& ctx, bool fused) {
+                           const gdf::Context& ctx) {
     const PlanNode* node = p.sink_node;
     switch (p.sink) {
       case SinkKind::kAggregate: {
@@ -747,15 +703,13 @@ class PipelineRunner {
           sel[i] = static_cast<gdf::index_t>(start + i);
         }
         SIRIUS_RETURN_NOT_OK(
-            Select(ctx, &view, sel, sim::OpCategory::kOther, !fused));
-        if (!fused) return Dense(view);
-        return gdf::MaterializeView(ctx, view, StepOutputSchema(p),
-                                    sim::OpCategory::kOther);
+            gdf::RefineView(ctx, &view, sel, sim::OpCategory::kOther));
+        return Materialize(p, view, ctx);
       }
       default:
         break;
     }
-    SIRIUS_ASSIGN_OR_RETURN(TablePtr t, GatherView(p, view, ctx, fused));
+    SIRIUS_ASSIGN_OR_RETURN(TablePtr t, GatherView(p, view, ctx));
     switch (p.sink) {
       case SinkKind::kSort: {
         std::vector<int> cols;
@@ -924,8 +878,8 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
       Bump(&metrics_, &Stats::fusion_fallbacks, 1, recorder.get());
     }
   }
-  const std::vector<FusedStage> stages = FusedStageCompiler::Compile(
-      pipelines, options_.device, options_.data_scale, fusion_on);
+  const std::vector<FusedStage> stages =
+      FusedStageCompiler::Compile(pipelines, fusion_on);
 
   PipelineRunner runner(options_, &buffer_manager_, host_db_, &task_pool_,
                         injector(), &tiers_, &metrics_, recorder.get(),
@@ -943,7 +897,7 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
   const bool tier_loss = !table.ok() && table.status().IsUnavailable() &&
                          runner.tier_loss_seen();
   if (oom) Bump(&metrics_, &Stats::oom_events);
-  if ((oom || tier_loss) && options_.retry_after_evict) {
+  if (oom || tier_loss) {
     if (tier_loss) tiers_.ReviveLostTiers();
     Bump(&metrics_, &Stats::evictions_under_pressure,
          buffer_manager_.EvictAll());
@@ -1031,8 +985,8 @@ Result<format::TablePtr> SiriusEngine::VectorSearch(
 Result<std::string> SiriusEngine::ExplainPipelines(const PlanPtr& plan) const {
   std::vector<Pipeline> pipelines;
   SIRIUS_RETURN_NOT_OK(PipelineCompiler::Compile(plan, &pipelines).status());
-  const std::vector<FusedStage> stages = FusedStageCompiler::Compile(
-      pipelines, options_.device, options_.data_scale, options_.fusion);
+  const std::vector<FusedStage> stages =
+      FusedStageCompiler::Compile(pipelines, options_.fusion);
   return PipelinesToString(pipelines, stages);
 }
 

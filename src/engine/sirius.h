@@ -93,9 +93,6 @@ class SiriusEngine : public host::Accelerator {
     /// Fault injector consulted at the device-memory sites ("engine.reserve");
     /// nullptr uses the (disarmed) global injector.
     fault::FaultInjector* injector = nullptr;
-    /// On device OOM, evict the caching region and re-run the pipeline set
-    /// once before giving up (the host then falls back to its CPU engine).
-    bool retry_after_evict = true;
     /// Processing-region allocator override, forwarded to the buffer
     /// manager (fault tests inject a PressureMemoryResource here). Not owned.
     mem::MemoryResource* processing_override = nullptr;

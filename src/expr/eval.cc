@@ -102,13 +102,13 @@ ColumnPtr MakeNumColumn(const DataType& type, const NumVec& v) {
   const size_t n = v.size();
   if (type.id == TypeId::kFloat64) {
     mem::Buffer data = mem::Buffer::Allocate(n * 8).ValueOrDie();
-    std::memcpy(data.data(), v.d.data(), n * 8);
+    if (n > 0) std::memcpy(data.data(), v.d.data(), n * 8);
     return Column::MakeFixed(type, std::move(data), n, std::move(validity),
                              null_count);
   }
   if (type.byte_width() == 8) {
     mem::Buffer data = mem::Buffer::Allocate(n * 8).ValueOrDie();
-    std::memcpy(data.data(), v.i.data(), n * 8);
+    if (n > 0) std::memcpy(data.data(), v.i.data(), n * 8);
     return Column::MakeFixed(type, std::move(data), n, std::move(validity),
                              null_count);
   }

@@ -121,14 +121,14 @@ ColumnPtr ColumnBuilder::Finish() {
                                 std::move(validity), null_count);
   } else if (type_.id == TypeId::kFloat64) {
     mem::Buffer data = mem::Buffer::Allocate(n * sizeof(double)).ValueOrDie();
-    std::memcpy(data.data(), doubles_.data(), n * sizeof(double));
+    if (n > 0) std::memcpy(data.data(), doubles_.data(), n * sizeof(double));
     result = Column::MakeFixed(type_, std::move(data), n, std::move(validity),
                                null_count);
   } else {
     const int width = type_.byte_width();
     mem::Buffer data = mem::Buffer::Allocate(n * width).ValueOrDie();
     if (width == 8) {
-      std::memcpy(data.data(), ints_.data(), n * 8);
+      if (n > 0) std::memcpy(data.data(), ints_.data(), n * 8);
     } else if (width == 4) {
       auto* out = data.data_as<int32_t>();
       for (size_t i = 0; i < n; ++i) out[i] = static_cast<int32_t>(ints_[i]);

@@ -1,7 +1,6 @@
 #include "gdf/bloom.h"
 
 #include "common/bitutil.h"
-#include "gdf/copying.h"
 #include "gdf/row_ops.h"
 
 namespace sirius::gdf {
@@ -39,39 +38,9 @@ bool BloomFilter::MightContain(const format::Column& key, size_t i) const {
   return Test(HashValueAt(key, i));
 }
 
-Result<format::TablePtr> BloomPrefilter(const Context& ctx,
-                                        const format::TablePtr& probe_table,
-                                        const std::vector<int>& probe_keys,
-                                        const format::ColumnPtr& build_key) {
-  if (probe_keys.size() != 1) {
-    return Status::Invalid("BloomPrefilter: single-key joins only");
-  }
-  const format::ColumnPtr probe_key = probe_table->column(probe_keys[0]);
-
-  BloomFilter bloom(build_key->length());
-  bloom.InsertColumn(build_key);
-
-  std::vector<index_t> keep;
-  keep.reserve(probe_table->num_rows());
-  for (size_t i = 0; i < probe_table->num_rows(); ++i) {
-    if (bloom.MightContain(*probe_key, i)) keep.push_back(static_cast<index_t>(i));
-  }
-
-  sim::KernelCost cost;
-  cost.seq_bytes = build_key->MemoryUsage() + probe_key->MemoryUsage();
-  cost.rand_bytes = (build_key->length() + probe_table->num_rows()) * 4;
-  cost.rows = build_key->length() + probe_table->num_rows();
-  cost.ops_per_row = 4.0;  // kProbes hash probes
-  cost.launches = 2;
-  ctx.Charge(sim::OpCategory::kJoin, cost);
-
-  if (keep.size() == probe_table->num_rows()) return probe_table;  // no gain
-  return GatherTable(ctx, probe_table, keep, sim::OpCategory::kJoin);
-}
-
-Result<std::vector<index_t>> BloomPrefilterSelection(
-    const Context& ctx, const format::ColumnPtr& probe_key,
-    const format::ColumnPtr& build_key) {
+Result<std::vector<index_t>> BloomPrefilter(const Context& ctx,
+                                            const format::ColumnPtr& probe_key,
+                                            const format::ColumnPtr& build_key) {
   BloomFilter bloom(build_key->length());
   bloom.InsertColumn(build_key);
 
@@ -83,17 +52,18 @@ Result<std::vector<index_t>> BloomPrefilterSelection(
 
   // A probe key already register-resident in the active fused pass skips
   // the sequential re-read; the bloom-bit random probes are real either way.
-  const bool probe_resident =
-      ctx.fused_reads != nullptr &&
-      !ctx.fused_reads->insert(probe_key.get()).second;
+  // A fused pass writes the selection itself; standalone, the gather that
+  // consumes it writes the survivors.
+  const bool fused = ctx.fused_reads != nullptr;
   sim::KernelCost cost;
-  cost.seq_bytes = build_key->MemoryUsage() +
-                   (probe_resident ? 0 : probe_key->MemoryUsage()) +
-                   keep.size() * sizeof(index_t);
+  cost.seq_bytes =
+      build_key->MemoryUsage() +
+      (ctx.FirstRead(probe_key.get()) ? probe_key->MemoryUsage() : 0) +
+      (fused ? keep.size() * sizeof(index_t) : 0);
   cost.rand_bytes = (build_key->length() + probe_key->length()) * 4;
   cost.rows = build_key->length() + probe_key->length();
   cost.ops_per_row = 4.0;  // kProbes hash probes
-  cost.launches = 0;       // runs inside the fused stage's single pass
+  cost.launches = fused ? 0 : 2;
   ctx.Charge(sim::OpCategory::kJoin, cost);
   return keep;
 }

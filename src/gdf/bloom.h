@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "format/table.h"
+#include "format/column.h"
 #include "gdf/context.h"
 
 namespace sirius::gdf {
@@ -37,21 +37,14 @@ class BloomFilter {
   std::vector<uint8_t> bits_;
 };
 
-/// \brief Builds a Bloom filter from build-side join keys and uses it to
-/// pre-filter the probe table (predicate transfer). Returns the surviving
-/// probe rows; false positives are fine — the join re-checks exactly.
-/// Charges build + probe passes to kJoin.
-Result<format::TablePtr> BloomPrefilter(const Context& ctx,
-                                        const format::TablePtr& probe_table,
-                                        const std::vector<int>& probe_keys,
-                                        const format::ColumnPtr& build_key);
-
-/// \brief Fused-pass predicate transfer: tests each row of `probe_key`
-/// against a Bloom filter built from `build_key` and returns the surviving
-/// row indices as a selection vector — no gather; the enclosing fused stage
-/// refines its view with the result. Charged with zero launches.
-Result<std::vector<index_t>> BloomPrefilterSelection(
-    const Context& ctx, const format::ColumnPtr& probe_key,
-    const format::ColumnPtr& build_key);
+/// \brief Predicate transfer: tests each row of `probe_key` against a Bloom
+/// filter built from `build_key` and returns the surviving rows as a
+/// selection; false positives are fine — the join re-checks exactly.
+/// Charges the build and probe passes to kJoin: two launches standalone,
+/// none inside a fused pass (`ctx.fused_reads` set), where a resident probe
+/// key is not re-read and the selection write is charged instead.
+Result<std::vector<index_t>> BloomPrefilter(const Context& ctx,
+                                            const format::ColumnPtr& probe_key,
+                                            const format::ColumnPtr& build_key);
 
 }  // namespace sirius::gdf

@@ -43,6 +43,11 @@ Result<format::ColumnPtr> ComputeColumnView(const Context& ctx,
                                             const expr::Expr& e,
                                             const SelectionView& view,
                                             sim::OpCategory cat) {
+  // Outside a fused pass the view is one dense table: the standalone kernel.
+  if (ctx.fused_reads == nullptr) {
+    return ComputeColumn(ctx, e, view.dense(), cat);
+  }
+
   std::vector<int> cols;
   e.CollectColumns(&cols);
   if (cols.empty()) {
@@ -71,33 +76,26 @@ Result<format::ColumnPtr> ComputeColumnView(const Context& ctx,
   expr::ExprPtr remapped = e.Clone();
   RemapColumnRefs(remapped.get(), remap);
 
+  // Each input column is charged at its first touch only (identity
+  // pass-throughs arrive unpriced from GatherViewColumn); after that its
+  // values live in registers, and the result feeds the next operator in the
+  // chain without an HBM round trip.
   sim::KernelCost cost;
   cost.rows = input->num_rows();
   cost.ops_per_row = e.OpCount();
   cost.launches = 0;
-  if (ctx.fused_reads == nullptr) {
-    // Standalone (no fused pass active): the compact input is a real table
-    // in HBM and the result is written back — price both.
-    for (const auto& c : compact) cost.seq_bytes += c->MemoryUsage();
-    cost.seq_bytes += input->num_rows() * e.type.byte_width();
-  } else {
-    // Inside a fused pass each input column is charged at its first touch
-    // only (identity pass-throughs arrive unpriced from GatherViewColumn);
-    // after that its values live in registers, and the result feeds the
-    // next operator in the chain without an HBM round trip.
-    for (const auto& c : compact) {
-      if (ctx.fused_reads->insert(c.get()).second) {
-        const sim::KernelCost read =
-            FusedReadCost(ctx.sim, c, input->num_rows());
-        cost.seq_bytes += read.seq_bytes;
-        cost.rand_bytes += read.rand_bytes;
-      }
+  for (const auto& c : compact) {
+    if (ctx.FirstRead(c.get())) {
+      const sim::KernelCost read =
+          FusedReadCost(ctx.sim, c, input->num_rows());
+      cost.seq_bytes += read.seq_bytes;
+      cost.rand_bytes += read.rand_bytes;
     }
   }
   ctx.Charge(cat, cost);
   SIRIUS_ASSIGN_OR_RETURN(format::ColumnPtr result,
                           expr::Evaluate(*remapped, *input));
-  if (ctx.fused_reads != nullptr) ctx.fused_reads->insert(result.get());
+  ctx.fused_reads->insert(result.get());
   return result;
 }
 

@@ -17,12 +17,13 @@ Result<format::ColumnPtr> ComputeColumn(const Context& ctx, const expr::Expr& e,
                                         const format::TablePtr& input,
                                         sim::OpCategory cat);
 
-/// \brief Fused-pass variant: evaluates `e` over the selected rows of
-/// `view`, reading only the referenced columns through the selection (each
-/// priced as a fused read — the cheaper of a predicated sequential scan or
-/// random fetches) instead of over a gathered intermediate. The result is
-/// dense: one value per view row. Charged with zero launches; the enclosing
-/// fused stage owns the chain's single launch.
+/// \brief Evaluates `e` over the rows of `view`. Outside a fused pass the
+/// view is one dense table and this is ComputeColumn. Inside one it reads
+/// only the referenced columns through the selection (each priced as a
+/// fused read on first touch — the cheaper of a predicated sequential scan
+/// or random fetches) instead of over a gathered intermediate, charged with
+/// zero launches: the enclosing fused stage owns the chain's launch. The
+/// result is dense: one value per view row.
 Result<format::ColumnPtr> ComputeColumnView(const Context& ctx,
                                             const expr::Expr& e,
                                             const SelectionView& view,

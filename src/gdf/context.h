@@ -38,6 +38,12 @@ struct Context {
   /// free. The engine owns the set per pass; a morsel boundary resets it.
   std::unordered_set<const format::Column*>* fused_reads = nullptr;
 
+  /// True when reading `col` costs HBM traffic: always outside a fused
+  /// pass, on first touch inside one (which makes `col` resident).
+  bool FirstRead(const format::Column* col) const {
+    return fused_reads == nullptr || fused_reads->insert(col).second;
+  }
+
   /// Charges a kernel's counted work to the timeline.
   void Charge(sim::OpCategory cat, const sim::KernelCost& cost) const {
     sim.Charge(cat, cost);

@@ -4,11 +4,8 @@
 
 namespace sirius::gdf {
 
-namespace {
-
-Result<std::vector<index_t>> MaskToIndicesImpl(const Context& ctx,
-                                               const format::ColumnPtr& mask,
-                                               int launches) {
+Result<std::vector<index_t>> MaskToIndices(const Context& ctx,
+                                           const format::ColumnPtr& mask) {
   if (mask->type().id != format::TypeId::kBool) {
     return Status::TypeError("boolean mask required, got " +
                              mask->type().ToString());
@@ -23,21 +20,10 @@ Result<std::vector<index_t>> MaskToIndicesImpl(const Context& ctx,
   sim::KernelCost cost;
   cost.seq_bytes = n + out.size() * sizeof(index_t);
   cost.rows = n;
-  cost.launches = launches;
+  // Inside a fused pass the compaction runs in the stage's single pass.
+  cost.launches = ctx.fused_reads != nullptr ? 0 : 1;
   ctx.Charge(sim::OpCategory::kFilter, cost);
   return out;
-}
-
-}  // namespace
-
-Result<std::vector<index_t>> MaskToIndices(const Context& ctx,
-                                           const format::ColumnPtr& mask) {
-  return MaskToIndicesImpl(ctx, mask, /*launches=*/1);
-}
-
-Result<std::vector<index_t>> MaskToSelection(const Context& ctx,
-                                             const format::ColumnPtr& mask) {
-  return MaskToIndicesImpl(ctx, mask, /*launches=*/0);
 }
 
 Result<format::TablePtr> ApplyBooleanMask(const Context& ctx,

@@ -8,15 +8,12 @@
 
 namespace sirius::gdf {
 
-/// Indices of rows where `mask` is true (NULL counts as false).
+/// \brief Indices of rows where `mask` is true (NULL counts as false).
+/// One launch standalone; inside a fused pass (`ctx.fused_reads` set) the
+/// compare and the compaction run in the stage's single pass, so only the
+/// data traffic counts.
 Result<std::vector<index_t>> MaskToIndices(const Context& ctx,
                                            const format::ColumnPtr& mask);
-
-/// \brief Fused-pass variant of MaskToIndices: the same compaction, charged
-/// with zero launches — the predicate compare and the compaction run inside
-/// the enclosing fused stage's single pass, so only the data traffic counts.
-Result<std::vector<index_t>> MaskToSelection(const Context& ctx,
-                                             const format::ColumnPtr& mask);
 
 /// \brief Keeps rows of `table` where the boolean `mask` is true.
 /// Charges a kFilter pass (mask scan + compaction gather).

@@ -24,11 +24,9 @@ size_t SelectionView::num_columns() const {
   return n;
 }
 
-bool SelectionView::IsIdentity() const {
-  for (const auto& s : segments_) {
-    if (!s.identity) return false;
-  }
-  return true;
+const TablePtr& SelectionView::dense() const {
+  SIRIUS_CHECK(IsIdentity());
+  return segments_.front().table;
 }
 
 Result<SelectionView::ColumnRef> SelectionView::Resolve(int column) const {
@@ -142,22 +140,14 @@ Result<ColumnPtr> GatherViewColumn(const Context& ctx, const SelectionView& view
     // moves and nothing is charged — the consumer prices its own read.
     return ref.column;
   }
-  // Inside a fused pass the column's values are loaded once and then live
-  // in registers: the read is charged only on first touch and the compact
-  // output is a register artifact, not an HBM write.
-  const bool resident = ctx.fused_reads != nullptr &&
-                        !ctx.fused_reads->insert(ref.column.get()).second;
+  // Inside a fused pass (the only place a selected view exists) the
+  // column's values are loaded once and then live in registers: the read is
+  // charged only on first touch and the compact output is a register
+  // artifact, not an HBM write. A resident read still charges KernelCost's
+  // default single launch.
   sim::KernelCost cost;
-  if (!resident) {
+  if (ctx.FirstRead(ref.column.get())) {
     cost = FusedReadCost(ctx.sim, ref.column, view.num_rows());
-  }
-  if (ctx.fused_reads == nullptr) {
-    const uint64_t width =
-        ref.column->length() > 0
-            ? std::max<uint64_t>(1,
-                                 ref.column->MemoryUsage() / ref.column->length())
-            : 1;
-    cost.seq_bytes += view.num_rows() * width;  // compact output write
   }
   ctx.Charge(cat, cost);
   SIRIUS_ASSIGN_OR_RETURN(
@@ -169,6 +159,12 @@ Result<ColumnPtr> GatherViewColumn(const Context& ctx, const SelectionView& view
 
 Status RefineView(const Context& ctx, SelectionView* view,
                   const std::vector<index_t>& sel, sim::OpCategory cat) {
+  if (ctx.fused_reads == nullptr) {
+    SIRIUS_ASSIGN_OR_RETURN(TablePtr t,
+                            GatherTable(ctx, view->dense(), sel, cat));
+    view->ResetToTable(std::move(t));
+    return Status::OK();
+  }
   sim::KernelCost cost;
   cost.seq_bytes =
       sel.size() * sizeof(index_t) * (view->segments().size() + 1);
@@ -180,8 +176,24 @@ Status RefineView(const Context& ctx, SelectionView* view,
 
 Status ApplyJoinToView(const Context& ctx, SelectionView* view,
                        const JoinResult& pairs, TablePtr build,
-                       bool emits_right, bool nullable_right,
-                       sim::OpCategory cat) {
+                       const format::Schema& schema, bool emits_right,
+                       bool nullable_right, sim::OpCategory cat) {
+  if (ctx.fused_reads == nullptr) {
+    SIRIUS_ASSIGN_OR_RETURN(
+        TablePtr left,
+        GatherTable(ctx, view->dense(), pairs.left_indices, cat));
+    std::vector<ColumnPtr> cols = left->columns();
+    if (emits_right) {
+      SIRIUS_ASSIGN_OR_RETURN(
+          TablePtr right,
+          GatherTable(ctx, build, pairs.right_indices, cat, nullable_right));
+      for (const auto& c : right->columns()) cols.push_back(c);
+    }
+    SIRIUS_ASSIGN_OR_RETURN(TablePtr out,
+                            format::Table::Make(schema, std::move(cols)));
+    view->ResetToTable(std::move(out));
+    return Status::OK();
+  }
   sim::KernelCost cost;
   cost.seq_bytes =
       pairs.left_indices.size() * sizeof(index_t) * (view->segments().size() + 1);
@@ -224,8 +236,7 @@ Result<TablePtr> MaterializeView(const Context& ctx, const SelectionView& view,
       gathered = true;
       // Register-resident columns (already read this pass) materialize for
       // just the write; cold columns pay the fused read too.
-      if (ctx.fused_reads == nullptr ||
-          ctx.fused_reads->insert(col.get()).second) {
+      if (ctx.FirstRead(col.get())) {
         const sim::KernelCost read =
             FusedReadCost(ctx.sim, col, view.num_rows());
         cost.seq_bytes += read.seq_bytes;

@@ -47,8 +47,14 @@ class SelectionView {
   const std::vector<ViewSegment>& segments() const { return segments_; }
 
   /// True when the view is a single all-rows-in-order segment (materializing
-  /// it is a no-op).
-  bool IsIdentity() const;
+  /// it is a no-op). Outside a fused pass every view is one.
+  bool IsIdentity() const {
+    return segments_.size() == 1 && segments_.front().identity;
+  }
+
+  /// The table behind an identity view. Checked: a selected view exists
+  /// only inside a fused pass.
+  const format::TablePtr& dense() const;
 
   /// Resolution of a view-global column index to its backing segment.
   struct ColumnRef {
@@ -68,8 +74,8 @@ class SelectionView {
   Status AppendSegment(format::TablePtr table, std::vector<index_t> rows,
                        bool nullable);
 
-  /// Replaces the view with a single dense table (a project's output: the
-  /// computed columns are already compact).
+  /// Replaces the view with a single dense table (a project's computed
+  /// columns, or a gather outside a fused pass).
   void ResetToTable(format::TablePtr table);
 
   /// Bytes of selection-vector state the fused pass keeps live (the
@@ -93,24 +99,29 @@ sim::KernelCost FusedReadCost(const sim::SimContext& sim,
 /// \brief Gathers view-global column `col` into a compact column.
 ///
 /// Identity segments return the backing column zero-copy and charge nothing
-/// (the consumer prices its own read); selected segments charge a fused read
-/// plus the compact output write.
+/// (the consumer prices its own read); selected segments charge a fused
+/// read on the column's first touch.
 Result<format::ColumnPtr> GatherViewColumn(const Context& ctx,
                                            const SelectionView& view, int col,
                                            sim::OpCategory cat);
 
-/// Refines `view` by `sel`, charging the composed row-map writes.
+/// \brief Keeps the view rows `sel` names. Inside a fused pass the selection
+/// composes into the row maps, charging the index writes and no launch;
+/// outside one the dense view gathers into a new dense table, priced as
+/// GatherTable.
 Status RefineView(const Context& ctx, SelectionView* view,
                   const std::vector<index_t>& sel, sim::OpCategory cat);
 
-/// \brief Fused join-probe composition: refines the probe-side segments by
-/// `pairs.left_indices` (view-row space) and, when the join emits the build
-/// side, appends `build` as a new segment mapped by `pairs.right_indices`.
-/// Charges the row-map writes; no column data moves.
+/// \brief Applies a join's pair lists to its probe-side view. Inside a
+/// fused pass the probe segments refine by `pairs.left_indices` (view-row
+/// space) and, when the join emits the build side, `build` appends as a new
+/// segment mapped by `pairs.right_indices`; only the row-map writes are
+/// charged. Outside one, both sides gather into one dense table with
+/// `schema`, priced as the probe-side GatherTable plus the build-side one.
 Status ApplyJoinToView(const Context& ctx, SelectionView* view,
                        const JoinResult& pairs, format::TablePtr build,
-                       bool emits_right, bool nullable_right,
-                       sim::OpCategory cat);
+                       const format::Schema& schema, bool emits_right,
+                       bool nullable_right, sim::OpCategory cat);
 
 /// \brief Materializes the whole view with the given output schema — the
 /// fused chain's single gather, paid at a sink boundary. Charges fused reads

@@ -112,6 +112,11 @@ TEST(EvalTest, IntegerArithmetic) {
   auto c = Eval(Add(Mul(ColRef("i"), LitInt(10)), LitInt(5)), t);
   EXPECT_EQ(c->data<int64_t>()[0], 15);
   EXPECT_EQ(c->data<int64_t>()[2], 35);
+  // Zero rows (an expression over an empty selection) copy no values.
+  auto none = Table::Make(Schema({{"i", format::Int64()}}),
+                          {Column::FromInt64(std::vector<int64_t>{})})
+                  .ValueOrDie();
+  EXPECT_EQ(Eval(Mul(ColRef("i"), LitInt(10)), none)->length(), 0u);
 }
 
 TEST(EvalTest, DecimalArithmeticExact) {
@@ -143,6 +148,10 @@ TEST(EvalTest, DoubleArithmetic) {
   auto t = TestTable();
   auto c = Eval(Mul(ColRef("f"), LitDouble(2.0)), t);
   EXPECT_DOUBLE_EQ(c->data<double>()[1], 3.0);
+  auto none = Table::Make(Schema({{"f", format::Float64()}}),
+                          {Column::FromDouble(std::vector<double>{})})
+                  .ValueOrDie();
+  EXPECT_EQ(Eval(Mul(ColRef("f"), LitDouble(2.0)), none)->length(), 0u);
 }
 
 TEST(EvalTest, NegateAndUnary) {

@@ -220,6 +220,19 @@ TEST(BuilderTest, FinishResetsState) {
   EXPECT_EQ(second->data<int64_t>()[0], 2);
 }
 
+TEST(BuilderTest, FinishesEmptyFixedWidthColumns) {
+  // Nothing appended: no values to copy (an expression over an empty view
+  // finishes columns like these).
+  ColumnBuilder ints(Int64());
+  ColumnPtr i = ints.Finish();
+  EXPECT_EQ(i->length(), 0u);
+  EXPECT_EQ(i->type().id, TypeId::kInt64);
+  ColumnBuilder doubles(Float64());
+  ColumnPtr d = doubles.Finish();
+  EXPECT_EQ(d->length(), 0u);
+  EXPECT_EQ(d->type().id, TypeId::kFloat64);
+}
+
 TEST(TableBuilderTest, BuildsAgainstSchema) {
   Schema schema({{"k", Int64()}, {"v", String()}});
   TableBuilder tb(schema);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/pipeline.h"
@@ -39,6 +40,16 @@ gdf::Context Ctx() {
   return ctx;
 }
 
+/// Register-residency set of one fused pass.
+using Resident = std::unordered_set<const format::Column*>;
+
+/// A context inside the fused pass that owns `resident`.
+gdf::Context FusedCtx(Resident* resident) {
+  gdf::Context ctx = Ctx();
+  ctx.fused_reads = resident;
+  return ctx;
+}
+
 TablePtr MakeTable(std::vector<format::Field> fields,
                    std::vector<ColumnPtr> cols) {
   return Table::Make(Schema(std::move(fields)), std::move(cols)).ValueOrDie();
@@ -62,7 +73,8 @@ TEST(SelectionViewTest, FromTableIsIdentity) {
 }
 
 TEST(SelectionViewTest, RefineComposesLikeChainedGathers) {
-  auto ctx = Ctx();
+  Resident resident;
+  auto ctx = FusedCtx(&resident);
   auto t = TestTable();
   auto view = gdf::SelectionView::FromTable(t);
   ASSERT_TRUE(gdf::RefineView(ctx, &view, {0, 2, 4}, sim::OpCategory::kFilter).ok());
@@ -87,7 +99,8 @@ TEST(SelectionViewTest, RefineRejectsOutOfBounds) {
 }
 
 TEST(SelectionViewTest, GatherViewColumnMatchesGatheredColumn) {
-  auto ctx = Ctx();
+  Resident resident;
+  auto ctx = FusedCtx(&resident);
   auto t = TestTable();
   auto view = gdf::SelectionView::FromTable(t);
   // Identity views resolve zero-copy.
@@ -102,16 +115,18 @@ TEST(SelectionViewTest, GatherViewColumnMatchesGatheredColumn) {
   EXPECT_TRUE(c1->Equals(*ref));
 }
 
-TEST(SelectionViewTest, MaskToSelectionMatchesMaskToIndices) {
-  auto ctx = Ctx();
+TEST(SelectionViewTest, MaskToIndicesSelectsTheSameRowsInAFusedPass) {
+  Resident resident;
   auto mask = Column::FromBool({true, false, true, true, false});
-  auto sel = gdf::MaskToSelection(ctx, mask).ValueOrDie();
-  auto idx = gdf::MaskToIndices(ctx, mask).ValueOrDie();
-  EXPECT_EQ(sel, idx);
+  auto fused = gdf::MaskToIndices(FusedCtx(&resident), mask).ValueOrDie();
+  auto standalone = gdf::MaskToIndices(Ctx(), mask).ValueOrDie();
+  EXPECT_EQ(fused, standalone);
+  EXPECT_EQ(fused, (std::vector<gdf::index_t>{0, 2, 3}));
 }
 
 TEST(SelectionViewTest, ComputeColumnViewMatchesComputeOnGathered) {
-  auto ctx = Ctx();
+  Resident resident;
+  auto ctx = FusedCtx(&resident);
   auto t = TestTable();
   auto view = gdf::SelectionView::FromTable(t);
   ASSERT_TRUE(view.Refine({1, 3, 4}).ok());
@@ -130,17 +145,22 @@ TEST(SelectionViewTest, ComputeColumnViewMatchesComputeOnGathered) {
 }
 
 TEST(SelectionViewTest, ApplyJoinToViewMatchesGatheredJoinOutput) {
-  auto ctx = Ctx();
+  Resident resident;
+  auto ctx = FusedCtx(&resident);
   auto probe = TestTable();  // keys 1..5 in column b
   auto build = MakeTable({{"k", format::Int64()}, {"v", format::Int64()}},
                          {Column::FromInt64({2, 4}),
                           Column::FromInt64({200, 400})});
+  Schema out_schema({{"a", format::Int64()},
+                     {"b", format::Int64()},
+                     {"k", format::Int64()},
+                     {"v", format::Int64()}});
 
   auto view = gdf::SelectionView::FromTable(probe);
   gdf::JoinResult pairs =
       gdf::HashJoin(ctx, {probe->column(1)}, {build->column(0)}, {})
           .ValueOrDie();
-  ASSERT_TRUE(gdf::ApplyJoinToView(ctx, &view, pairs, build,
+  ASSERT_TRUE(gdf::ApplyJoinToView(ctx, &view, pairs, build, out_schema,
                                    /*emits_right=*/true,
                                    /*nullable_right=*/false,
                                    sim::OpCategory::kJoin)
@@ -154,10 +174,6 @@ TEST(SelectionViewTest, ApplyJoinToViewMatchesGatheredJoinOutput) {
   auto rg = gdf::GatherTable(ctx, build, pairs.right_indices,
                              sim::OpCategory::kJoin)
                 .ValueOrDie();
-  Schema out_schema({{"a", format::Int64()},
-                     {"b", format::Int64()},
-                     {"k", format::Int64()},
-                     {"v", format::Int64()}});
   std::vector<ColumnPtr> cols = lg->columns();
   for (const auto& c : rg->columns()) cols.push_back(c);
   auto ref = Table::Make(out_schema, std::move(cols)).ValueOrDie();
@@ -165,6 +181,16 @@ TEST(SelectionViewTest, ApplyJoinToViewMatchesGatheredJoinOutput) {
   auto m = gdf::MaterializeView(ctx, view, out_schema, sim::OpCategory::kJoin)
                .ValueOrDie();
   EXPECT_TRUE(m->Equals(*ref));
+
+  // Outside a fused pass the same call gathers that reference directly.
+  auto dense = gdf::SelectionView::FromTable(probe);
+  ASSERT_TRUE(gdf::ApplyJoinToView(Ctx(), &dense, pairs, build, out_schema,
+                                   /*emits_right=*/true,
+                                   /*nullable_right=*/false,
+                                   sim::OpCategory::kJoin)
+                  .ok());
+  ASSERT_TRUE(dense.IsIdentity());
+  EXPECT_TRUE(dense.dense()->Equals(*ref));
 }
 
 TEST(SelectionViewTest, GroupByAggregateViewMatchesGatheredGroupBy) {
@@ -203,11 +229,11 @@ TEST(SelectionViewTest, CountStarOnlyAggregateSeesViewRowCount) {
 }
 
 TEST(SelectionViewTest, BloomPrefilterSelectionKeepsAllMatches) {
-  auto ctx = Ctx();
+  Resident resident;
   auto probe_key = Column::FromInt64({1, 7, 2, 9, 3, 11});
   auto build_key = Column::FromInt64({2, 3});
-  auto keep =
-      gdf::BloomPrefilterSelection(ctx, probe_key, build_key).ValueOrDie();
+  auto keep = gdf::BloomPrefilter(FusedCtx(&resident), probe_key, build_key)
+                  .ValueOrDie();
   // No false negatives: rows with keys 2 and 3 must survive.
   EXPECT_NE(std::find(keep.begin(), keep.end(), 2), keep.end());
   EXPECT_NE(std::find(keep.begin(), keep.end(), 4), keep.end());
@@ -219,6 +245,165 @@ TEST(SelectionViewTest, SelectionBytesTracksRowMaps) {
   EXPECT_EQ(view.SelectionBytes(), 0u);  // identity: no live index state
   ASSERT_TRUE(view.Refine({0, 1, 2}).ok());
   EXPECT_EQ(view.SelectionBytes(), 3 * sizeof(gdf::index_t));
+}
+
+// ---------------------------------------------------------------------------
+// One kernel per step: each view kernel prices itself by the context
+// ---------------------------------------------------------------------------
+
+/// What one kernel call charged: launches and HBM traffic from
+/// sim::KernelStats, seconds from the timeline.
+struct Charged {
+  sim::KernelStats kernels;
+  double seconds = 0;
+};
+
+/// Runs `call` on a metered context (inside the fused pass owning
+/// `resident`, or standalone when it is null) and returns its charge.
+template <typename Call>
+Charged Meter(Resident* resident, Call&& call) {
+  sim::Timeline timeline;
+  Charged out;
+  gdf::Context ctx = resident != nullptr ? FusedCtx(resident) : Ctx();
+  ctx.sim.timeline = &timeline;
+  ctx.sim.kernel_stats = &out.kernels;
+  call(ctx);
+  out.seconds = timeline.total_seconds();
+  return out;
+}
+
+void ExpectSameCharge(const Charged& got, const Charged& want) {
+  EXPECT_EQ(got.kernels.launches, want.kernels.launches);
+  EXPECT_EQ(got.kernels.seq_bytes, want.kernels.seq_bytes);
+  EXPECT_EQ(got.kernels.rand_bytes, want.kernels.rand_bytes);
+  EXPECT_EQ(got.seconds, want.seconds);
+}
+
+TEST(SelectionViewTest, MergedKernelsPriceByContext) {
+  const TablePtr t = TestTable();
+  const TablePtr build =
+      MakeTable({{"k", format::Int64()}, {"v", format::Int64()}},
+                {Column::FromInt64({2, 4}), Column::FromInt64({200, 400})});
+  const Schema join_schema({{"a", format::Int64()},
+                            {"b", format::Int64()},
+                            {"k", format::Int64()},
+                            {"v", format::Int64()}});
+  const gdf::JoinResult pairs =
+      gdf::HashJoin(Ctx(), {t->column(1)}, {build->column(0)}, {})
+          .ValueOrDie();
+  const std::vector<gdf::index_t> sel = {0, 2, 4};
+  const auto e = expr::Add(expr::ColIdx(0, format::Int64()),
+                           expr::ColIdx(1, format::Int64()));
+  const ColumnPtr mask = Column::FromBool({true, false, true, true, false});
+  const ColumnPtr build_key = Column::FromInt64({2, 3});
+
+  // Outside a fused pass each kernel charges what the standalone call it
+  // replaces charges, and leaves a dense view.
+  auto view = gdf::SelectionView::FromTable(t);
+  ExpectSameCharge(Meter(nullptr,
+                         [&](const gdf::Context& ctx) {
+                           ASSERT_TRUE(gdf::ComputeColumnView(
+                                           ctx, *e, view,
+                                           sim::OpCategory::kProject)
+                                           .ok());
+                         }),
+                   Meter(nullptr, [&](const gdf::Context& ctx) {
+                     ASSERT_TRUE(gdf::ComputeColumn(ctx, *e, t,
+                                                    sim::OpCategory::kProject)
+                                     .ok());
+                   }));
+  ExpectSameCharge(Meter(nullptr,
+                         [&](const gdf::Context& ctx) {
+                           ASSERT_TRUE(gdf::RefineView(ctx, &view, sel,
+                                                       sim::OpCategory::kFilter)
+                                           .ok());
+                         }),
+                   Meter(nullptr, [&](const gdf::Context& ctx) {
+                     ASSERT_TRUE(gdf::GatherTable(ctx, t, sel,
+                                                  sim::OpCategory::kFilter)
+                                     .ok());
+                   }));
+  EXPECT_TRUE(view.IsIdentity());
+  EXPECT_EQ(view.num_rows(), sel.size());
+
+  auto probe = gdf::SelectionView::FromTable(t);
+  ExpectSameCharge(
+      Meter(nullptr,
+            [&](const gdf::Context& ctx) {
+              ASSERT_TRUE(gdf::ApplyJoinToView(ctx, &probe, pairs, build,
+                                               join_schema, true, false,
+                                               sim::OpCategory::kJoin)
+                              .ok());
+            }),
+      Meter(nullptr, [&](const gdf::Context& ctx) {
+        ASSERT_TRUE(gdf::GatherTable(ctx, t, pairs.left_indices,
+                                     sim::OpCategory::kJoin)
+                        .ok());
+        ASSERT_TRUE(gdf::GatherTable(ctx, build, pairs.right_indices,
+                                     sim::OpCategory::kJoin)
+                        .ok());
+      }));
+  EXPECT_TRUE(probe.IsIdentity());
+  EXPECT_EQ(probe.num_columns(), 4u);
+
+  const Charged mask_alone = Meter(nullptr, [&](const gdf::Context& ctx) {
+    ASSERT_TRUE(gdf::MaskToIndices(ctx, mask).ok());
+  });
+  EXPECT_EQ(mask_alone.kernels.launches, 1u);
+  const Charged bloom_alone = Meter(nullptr, [&](const gdf::Context& ctx) {
+    ASSERT_TRUE(gdf::BloomPrefilter(ctx, t->column(1), build_key).ok());
+  });
+  EXPECT_EQ(bloom_alone.kernels.launches, 2u);
+
+  // Inside a fused pass none of them launches: the stage owns its launch.
+  Resident resident;
+  auto fused_view = gdf::SelectionView::FromTable(t);
+  const Charged refine = Meter(&resident, [&](const gdf::Context& ctx) {
+    ASSERT_TRUE(
+        gdf::RefineView(ctx, &fused_view, sel, sim::OpCategory::kFilter).ok());
+  });
+  EXPECT_EQ(refine.kernels.launches, 0u);
+  // Row-map writes only: the selection plus one composed map per segment.
+  EXPECT_EQ(refine.kernels.seq_bytes, sel.size() * sizeof(gdf::index_t) * 2);
+  EXPECT_EQ(refine.kernels.rand_bytes, 0u);
+  EXPECT_FALSE(fused_view.IsIdentity());
+
+  const Charged compute = Meter(&resident, [&](const gdf::Context& ctx) {
+    ASSERT_TRUE(gdf::ComputeColumnView(ctx, *e, fused_view,
+                                       sim::OpCategory::kProject)
+                    .ok());
+  });
+  EXPECT_EQ(compute.kernels.launches, 0u);
+
+  auto fused_probe = gdf::SelectionView::FromTable(t);
+  const Charged apply = Meter(&resident, [&](const gdf::Context& ctx) {
+    ASSERT_TRUE(gdf::ApplyJoinToView(ctx, &fused_probe, pairs, build,
+                                     join_schema, true, false,
+                                     sim::OpCategory::kJoin)
+                    .ok());
+  });
+  EXPECT_EQ(apply.kernels.launches, 0u);
+  EXPECT_EQ(fused_probe.segments().size(), 2u);
+
+  const Charged mask_fused = Meter(&resident, [&](const gdf::Context& ctx) {
+    ASSERT_TRUE(gdf::MaskToIndices(ctx, mask).ok());
+  });
+  EXPECT_EQ(mask_fused.kernels.launches, 0u);
+  EXPECT_EQ(mask_fused.kernels.seq_bytes, mask_alone.kernels.seq_bytes);
+
+  size_t kept = 0;
+  const Charged bloom_fused = Meter(&resident, [&](const gdf::Context& ctx) {
+    auto keep = gdf::BloomPrefilter(ctx, t->column(1), build_key);
+    ASSERT_TRUE(keep.ok());
+    kept = keep.ValueOrDie().size();
+  });
+  EXPECT_EQ(bloom_fused.kernels.launches, 0u);
+  // The compute above left the probe key resident: it is not re-read, and
+  // the selection write is charged instead.
+  EXPECT_EQ(bloom_fused.kernels.seq_bytes,
+            bloom_alone.kernels.seq_bytes - t->column(1)->MemoryUsage() +
+                kept * sizeof(gdf::index_t));
+  EXPECT_EQ(bloom_fused.kernels.rand_bytes, bloom_alone.kernels.rand_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,37 +429,39 @@ class FusionEngineTest : public ::testing::Test {
 };
 
 TEST_F(FusionEngineTest, CompilerFusesStreamingChains) {
-  auto plan = db()->PlanSql(tpch::Query(3)).ValueOrDie();
-  std::vector<engine::Pipeline> pipelines;
-  ASSERT_TRUE(engine::PipelineCompiler::Compile(plan, &pipelines).ok());
-  auto stages = engine::FusedStageCompiler::Compile(
-      pipelines, sim::Gh200Gpu(), 1000, /*fusion_enabled=*/true);
-  ASSERT_EQ(stages.size(), pipelines.size());
-  int fused = 0;
-  int saved = 0;
-  for (size_t i = 0; i < stages.size(); ++i) {
-    if (stages[i].exec == engine::StageExec::kFused) {
-      ++fused;
-      EXPECT_EQ(stages[i].fused_ops,
-                static_cast<int>(pipelines[i].steps.size()));
-      // A single-step chain can save 0 launches and still fuse (it skips
-      // the intermediate, not a launch); multi-step chains must save.
-      EXPECT_GE(stages[i].saved_launches, 0);
-      saved += stages[i].saved_launches;
-    } else {
-      EXPECT_FALSE(stages[i].reason.empty());
+  // Fusion is a rule: every non-empty chain without a cross join, an ASOF
+  // join or a residual join predicate fuses.
+  for (int q : {3, 17, 21}) {
+    auto query = db()->PlanSql(tpch::Query(q)).ValueOrDie();
+    std::vector<engine::Pipeline> pipelines;
+    ASSERT_TRUE(engine::PipelineCompiler::Compile(query, &pipelines).ok());
+    auto stages =
+        engine::FusedStageCompiler::Compile(pipelines, /*fusion_enabled=*/true);
+    ASSERT_EQ(stages.size(), pipelines.size());
+    int fused = 0;
+    for (size_t i = 0; i < stages.size(); ++i) {
+      bool fusable = !pipelines[i].steps.empty();
+      for (const auto& s : pipelines[i].steps) {
+        fusable = fusable && (s.kind != engine::StepKind::kJoin ||
+                              (s.node->join_type != plan::JoinType::kCross &&
+                               s.node->join_type != plan::JoinType::kAsof &&
+                               s.node->residual == nullptr));
+      }
+      EXPECT_EQ(stages[i].exec == engine::StageExec::kFused, fusable)
+          << "Q" << q << " pipeline " << i;
+      EXPECT_EQ(stages[i].reason.empty(), fusable);
+      fused += fusable ? 1 : 0;
     }
+    EXPECT_GT(fused, 0) << "Q" << q << " has streaming chains that must fuse";
   }
-  EXPECT_GT(fused, 0) << "Q3 has streaming chains that must fuse";
-  EXPECT_GT(saved, 0) << "Q3's probe chains must save launches";
 }
 
 TEST_F(FusionEngineTest, CompilerDisabledMarksEverythingMaterialized) {
   auto plan = db()->PlanSql(tpch::Query(6)).ValueOrDie();
   std::vector<engine::Pipeline> pipelines;
   ASSERT_TRUE(engine::PipelineCompiler::Compile(plan, &pipelines).ok());
-  auto stages = engine::FusedStageCompiler::Compile(
-      pipelines, sim::Gh200Gpu(), 1.0, /*fusion_enabled=*/false);
+  auto stages =
+      engine::FusedStageCompiler::Compile(pipelines, /*fusion_enabled=*/false);
   for (const auto& s : stages) {
     EXPECT_EQ(s.exec, engine::StageExec::kMaterialized);
     EXPECT_EQ(s.reason, "fusion disabled");
