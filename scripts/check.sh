@@ -37,8 +37,8 @@ stage_desc() {
     cluster)      echo "federated serving: routing/replication/chaos + bench vs snapshot" ;;
     spill)        echo "tiered memory: spill governance + fault recovery (ctest -L spill)" ;;
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
-    tsan)         echo "ThreadSanitizer build + serving-layer suite" ;;
-    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion suites" ;;
+    tsan)         echo "ThreadSanitizer build + serving-layer and codec suites" ;;
+    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec suites" ;;
     bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots" ;;
     *)            echo "unknown" ;;
   esac
@@ -145,7 +145,9 @@ stage_race() {
 stage_tsan() {
   cmake -B "$TSAN_BUILD" -S . -DSIRIUS_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD" -j "$JOBS"
-  ctest --test-dir "$TSAN_BUILD" -L serve --output-on-failure --no-tests=error -j "$JOBS"
+  # "codec" includes scans decoding outside the buffer manager's mutex
+  # while another thread evicts.
+  ctest --test-dir "$TSAN_BUILD" -L 'serve|codec' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_asan() {
@@ -154,9 +156,10 @@ stage_asan() {
   # The address build carries UBSan too. "fault" covers the chaos suites
   # (including the serve.place placement faults); "race" re-runs the checked
   # device tests; "fusion" runs the view kernels both inside and outside a
-  # fused pass.
+  # fused pass; "codec" runs the bit-packing sweeps over exact-size buffers,
+  # where a read past the packed stream is a heap overflow.
   SIRIUS_RACE_CHECK=1 \
-    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion' --output-on-failure --no-tests=error -j "$JOBS"
+    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_bench_gate() {

@@ -1,9 +1,6 @@
 #include "engine/buffer_manager.h"
 
 #include <algorithm>
-#include <cstring>
-
-#include "format/builder.h"
 
 namespace sirius::engine {
 
@@ -22,18 +19,26 @@ BufferManager::BufferManager(Options options)
 
 namespace {
 
-/// Deep copy of one column (host format -> Sirius caching region; both are
-/// Arrow-derived, but crossing the host boundary on the cold path copies).
-Result<ColumnPtr> DeepCopyColumn(const ColumnPtr& col) {
-  format::ColumnBuilder b(col->type());
-  b.Reserve(col->length());
-  for (size_t i = 0; i < col->length(); ++i) {
-    SIRIUS_RETURN_NOT_OK(b.AppendScalar(col->GetScalar(i)));
-  }
-  return b.Finish();
+/// True when `entry_source` was taken from `column` itself (owner equality:
+/// an expired stamp never matches a live column).
+bool SameSource(const std::weak_ptr<const format::Column>& entry_source,
+                const ColumnPtr& column) {
+  return !entry_source.owner_before(column) &&
+         !column.owner_before(entry_source);
 }
 
 }  // namespace
+
+void BufferManager::DropEntry(CacheMap::iterator it,
+                              sim::HazardTracker* hazards) {
+  // Retire the generation: any handle stamped with it is now stale, and
+  // validating one reports use-after-evict.
+  mem::LifetimeTracker::Global().OnFree(it->second.generation);
+  if (hazards != nullptr) hazards->ReleaseResource(it->second.generation);
+  cached_modeled_bytes_ -= it->second.modeled_bytes;
+  lru_.erase(it->second.lru_pos);
+  cache_.erase(it);
+}
 
 bool BufferManager::EvictUntilFits(uint64_t needed,
                                    const std::vector<CacheKey>& pinned,
@@ -56,20 +61,12 @@ bool BufferManager::EvictUntilFits(uint64_t needed,
     }
     if (victim == lru_.end()) return false;
     auto entry = cache_.find(*victim);
-    // Retire the generation: any handle stamped with it is now stale, and
-    // validating one reports use-after-evict.
-    mem::LifetimeTracker::Global().OnFree(entry->second.generation);
-    if (hazards != nullptr) {
-      hazards->ReleaseResource(entry->second.generation);
-    }
-    cached_modeled_bytes_ -= entry->second.modeled_bytes;
     // In a tiered system a pressure eviction is a writeback (the column
     // re-loads from the tier below); account it for the per-tier gauges.
     if (options_.tiers != nullptr) {
       options_.tiers->NoteEvictionWriteback(entry->second.modeled_bytes);
     }
-    cache_.erase(entry);
-    lru_.erase(victim);
+    DropEntry(entry, hazards);
     ++evictions_;
   }
   return true;
@@ -82,106 +79,117 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
   keys.reserve(columns.size());
   for (int c : columns) keys.push_back({name, c});
 
-  std::vector<ColumnPtr> out;
-  out.reserve(columns.size());
+  // Filled under mu_: one shared encoded column per requested column, in
+  // request order. A failure stops the loop; the columns before it are
+  // still decoded and charged below, as a scan that read them would be.
+  std::vector<std::shared_ptr<const format::EncodedColumn>> encoded;
+  encoded.reserve(columns.size());
+  Status status;
   format::Schema schema;
   uint64_t cold_bytes_raw = 0;
-
   size_t hits = 0;
   size_t misses = 0;
-
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t evictions_before = evictions_;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    const int c = columns[i];
-    if (c < 0 || static_cast<size_t>(c) >= host_table->num_columns()) {
-      return Status::IndexError("GetOrCacheColumns: bad column " +
-                                std::to_string(c));
-    }
-    schema.AddField(host_table->schema().field(c));
-    auto it = cache_.find(keys[i]);
-    if (it == cache_.end()) {
-      ++misses;
-      // Cold column: load over the host link, encode into the caching
-      // region (lightweight compression, §3.4).
+  uint64_t evicted = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t evictions_before = evictions_;
+    for (size_t i = 0; i < columns.size(); ++i) {
+      const int c = columns[i];
+      if (c < 0 || static_cast<size_t>(c) >= host_table->num_columns()) {
+        status = Status::IndexError("GetOrCacheColumns: bad column " +
+                                    std::to_string(c));
+        break;
+      }
+      schema.AddField(host_table->schema().field(c));
       const ColumnPtr& host_col = host_table->column(c);
-      const uint64_t raw = host_col->MemoryUsage();
-      CacheEntry entry;
-      if (options_.compress_cache) {
-        SIRIUS_ASSIGN_OR_RETURN(format::EncodedColumn encoded,
-                                format::Encode(host_col));
-        entry.encoded = std::make_shared<format::EncodedColumn>(
-            std::move(encoded));
+      auto it = cache_.find(keys[i]);
+      if (it != cache_.end() && !SameSource(it->second.source, host_col)) {
+        // The host replaced the table since this column was cached: the
+        // entry holds the old rows. Drop it like an eviction and reload.
+        DropEntry(it, sim.hazards);
+        it = cache_.end();
+      }
+      if (it == cache_.end()) {
+        ++misses;
+        // Cold column: load over the host link, encode into the caching
+        // region (lightweight compression, §3.4).
+        Result<format::EncodedColumn> encoded_col = format::Encode(host_col);
+        if (!encoded_col.ok()) {
+          status = encoded_col.status();
+          break;
+        }
+        CacheEntry entry;
+        entry.encoded = std::make_shared<const format::EncodedColumn>(
+            std::move(encoded_col).ValueOrDie());
+        entry.source = host_col;
         entry.modeled_bytes = static_cast<uint64_t>(
             static_cast<double>(entry.encoded->CompressedBytes()) *
             sim.data_scale);
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(entry.plain, DeepCopyColumn(host_col));
-        entry.modeled_bytes = static_cast<uint64_t>(
-            static_cast<double>(raw) * sim.data_scale);
-      }
-      if (!EvictUntilFits(entry.modeled_bytes, keys, sim.hazards)) {
-        return Status::OutOfMemory(
-            "caching region cannot fit column " + name + "." +
-            std::to_string(c) + " (" + std::to_string(entry.modeled_bytes) +
-            " resident bytes of " + std::to_string(cache_capacity_) + ")");
-      }
-      entry.generation = mem::LifetimeTracker::Global().OnAlloc(
-          entry.modeled_bytes, name + "." + std::to_string(c) + " cache entry");
-      // The load populates the entry on this stream; record the event that
-      // readers on other streams must order after (the stream-sync a real
-      // device inserts after the H2D copy + decompress).
-      if (sim.hazards != nullptr) {
-        sim.NoteWrite(entry.generation, "cold load " + name + "." +
-                                            std::to_string(c));
-        entry.ready_event = sim.hazards->RecordEvent(sim.stream);
-        entry.ready_tracker = sim.hazards->id();
-      }
-      cold_bytes_raw += raw;
-      lru_.push_front(keys[i]);
-      entry.lru_pos = lru_.begin();
-      cached_modeled_bytes_ += entry.modeled_bytes;
-      it = cache_.emplace(keys[i], std::move(entry)).first;
-    } else {
-      // Hot hit: refresh LRU position.
-      ++hits;
-      lru_.erase(it->second.lru_pos);
-      lru_.push_front(keys[i]);
-      it->second.lru_pos = lru_.begin();
-      mem::LifetimeTracker::Global().OnAccess(
-          it->second.generation, "hot read " + name + "." + std::to_string(c));
-      if (sim.hazards != nullptr) {
-        // Only wait on the ready event if it belongs to the active tracker;
-        // entries loaded by a previous query are ordered by the query
-        // boundary itself (the runner drains all pipelines between runs).
-        if (it->second.ready_event >= 0 &&
-            it->second.ready_tracker == sim.hazards->id()) {
-          sim.hazards->StreamWaitEvent(sim.stream, it->second.ready_event);
+        if (!EvictUntilFits(entry.modeled_bytes, keys, sim.hazards)) {
+          status = Status::OutOfMemory(
+              "caching region cannot fit column " + name + "." +
+              std::to_string(c) + " (" + std::to_string(entry.modeled_bytes) +
+              " resident bytes of " + std::to_string(cache_capacity_) + ")");
+          break;
         }
-        sim.NoteRead(it->second.generation,
-                     "hot read " + name + "." + std::to_string(c));
+        entry.generation = mem::LifetimeTracker::Global().OnAlloc(
+            entry.modeled_bytes,
+            name + "." + std::to_string(c) + " cache entry");
+        // The load populates the entry on this stream; record the event that
+        // readers on other streams must order after (the stream-sync a real
+        // device inserts after the H2D copy + decompress).
+        if (sim.hazards != nullptr) {
+          sim.NoteWrite(entry.generation, "cold load " + name + "." +
+                                              std::to_string(c));
+          entry.ready_event = sim.hazards->RecordEvent(sim.stream);
+          entry.ready_tracker = sim.hazards->id();
+        }
+        cold_bytes_raw += host_col->MemoryUsage();
+        lru_.push_front(keys[i]);
+        entry.lru_pos = lru_.begin();
+        cached_modeled_bytes_ += entry.modeled_bytes;
+        it = cache_.emplace(keys[i], std::move(entry)).first;
+      } else {
+        // Hot hit: refresh LRU position.
+        ++hits;
+        lru_.erase(it->second.lru_pos);
+        lru_.push_front(keys[i]);
+        it->second.lru_pos = lru_.begin();
+        mem::LifetimeTracker::Global().OnAccess(
+            it->second.generation,
+            "hot read " + name + "." + std::to_string(c));
+        if (sim.hazards != nullptr) {
+          // Only wait on the ready event if it belongs to the active
+          // tracker; entries loaded by a previous query are ordered by the
+          // query boundary itself (the runner drains all pipelines between
+          // runs).
+          if (it->second.ready_event >= 0 &&
+              it->second.ready_tracker == sim.hazards->id()) {
+            sim.hazards->StreamWaitEvent(sim.stream, it->second.ready_event);
+          }
+          sim.NoteRead(it->second.generation,
+                       "hot read " + name + "." + std::to_string(c));
+        }
       }
+      encoded.push_back(it->second.encoded);
     }
-
-    const CacheEntry& entry = it->second;
-    if (entry.encoded != nullptr) {
-      // Decode on access: reads the compressed bytes at device bandwidth
-      // plus a per-value unpack op (FastLanes-style in-register decode).
-      SIRIUS_ASSIGN_OR_RETURN(ColumnPtr decoded, format::Decode(*entry.encoded));
-      sim::KernelCost cost;
-      cost.seq_bytes = entry.encoded->CompressedBytes() + decoded->MemoryUsage();
-      cost.rows = decoded->length();
-      cost.ops_per_row = 2.0;
-      sim.Charge(sim::OpCategory::kScan, cost);
-      out.push_back(std::move(decoded));
-    } else {
-      sim::KernelCost cost;
-      cost.seq_bytes = entry.plain->MemoryUsage();
-      cost.rows = entry.plain->length();
-      sim.Charge(sim::OpCategory::kScan, cost);
-      out.push_back(entry.plain);
-    }
+    evicted = evictions_ - evictions_before;
   }
+
+  // Decode on access, outside mu_: reads the compressed bytes at device
+  // bandwidth plus a per-value unpack op.
+  std::vector<ColumnPtr> out;
+  out.reserve(encoded.size());
+  for (const auto& column : encoded) {
+    SIRIUS_ASSIGN_OR_RETURN(ColumnPtr decoded, format::Decode(*column));
+    sim::KernelCost cost;
+    cost.seq_bytes = column->CompressedBytes() + decoded->MemoryUsage();
+    cost.rows = decoded->length();
+    cost.ops_per_row = 2.0;
+    sim.Charge(sim::OpCategory::kScan, cost);
+    out.push_back(std::move(decoded));
+  }
+  SIRIUS_RETURN_NOT_OK(status);
   if (cold_bytes_raw > 0) {
     // Cold-path host->device transfer, bracketed by a "buffer" span so a
     // trace distinguishes reloads from cache hits (hits emit no span).
@@ -196,9 +204,7 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
   if (sim.trace != nullptr) {
     if (hits > 0) sim.trace->AddCounter("buffer.hits", hits);
     if (misses > 0) sim.trace->AddCounter("buffer.misses", misses);
-    if (evictions_ > evictions_before) {
-      sim.trace->AddCounter("buffer.evictions", evictions_ - evictions_before);
-    }
+    if (evicted > 0) sim.trace->AddCounter("buffer.evictions", evicted);
   }
   return format::Table::Make(std::move(schema), std::move(out));
 }

@@ -2,17 +2,22 @@
 //
 // Splits device memory into a pre-allocated *caching* region (input
 // columns, hot across queries) and an RMM-pool *processing* region
-// (intermediates). Caching is column-granular with LRU eviction, and cached
-// data is held lightweight-compressed (paper §3.4 cites FastLanes-class
-// compression as the capacity lever; we model its ratio). Also owns the
-// format boundaries: the deep copy from the host database's format on cold
-// load, and the uint64 (engine) <-> int32 (GDF/libcudf) row index
-// conversion the paper calls out.
+// (intermediates). Caching is column-granular with LRU eviction. Cached
+// columns are held lightweight-compressed (paper §3.4, format::Encode), and
+// the region's accounting uses their real encoded size. A scan decodes the
+// columns it reads; the decode runs outside the manager's mutex, so
+// concurrent scans of hot columns decode in parallel. Each entry is stamped
+// with the host column it was loaded from, so a table replaced in the host
+// catalog reloads instead of serving the old rows. Also owns the format
+// boundaries: the encode from the host database's format on cold load, and
+// the uint64 (engine) <-> int32 (GDF/libcudf) row index conversion the
+// paper calls out.
 
 #pragma once
 
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -43,9 +48,6 @@ class BufferManager {
     /// A-priori compression-ratio estimate, used only for the out-of-core
     /// sizing pre-check; actual cache accounting uses the real encoded size.
     double compression_ratio = 2.5;
-    /// Store cached columns lightweight-compressed (FOR-bitpack /
-    /// dictionary, §3.4); scans decode on access at modeled bandwidth.
-    bool compress_cache = true;
     /// Actual pool bytes backing the processing region allocator.
     uint64_t pool_bytes = 64ull << 20;
     /// When set, processing_resource() returns this instead of the built-in
@@ -63,11 +65,15 @@ class BufferManager {
   /// \brief Returns the requested columns of `name` as a device-resident
   /// table, loading missing columns from `host_table` over the host link.
   ///
-  /// Cold columns charge transfer time to `sim`; hot columns charge nothing
-  /// (the evaluation's "hot run" methodology, §4.1). When the caching
-  /// region is full, least-recently-used columns are evicted; if the
-  /// requested columns alone cannot fit, returns OutOfMemory (the
-  /// out-of-core batch path or host fallback takes over, §3.4).
+  /// Cold columns charge transfer time to `sim`; hot columns charge no
+  /// transfer (the evaluation's "hot run" methodology, §4.1). Every column
+  /// returned is decoded from its cached encoding, which charges a scan of
+  /// the compressed plus the decoded bytes. A column cached from a
+  /// different host column than `host_table` now holds (the table was
+  /// replaced) is dropped and reloaded as a miss. When the caching region
+  /// is full, least-recently-used columns are evicted; if the requested
+  /// columns alone cannot fit, returns OutOfMemory (the out-of-core batch
+  /// path or host fallback takes over, §3.4).
   Result<format::TablePtr> GetOrCacheColumns(const std::string& name,
                                              const format::TablePtr& host_table,
                                              const std::vector<int>& columns,
@@ -157,10 +163,12 @@ class BufferManager {
     }
   };
   struct CacheEntry {
-    /// Compressed representation (compress_cache) ...
-    std::shared_ptr<format::EncodedColumn> encoded;
-    /// ... or the plain column (compress_cache off).
-    format::ColumnPtr plain;
+    /// Compressed representation; immutable once cached, so scans decode a
+    /// shared copy of the pointer without holding mu_.
+    std::shared_ptr<const format::EncodedColumn> encoded;
+    /// The host column the entry was loaded from. Compared by owner, so a
+    /// new column allocated at a recycled address never matches.
+    std::weak_ptr<const format::Column> source;
     uint64_t modeled_bytes = 0;  ///< resident (compressed) bytes * data_scale
     std::list<CacheKey>::iterator lru_pos;
     /// LifetimeTracker generation minted at load, retired at eviction.
@@ -176,6 +184,11 @@ class BufferManager {
     /// keeps the cross-checking count).
     int pins = 0;
   };
+  using CacheMap = std::map<CacheKey, CacheEntry>;
+
+  /// Caller holds mu_. Removes `it`: retires its generation, makes
+  /// `hazards` (may be null) forget it, and returns its bytes to the region.
+  void DropEntry(CacheMap::iterator it, sim::HazardTracker* hazards);
 
   /// Caller holds mu_. Evicts LRU entries (not in `pinned`, not pin-held)
   /// until `needed` fits. Returns false if impossible. `hazards` (may be
@@ -190,8 +203,11 @@ class BufferManager {
   mem::PoolMemoryResource pool_;
   mem::ReservationPool processing_reservations_;
 
+  /// Guards the cache bookkeeping below: lookup, load, LRU order, eviction,
+  /// generations, pins and hazard events. Decoding a cached column does not
+  /// need it.
   mutable std::mutex mu_;
-  std::map<CacheKey, CacheEntry> cache_;
+  CacheMap cache_;
   std::list<CacheKey> lru_;  ///< front = most recent
   uint64_t cached_modeled_bytes_ = 0;
   uint64_t evictions_ = 0;

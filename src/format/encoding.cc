@@ -1,14 +1,21 @@
 #include "format/encoding.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "common/bitutil.h"
-#include "format/builder.h"
 
 namespace sirius::format {
+
+// Words are stored and loaded with memcpy, so the stream's bit order is the
+// host's byte order.
+static_assert(std::endian::native == std::endian::little,
+              "the packed layout is a little-endian bit stream");
 
 const char* CodecName(Codec c) {
   switch (c) {
@@ -22,35 +29,100 @@ const char* CodecName(Codec c) {
   return "?";
 }
 
-int BitsFor(uint64_t value) {
-  int bits = 0;
-  while (value != 0) {
-    ++bits;
-    value >>= 1;
-  }
-  return bits;
+int BitsFor(uint64_t value) { return static_cast<int>(std::bit_width(value)); }
+
+namespace {
+
+uint64_t WidthMask(int bit_width) {
+  return bit_width == 64 ? ~uint64_t{0} : (uint64_t{1} << bit_width) - 1;
 }
 
-void BitpackInto(const uint64_t* values, size_t n, int bit_width, uint8_t* out) {
-  // Dense little-endian bit stream.
-  size_t bit_pos = 0;
+/// Packs get(0), ..., get(n-1) (each < 2^bit_width) into `out` through one
+/// 64-bit accumulator: each full word is stored with one 8-byte write, the
+/// last partial word with only the bytes it occupies.
+template <typename Get>
+void PackWords(size_t n, int bit_width, uint8_t* out, Get get) {
+  if (bit_width == 0) return;
+  uint64_t acc = 0;
+  int filled = 0;  // bits of acc in use; below 64 between values
   for (size_t i = 0; i < n; ++i) {
-    uint64_t v = values[i];
-    for (int b = 0; b < bit_width; ++b) {
-      if ((v >> b) & 1) out[bit_pos >> 3] |= uint8_t(1u << (bit_pos & 7));
-      ++bit_pos;
+    const uint64_t v = get(i);
+    acc |= v << filled;
+    filled += bit_width;
+    if (filled >= 64) {
+      std::memcpy(out, &acc, sizeof(acc));
+      out += sizeof(acc);
+      filled -= 64;
+      // The top `filled` bits of v did not fit in the stored word.
+      acc = filled == 0 ? 0 : v >> (bit_width - filled);
     }
   }
+  if (filled > 0) std::memcpy(out, &acc, bit::BytesForBits(filled));
+}
+
+/// Calls fn(i, value) for the first n values of a `packed_bytes`-long
+/// stream, in order. Values whose 8-byte window lies inside the buffer take
+/// one unaligned load (plus one byte when the value straddles it); the rest
+/// go through BitpackRead, which stops at the value's last byte.
+template <typename Fn>
+void ForEachPacked(const uint8_t* packed, size_t packed_bytes, size_t n,
+                   int bit_width, Fn fn) {
+  size_t i = 0;
+  if (bit_width > 0 && packed_bytes >= sizeof(uint64_t)) {
+    const size_t w = static_cast<size_t>(bit_width);
+    const uint64_t mask = WidthMask(bit_width);
+    // Value i's window starts at byte i*w/8, which is at most
+    // packed_bytes - 8 exactly when i*w <= (packed_bytes - 8) * 8 + 7.
+    const size_t windowed =
+        std::min(n, ((packed_bytes - sizeof(uint64_t)) * 8 + 7) / w + 1);
+    size_t bit = 0;
+    uint64_t word = 0;
+    if (bit_width <= 57) {
+      // The in-byte shift is at most 7, so the window holds the whole value.
+      for (; i < windowed; ++i, bit += w) {
+        std::memcpy(&word, packed + (bit >> 3), sizeof(word));
+        fn(i, (word >> (bit & 7)) & mask);
+      }
+    } else {
+      for (; i < windowed; ++i, bit += w) {
+        const size_t byte = bit >> 3;
+        const unsigned shift = bit & 7;
+        std::memcpy(&word, packed + byte, sizeof(word));
+        uint64_t v = word >> shift;
+        // The value's top bits sit in the next byte, which the value's own
+        // extent keeps inside the buffer.
+        if (shift + w > 64) v |= uint64_t{packed[byte + 8]} << (64 - shift);
+        fn(i, v & mask);
+      }
+    }
+  }
+  for (; i < n; ++i) fn(i, BitpackRead(packed, i, bit_width));
+}
+
+}  // namespace
+
+void BitpackInto(const uint64_t* values, size_t n, int bit_width, uint8_t* out) {
+  PackWords(n, bit_width, out, [values](size_t i) { return values[i]; });
 }
 
 uint64_t BitpackRead(const uint8_t* packed, size_t i, int bit_width) {
-  uint64_t v = 0;
-  size_t bit_pos = i * static_cast<size_t>(bit_width);
-  for (int b = 0; b < bit_width; ++b) {
-    if ((packed[bit_pos >> 3] >> (bit_pos & 7)) & 1) v |= uint64_t(1) << b;
-    ++bit_pos;
-  }
-  return v;
+  if (bit_width == 0) return 0;
+  const size_t bit = i * static_cast<size_t>(bit_width);
+  const uint8_t* p = packed + (bit >> 3);
+  const unsigned shift = bit & 7;
+  const size_t bytes =
+      bit::BytesForBits(shift + static_cast<size_t>(bit_width));
+  uint64_t word = 0;
+  std::memcpy(&word, p, std::min(bytes, sizeof(word)));
+  uint64_t v = word >> shift;
+  if (bytes > sizeof(word)) v |= uint64_t{p[8]} << (64 - shift);
+  return v & WidthMask(bit_width);
+}
+
+void BitpackUnpack(const uint8_t* packed, size_t packed_bytes, size_t n,
+                   int bit_width, uint64_t* out) {
+  ForEachPacked(packed, packed_bytes, n, bit_width,
+                [out](size_t i, uint64_t v) { out[i] = v; });
 }
 
 namespace {
@@ -66,6 +138,12 @@ mem::Buffer CopyValidity(const Column& col) {
   return CopyBuffer(col.validity(), bit::BytesForBits(col.length()));
 }
 
+/// A copy of an encoded validity bitmap (empty stays empty).
+mem::Buffer CopyValidity(const EncodedColumn& e) {
+  if (e.validity_.empty()) return {};
+  return CopyBuffer(e.validity_.data(), e.validity_.size());
+}
+
 /// Packed buffer for n values at bit_width, zero-initialized.
 mem::Buffer PackedBuffer(size_t n, int bit_width) {
   size_t bytes = bit::BytesForBits(n * static_cast<size_t>(bit_width));
@@ -78,7 +156,7 @@ void ValuesAsInt64(const Column& col, std::vector<int64_t>* out) {
   out->resize(n);
   switch (col.type().byte_width()) {
     case 8:
-      std::memcpy(out->data(), col.data<int64_t>(), n * 8);
+      if (n > 0) std::memcpy(out->data(), col.data<int64_t>(), n * 8);
       break;
     case 4: {
       const int32_t* src = col.data<int32_t>();
@@ -110,19 +188,19 @@ Result<EncodedColumn> EncodeForBitpack(const ColumnPtr& col) {
   ValuesAsInt64(*col, &values);
   int64_t min = 0, max = 0;
   if (!values.empty()) {
-    min = *std::min_element(values.begin(), values.end());
-    max = *std::max_element(values.begin(), values.end());
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    min = *lo;
+    max = *hi;
   }
+  // Deltas are taken in unsigned arithmetic: max - min can exceed INT64_MAX.
+  const uint64_t base = static_cast<uint64_t>(min);
   e.codec_ = Codec::kForBitpack;
   e.frame_of_reference_ = min;
-  e.bit_width_ = BitsFor(static_cast<uint64_t>(max - min));
-
-  std::vector<uint64_t> deltas(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    deltas[i] = static_cast<uint64_t>(values[i] - min);
-  }
+  e.bit_width_ = BitsFor(static_cast<uint64_t>(max) - base);
   e.data_ = PackedBuffer(values.size(), e.bit_width_);
-  BitpackInto(deltas.data(), deltas.size(), e.bit_width_, e.data_.data());
+  PackWords(values.size(), e.bit_width_, e.data_.data(), [&](size_t i) {
+    return static_cast<uint64_t>(values[i]) - base;
+  });
   return e;
 }
 
@@ -144,8 +222,11 @@ Result<EncodedColumn> EncodePlain(const ColumnPtr& col) {
   return e;
 }
 
+/// `by_code[c]` is the string with code c; `codes[i]` is row i's code (0
+/// for null rows).
 Result<EncodedColumn> EncodeDict(const ColumnPtr& col,
-                                 const std::map<std::string_view, size_t>& dict) {
+                                 const std::vector<std::string_view>& by_code,
+                                 const std::vector<uint64_t>& codes) {
   EncodedColumn e;
   e.type_ = col->type();
   e.length_ = col->length();
@@ -153,13 +234,12 @@ Result<EncodedColumn> EncodeDict(const ColumnPtr& col,
   e.codec_ = Codec::kDict;
   e.validity_ = CopyValidity(*col);
   e.null_count_ = col->null_count();
-  e.dict_size_ = dict.size();
-  e.bit_width_ = std::max(1, BitsFor(dict.size() > 0 ? dict.size() - 1 : 0));
+  e.dict_size_ = by_code.size();
+  e.bit_width_ =
+      std::max(1, BitsFor(by_code.empty() ? 0 : by_code.size() - 1));
 
   // Dictionary payload (offsets + chars), in code order.
-  std::vector<std::string_view> by_code(dict.size());
-  for (const auto& [value, code] : dict) by_code[code] = value;
-  std::vector<int64_t> offsets(dict.size() + 1, 0);
+  std::vector<int64_t> offsets(by_code.size() + 1, 0);
   std::string chars;
   for (size_t c = 0; c < by_code.size(); ++c) {
     chars.append(by_code[c].data(), by_code[c].size());
@@ -169,13 +249,117 @@ Result<EncodedColumn> EncodeDict(const ColumnPtr& col,
   e.chars_ = CopyBuffer(chars.data(), chars.size());
 
   // Codes, bit-packed.
-  std::vector<uint64_t> codes(col->length(), 0);
-  for (size_t i = 0; i < col->length(); ++i) {
-    if (!col->IsNull(i)) codes[i] = dict.at(col->StringAt(i));
-  }
   e.data_ = PackedBuffer(col->length(), e.bit_width_);
   BitpackInto(codes.data(), codes.size(), e.bit_width_, e.data_.data());
   return e;
+}
+
+/// Dictionary-encodes when the distinct count is low enough to pay off.
+/// One pass numbers the distinct values in first-appearance order and
+/// records each row's code.
+Result<EncodedColumn> EncodeString(const ColumnPtr& col) {
+  const size_t n = col->length();
+  const size_t max_distinct = n / 2 + 1;
+  std::unordered_map<std::string_view, uint64_t> code_of;
+  // Room for one past the most a dictionary may hold: the map never
+  // rehashes, not even on the insert that rejects the dictionary.
+  code_of.reserve(max_distinct + 1);
+  std::vector<std::string_view> by_code;
+  std::vector<uint64_t> codes(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (col->IsNull(i)) continue;
+    const auto [it, inserted] =
+        code_of.try_emplace(col->StringAt(i), by_code.size());
+    if (inserted) {
+      by_code.push_back(it->first);
+      if (by_code.size() > max_distinct) {
+        return EncodePlain(col);  // high cardinality: not worth it
+      }
+    }
+    codes[i] = it->second;
+  }
+  return EncodeDict(col, by_code, codes);
+}
+
+template <typename T>
+void DecodeFor(const EncodedColumn& e, T* out) {
+  // Unsigned addition wraps exactly like the encoder's subtraction.
+  const uint64_t base = static_cast<uint64_t>(e.frame_of_reference_);
+  ForEachPacked(e.data_.data(), e.data_.size(), e.length_, e.bit_width_,
+                [out, base](size_t i, uint64_t delta) {
+                  out[i] = static_cast<T>(base + delta);
+                });
+}
+
+/// Dictionary strings up to this long are copied as one fixed-size block.
+constexpr size_t kDictCopyBytes = 32;
+
+Result<ColumnPtr> DecodeDict(const EncodedColumn& e) {
+  const size_t n = e.length_;
+  const int64_t* dict_offsets = e.aux_.data_as<int64_t>();
+  const uint8_t* validity = e.validity_.empty() ? nullptr : e.validity_.data();
+  auto is_valid = [validity](size_t i) {
+    return validity == nullptr || bit::GetBit(validity, i);
+  };
+
+  // Offsets first, so the chars buffer is allocated once at its final size.
+  mem::Buffer offsets_buf =
+      mem::Buffer::Allocate((n + 1) * sizeof(int64_t)).ValueOrDie();
+  int64_t* offsets = offsets_buf.data_as<int64_t>();
+  offsets[0] = 0;
+  int64_t end = 0;
+  bool in_range = true;
+  ForEachPacked(e.data_.data(), e.data_.size(), n, e.bit_width_,
+                [&](size_t i, uint64_t code) {
+                  if (is_valid(i)) {
+                    if (code < e.dict_size_) {
+                      end += dict_offsets[code + 1] - dict_offsets[code];
+                    } else {
+                      in_range = false;
+                    }
+                  }
+                  offsets[i + 1] = end;
+                });
+  if (!in_range) {
+    return Status::Internal("Decode: dictionary code out of range");
+  }
+
+  // When no dictionary string is longer than kDictCopyBytes, a row copies
+  // that fixed block (from a copy of the dictionary padded by as much)
+  // while the output has room for it. Rows are written in order, so the
+  // next row overwrites the excess; only the last rows copy exactly.
+  int64_t longest = 0;
+  for (size_t c = 0; c < e.dict_size_; ++c) {
+    longest = std::max(longest, dict_offsets[c + 1] - dict_offsets[c]);
+  }
+  const char* dict_chars = e.chars_.data_as<char>();
+  std::vector<char> padded;
+  int64_t fixed_end = -1;  // rows starting at or before this copy a block
+  if (longest <= static_cast<int64_t>(kDictCopyBytes)) {
+    padded.resize(e.chars_.size() + kDictCopyBytes);
+    if (!e.chars_.empty()) {
+      std::memcpy(padded.data(), e.chars_.data(), e.chars_.size());
+    }
+    dict_chars = padded.data();
+    fixed_end = end - static_cast<int64_t>(kDictCopyBytes);
+  }
+  mem::Buffer chars =
+      mem::Buffer::Allocate(static_cast<size_t>(end)).ValueOrDie();
+  uint8_t* out = chars.data();
+  ForEachPacked(e.data_.data(), e.data_.size(), n, e.bit_width_,
+                [=](size_t i, uint64_t code) {
+                  if (!is_valid(i)) return;
+                  const char* src = dict_chars + dict_offsets[code];
+                  if (offsets[i] <= fixed_end) {
+                    std::memcpy(out + offsets[i], src, kDictCopyBytes);
+                  } else if (offsets[i + 1] > offsets[i]) {
+                    const auto len =
+                        static_cast<size_t>(offsets[i + 1] - offsets[i]);
+                    std::memcpy(out + offsets[i], src, len);
+                  }
+                });
+  return Column::MakeString(std::move(offsets_buf), std::move(chars), n,
+                            CopyValidity(e), e.null_count_);
 }
 
 }  // namespace
@@ -202,19 +386,8 @@ Result<EncodedColumn> Encode(const ColumnPtr& column) {
       e.passthrough_ = column;
       return e;
     }
-    case TypeId::kString: {
-      // Dictionary-encode when the distinct count is low enough to pay off.
-      std::map<std::string_view, size_t> dict;
-      for (size_t i = 0; i < column->length(); ++i) {
-        if (column->IsNull(i)) continue;
-        auto [it, inserted] = dict.emplace(column->StringAt(i), dict.size());
-        (void)it;
-        if (dict.size() > column->length() / 2 + 1) {
-          return EncodePlain(column);  // high cardinality: not worth it
-        }
-      }
-      return EncodeDict(column, dict);
-    }
+    case TypeId::kString:
+      return EncodeString(column);
   }
   return Status::Internal("Encode: unhandled type");
 }
@@ -227,69 +400,32 @@ Result<ColumnPtr> Decode(const EncodedColumn& e) {
       if (e.type_.is_string()) {
         mem::Buffer off = CopyBuffer(e.aux_.data(), e.aux_.size());
         mem::Buffer chars = CopyBuffer(e.chars_.data(), e.chars_.size());
-        mem::Buffer validity = e.validity_.empty()
-                                   ? mem::Buffer{}
-                                   : CopyBuffer(e.validity_.data(),
-                                                e.validity_.size());
         return Column::MakeString(std::move(off), std::move(chars), n,
-                                  std::move(validity), e.null_count_);
+                                  CopyValidity(e), e.null_count_);
       }
       mem::Buffer data = CopyBuffer(e.data_.data(), e.data_.size());
-      mem::Buffer validity =
-          e.validity_.empty()
-              ? mem::Buffer{}
-              : CopyBuffer(e.validity_.data(), e.validity_.size());
-      return Column::MakeFixed(e.type_, std::move(data), n, std::move(validity),
+      return Column::MakeFixed(e.type_, std::move(data), n, CopyValidity(e),
                                e.null_count_);
     }
     case Codec::kForBitpack: {
       const int width = e.type_.byte_width();
       mem::Buffer data =
           mem::Buffer::Allocate(std::max<size_t>(1, n * width)).ValueOrDie();
-      for (size_t i = 0; i < n; ++i) {
-        int64_t v = e.frame_of_reference_ +
-                    static_cast<int64_t>(
-                        BitpackRead(e.data_.data(), i, e.bit_width_));
-        switch (width) {
-          case 8:
-            data.data_as<int64_t>()[i] = v;
-            break;
-          case 4:
-            data.data_as<int32_t>()[i] = static_cast<int32_t>(v);
-            break;
-          default:
-            data.data_as<uint8_t>()[i] = static_cast<uint8_t>(v);
-        }
+      switch (width) {
+        case 8:
+          DecodeFor(e, data.data_as<int64_t>());
+          break;
+        case 4:
+          DecodeFor(e, data.data_as<int32_t>());
+          break;
+        default:
+          DecodeFor(e, data.data_as<uint8_t>());
       }
-      mem::Buffer validity =
-          e.validity_.empty()
-              ? mem::Buffer{}
-              : CopyBuffer(e.validity_.data(), e.validity_.size());
-      return Column::MakeFixed(e.type_, std::move(data), n, std::move(validity),
+      return Column::MakeFixed(e.type_, std::move(data), n, CopyValidity(e),
                                e.null_count_);
     }
-    case Codec::kDict: {
-      const int64_t* dict_offsets = e.aux_.data_as<int64_t>();
-      const char* dict_chars = e.chars_.data_as<char>();
-      ColumnBuilder b(String());
-      b.Reserve(n);
-      const uint8_t* validity =
-          e.validity_.empty() ? nullptr : e.validity_.data();
-      for (size_t i = 0; i < n; ++i) {
-        if (validity != nullptr && !bit::GetBit(validity, i)) {
-          b.AppendNull();
-          continue;
-        }
-        uint64_t code = BitpackRead(e.data_.data(), i, e.bit_width_);
-        if (code >= e.dict_size_) {
-          return Status::Internal("Decode: dictionary code out of range");
-        }
-        b.AppendString(std::string_view(
-            dict_chars + dict_offsets[code],
-            static_cast<size_t>(dict_offsets[code + 1] - dict_offsets[code])));
-      }
-      return b.Finish();
-    }
+    case Codec::kDict:
+      return DecodeDict(e);
   }
   return Status::Internal("Decode: unhandled codec");
 }

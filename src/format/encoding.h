@@ -7,6 +7,17 @@
 //   - kDict       : dictionary + bit-packed codes (low-cardinality strings)
 //   - kPlain      : verbatim (doubles, high-cardinality strings, bools)
 // Codec choice is automatic per column.
+//
+// Packed values form one dense little-endian bit stream: value i occupies
+// bits [i*w, (i+1)*w), with no padding between values. Dictionary codes
+// number the distinct strings in first-appearance order. This is not
+// FastLanes' transposed layout; the codec's speed comes from word-at-a-time
+// loops over this stream. Encode packs through one 64-bit accumulator.
+// Decode reads each value with one unaligned 64-bit load (plus one byte
+// when a value straddles the word), and reads the values near the end of
+// the buffer through a guarded path that never loads past the last byte.
+// A dictionary column decodes its offsets first, so the chars buffer is
+// allocated once at its final size, then copies each row's string.
 
 #pragma once
 
@@ -73,10 +84,15 @@ Result<ColumnPtr> Decode(const EncodedColumn& encoded);
 /// @{
 /// Bits needed to represent `value` (0 -> 0 bits).
 int BitsFor(uint64_t value);
-/// Packs `values[i]` (each < 2^bit_width) into a dense bit stream.
+/// Packs `values[i]` (each < 2^bit_width) into a dense bit stream. Writes
+/// exactly BytesForBits(n * bit_width) bytes of `out`.
 void BitpackInto(const uint64_t* values, size_t n, int bit_width, uint8_t* out);
-/// Reads the i-th `bit_width`-wide value from a dense bit stream.
+/// Reads the i-th `bit_width`-wide value from a dense bit stream, touching
+/// only the bytes that hold it.
 uint64_t BitpackRead(const uint8_t* packed, size_t i, int bit_width);
+/// Reads the first `n` values of a `packed_bytes`-long stream into `out`.
+void BitpackUnpack(const uint8_t* packed, size_t packed_bytes, size_t n,
+                   int bit_width, uint64_t* out);
 /// @}
 
 }  // namespace sirius::format

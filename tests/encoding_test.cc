@@ -7,6 +7,7 @@
 
 #include "format/builder.h"
 #include "format/encoding.h"
+#include "ssb/dbgen.h"
 #include "tpch/dbgen.h"
 
 namespace sirius::format {
@@ -29,17 +30,27 @@ TEST(BitpackTest, BitsFor) {
 }
 
 TEST(BitpackTest, PackUnpackWidths) {
-  for (int width : {1, 3, 7, 8, 13, 31, 33, 63}) {
-    std::mt19937_64 rng(width);
-    const size_t n = 257;
-    std::vector<uint64_t> values(n);
-    uint64_t mask = width == 64 ? UINT64_MAX : ((uint64_t{1} << width) - 1);
-    for (auto& v : values) v = rng() & mask;
-    std::vector<uint8_t> packed((n * width + 7) / 8 + 8, 0);
-    BitpackInto(values.data(), n, width, packed.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(BitpackRead(packed.data(), i, width), values[i])
-          << "width " << width << " index " << i;
+  // Packed buffers are exactly as long as the bit stream, so a read or write
+  // past its last byte is a heap overflow under ASan. Widths 57-64 straddle
+  // a 64-bit word at some bit offsets.
+  for (int width = 0; width <= 64; ++width) {
+    for (size_t n : {0, 1, 7, 8, 63, 64, 65, 257}) {
+      std::mt19937_64 rng(static_cast<uint64_t>(width) * 1000 + n);
+      std::vector<uint64_t> values(n);
+      const uint64_t mask =
+          width == 64 ? UINT64_MAX : ((uint64_t{1} << width) - 1);
+      for (auto& v : values) v = rng() & mask;
+      const size_t bytes = (n * static_cast<size_t>(width) + 7) / 8;
+      std::vector<uint8_t> packed(bytes, 0);
+      BitpackInto(values.data(), n, width, packed.data());
+      std::vector<uint64_t> unpacked(n, ~uint64_t{0});
+      BitpackUnpack(packed.data(), bytes, n, width, unpacked.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(BitpackRead(packed.data(), i, width), values[i])
+            << "width " << width << " n " << n << " index " << i;
+        ASSERT_EQ(unpacked[i], values[i])
+            << "width " << width << " n " << n << " index " << i;
+      }
     }
   }
 }
@@ -96,6 +107,24 @@ TEST(EncodingTest, DictWithNulls) {
                   Codec::kDict);
 }
 
+TEST(EncodingTest, DictDecodeEveryStringLength) {
+  // A dictionary whose longest string fits Decode's fixed-size block copy,
+  // and one whose longest does not; empty strings and nulls in between and
+  // at the end.
+  for (const std::vector<size_t>& lengths :
+       {std::vector<size_t>{0, 1, 7, 16, 17, 31, 32},
+        std::vector<size_t>{0, 1, 7, 16, 17, 31, 32, 33, 40}}) {
+    std::vector<std::string> v;
+    std::vector<bool> valid;
+    for (size_t i = 0; i < 200; ++i) {
+      const size_t k = i % lengths.size();
+      v.push_back(std::string(lengths[k], static_cast<char>('a' + k)));
+      valid.push_back(i % 11 != 5 && i != 199);
+    }
+    ExpectRoundTrip(Column::FromStrings(v, valid), Codec::kDict);
+  }
+}
+
 TEST(EncodingTest, HighCardinalityStringsStayPlain) {
   std::vector<std::string> v;
   for (int i = 0; i < 200; ++i) v.push_back("unique_value_" + std::to_string(i));
@@ -143,6 +172,96 @@ TEST(EncodingTest, RandomizedRoundTripSweep) {
     auto decoded = Decode(Encode(col).ValueOrDie()).ValueOrDie();
     EXPECT_TRUE(decoded->Equals(*col)) << "trial " << trial;
   }
+}
+
+TEST(EncodingTest, ForBitpackEveryWidthAndLength) {
+  // Decode reads whole words up to the last one that fits in the packed
+  // buffer, then finishes the tail value by value; cover every width at
+  // lengths on both sides of a word.
+  for (int width = 0; width <= 64; ++width) {
+    for (size_t n : {2, 7, 8, 63, 64, 65, 257}) {
+      std::mt19937_64 rng(static_cast<uint64_t>(width) * 1000 + n);
+      const uint64_t span =
+          width == 64 ? UINT64_MAX : ((uint64_t{1} << width) - 1);
+      // Values in [lo, lo + span]; the first and last pin the exact width.
+      const int64_t lo = width == 64 ? INT64_MIN : -7;
+      auto at = [&](uint64_t delta) {
+        return static_cast<int64_t>(static_cast<uint64_t>(lo) + delta);
+      };
+      std::vector<int64_t> v(n);
+      for (auto& x : v) x = at(rng() & span);
+      v.front() = at(0);
+      v.back() = at(span);
+      auto col = Column::FromInt64(v);
+      auto encoded = Encode(col).ValueOrDie();
+      ASSERT_EQ(encoded.bit_width_, width) << "n " << n;
+      EXPECT_TRUE(Decode(encoded).ValueOrDie()->Equals(*col))
+          << "width " << width << " n " << n;
+    }
+  }
+}
+
+TEST(EncodingTest, DictCodeOutOfRangeIsAnError) {
+  auto encoded = Encode(Column::FromStrings({"a", "b", "a", "b"})).ValueOrDie();
+  ASSERT_EQ(encoded.codec(), Codec::kDict);
+  encoded.dict_size_ = 1;  // code 1 now points past the dictionary
+  EXPECT_FALSE(Decode(encoded).ok());
+}
+
+void HashBytes(const void* data, size_t n, uint64_t* h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) *h = (*h ^ p[i]) * 0x100000001b3ULL;
+}
+
+void HashBuffer(const mem::Buffer& b, uint64_t* h) {
+  const uint64_t size = b.size();
+  HashBytes(&size, sizeof(size), h);
+  HashBytes(b.data(), b.size(), h);
+}
+
+/// FNV-1a over the encoded form of every column of `t`: codec parameters,
+/// CompressedBytes, then each buffer's size and bytes. Returns the number of
+/// columns hashed.
+size_t HashEncodedTable(const TablePtr& t, uint64_t* h) {
+  for (size_t c = 0; c < t->num_columns(); ++c) {
+    const EncodedColumn e = Encode(t->column(c)).ValueOrDie();
+    const int64_t meta[] = {static_cast<int64_t>(e.codec()),
+                            static_cast<int64_t>(e.length()),
+                            e.bit_width_,
+                            e.frame_of_reference_,
+                            static_cast<int64_t>(e.dict_size_),
+                            static_cast<int64_t>(e.null_count_),
+                            static_cast<int64_t>(e.CompressedBytes())};
+    HashBytes(meta, sizeof(meta), h);
+    HashBuffer(e.data_, h);
+    HashBuffer(e.aux_, h);
+    HashBuffer(e.chars_, h);
+    HashBuffer(e.validity_, h);
+  }
+  return t->num_columns();
+}
+
+// Golden bytes: the caching region's encoded layout (dense little-endian
+// bit stream, dictionary codes in first-appearance order) and its
+// CompressedBytes, which feed cache accounting and the cluster's compressed
+// fills. A codec rewrite must keep this value; a deliberate layout change
+// re-snapshots every bench that charges compressed bytes in the same change.
+TEST(EncodingTest, EncodedLayoutGolden) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  size_t columns = 0;
+  for (const std::string& name : tpch::TableNames()) {
+    columns +=
+        HashEncodedTable(tpch::GenerateTable(name, 0.01).ValueOrDie(), &h);
+  }
+  ssb::SsbOptions ssb;
+  ssb.sf = 0.01;
+  ssb.skew = 1.0;
+  ssb.string_heavy = true;
+  for (const std::string& name : ssb::TableNames()) {
+    columns += HashEncodedTable(ssb::GenerateTable(name, ssb).ValueOrDie(), &h);
+  }
+  EXPECT_EQ(columns, 112u);
+  EXPECT_EQ(h, UINT64_C(16149949951559956765));
 }
 
 }  // namespace

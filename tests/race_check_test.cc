@@ -277,16 +277,18 @@ TEST_F(BufferManagerLifetimeTest, ReloadAfterEvictMintsNewGeneration) {
 
 TEST_F(BufferManagerLifetimeTest, PinnedColumnBlocksEviction) {
   const format::TablePtr table = NationTable();
-  const uint64_t col_bytes =
-      std::max(table->column(0)->MemoryUsage(), table->column(1)->MemoryUsage());
-  // Caching region fits one column but not two.
+  // Resident bytes are the encoded size (data_scale 1).
+  const uint64_t bytes0 =
+      format::Encode(table->column(0)).ValueOrDie().CompressedBytes();
+  const uint64_t bytes1 =
+      format::Encode(table->column(1)).ValueOrDie().CompressedBytes();
+  // Caching region fits either column alone but not both.
   engine::BufferManager::Options options;
-  options.compress_cache = false;
-  options.device_capacity_bytes = 3 * col_bytes;
+  options.device_capacity_bytes = 2 * (bytes0 + bytes1 - 1);
   options.cache_fraction = 0.5;
   engine::BufferManager bm{options};
-  ASSERT_GE(bm.cache_capacity_bytes(), col_bytes);
-  ASSERT_LT(bm.cache_capacity_bytes(), 2 * col_bytes);
+  ASSERT_GE(bm.cache_capacity_bytes(), std::max(bytes0, bytes1));
+  ASSERT_LT(bm.cache_capacity_bytes(), bytes0 + bytes1);
 
   sim::Timeline timeline;
   sim::SimContext sim;
