@@ -194,7 +194,7 @@ int main() {
         SIRIUS_CHECK(out.state == serve::QueryState::kShed);
         SIRIUS_CHECK(out.status.IsResourceExhausted());
         ++tally.shed;
-        if (out.retry_after_s > 0) ++tally.retry_hinted;
+        if (out.status.retry_after_s() > 0) ++tally.retry_hinted;
       }
       if (out.finish_s > makespan_s) makespan_s = out.finish_s;
     }

@@ -37,7 +37,7 @@ stage_desc() {
     cluster)      echo "federated serving: routing/replication/chaos + bench vs snapshot" ;;
     spill)        echo "tiered memory: spill governance + fault recovery (ctest -L spill)" ;;
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
-    tsan)         echo "ThreadSanitizer build + serving-layer and codec suites" ;;
+    tsan)         echo "ThreadSanitizer build + serving-layer, codec, spill and cluster suites" ;;
     asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec suites" ;;
     bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots" ;;
     *)            echo "unknown" ;;
@@ -146,8 +146,10 @@ stage_tsan() {
   cmake -B "$TSAN_BUILD" -S . -DSIRIUS_SANITIZE=thread >/dev/null
   cmake --build "$TSAN_BUILD" -j "$JOBS"
   # "codec" includes scans decoding outside the buffer manager's mutex
-  # while another thread evicts.
-  ctest --test-dir "$TSAN_BUILD" -L 'serve|codec' --output-on-failure --no-tests=error -j "$JOBS"
+  # while another thread evicts; "spill" sends typed failure causes from the
+  # execution pool to the serve DES thread; "cluster" runs the chaos sweeps
+  # whose node-loss requeues shed with retry-after hints.
+  ctest --test-dir "$TSAN_BUILD" -L 'serve|codec|spill|cluster' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_asan() {

@@ -24,10 +24,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Modeled size of a version-stamp invalidation message on the wire.
 constexpr uint64_t kInvalidationBytes = 64;
 
-std::string WithRetryAfter(const std::string& msg, double retry_after_s) {
-  return msg + "; retry-after=" + std::to_string(retry_after_s) + "s";
-}
-
 std::string NodeTag(int node) { return "node" + std::to_string(node); }
 
 }  // namespace
@@ -432,7 +428,7 @@ Result<serve::QueryId> ServeCluster::Submit(
     }
     if (!submitted.status().IsResourceExhausted()) return submitted.status();
     last_shed_.push_back(
-        ShedCandidate{nd, serve::RetryAfterHint(submitted.status())});
+        ShedCandidate{nd, submitted.status().retry_after_s()});
     counter("cluster." + NodeTag(nd) + ".shed")->Add();
   }
 
@@ -449,10 +445,11 @@ Result<serve::QueryId> ServeCluster::Submit(
   }
   ++stats_.shed_all_replicas;
   counter("cluster.shed")->Add();
-  return Status::ResourceExhausted(WithRetryAfter(
-      "all " + std::to_string(last_shed_.size()) + " candidate replica(s) " +
-          "shed tenant '" + tenant + "'",
-      min_hint));
+  return Status::ResourceExhausted("all " +
+                                   std::to_string(last_shed_.size()) +
+                                   " candidate replica(s) shed tenant '" +
+                                   tenant + "'")
+      .WithRetryAfter(min_hint);
 }
 
 serve::QueryOutcome ServeCluster::Translate(const serve::QueryOutcome& out,
@@ -572,8 +569,7 @@ void ServeCluster::RequeueBinding(serve::QueryId id, Binding* binding,
       binding->local.finish_s = at_s;
       return;
     }
-    sheds.push_back(
-        ShedCandidate{nd, serve::RetryAfterHint(submitted.status())});
+    sheds.push_back(ShedCandidate{nd, submitted.status().retry_after_s()});
   }
   // Every survivor refused the re-admission: the query was admitted once,
   // so this is a terminal shed (LoadReport counts it as requeue_shed),
@@ -591,11 +587,10 @@ void ServeCluster::RequeueBinding(serve::QueryId id, Binding* binding,
   binding->local.id = id;
   binding->local.tenant = binding->tenant;
   binding->local.state = serve::QueryState::kShed;
-  binding->local.status = Status::ResourceExhausted(WithRetryAfter(
-      "node loss requeue: every survivor shed tenant '" + binding->tenant +
-          "'",
-      min_hint));
-  binding->local.retry_after_s = min_hint;
+  const std::string why =
+      "node loss requeue: every survivor shed tenant '" + binding->tenant + "'";
+  binding->local.status =
+      Status::ResourceExhausted(why).WithRetryAfter(min_hint);
   binding->local.arrival_s = at_s;
   binding->local.finish_s = at_s;
 }

@@ -43,20 +43,34 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
-Status::Status(StatusCode code, std::string msg)
-    : state_(std::make_shared<State>(State{code, std::move(msg)})) {}
+Status::Status(StatusCode code, std::string msg, StatusCause cause)
+    : state_(std::make_shared<State>(State{code, std::move(msg), cause})) {}
 
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeToString(code());
   out += ": ";
   out += message();
+  if (retry_after_s() > 0) {
+    out += "; retry-after=" + std::to_string(retry_after_s()) + "s";
+  }
   return out;
 }
 
 Status Status::WithContext(const std::string& context) const {
   if (ok()) return *this;
-  return Status(code(), context + ": " + message());
+  Status out;
+  out.state_ = std::make_shared<State>(*state_);
+  out.state_->msg = context + ": " + message();
+  return out;
+}
+
+Status Status::WithRetryAfter(double seconds) const {
+  if (ok()) return *this;
+  Status out;
+  out.state_ = std::make_shared<State>(*state_);
+  out.state_->retry_after_s = seconds;
+  return out;
 }
 
 namespace internal {

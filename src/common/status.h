@@ -34,6 +34,22 @@ enum class StatusCode : int {
 /// \brief Returns a human-readable name for a StatusCode ("Invalid argument", ...).
 const char* StatusCodeToString(StatusCode code);
 
+/// Typed detail under a StatusCode (the RocksDB sub-code idiom): the reason
+/// a caller branches on, so recovery never depends on message wording. Only
+/// causes some caller dispatches on exist; the code still decides
+/// IsTransient() and host fallback.
+enum class StatusCause : int {
+  kNone = 0,
+  /// On Unavailable: a spill tier died under the query's staged extents, or
+  /// no surviving tier could take a new one. The engine revives the tiers
+  /// and re-runs once; the serving layer re-admits.
+  kSpillTierLost = 1,
+  /// On ResourceExhausted: the spill path refused the bytes, because the
+  /// tenant's spill quota or every configured tier is full. The serving
+  /// layer sheds instead of failing the query.
+  kSpillRefused = 2,
+};
+
 /// \brief Success-or-error result of an operation.
 ///
 /// A Status is cheap to pass around: the OK state is a null pointer, and the
@@ -47,8 +63,10 @@ class [[nodiscard]] Status {
   /// Constructs an OK status.
   Status() = default;
 
-  /// Constructs a status with the given code and message. Code must not be kOk.
-  Status(StatusCode code, std::string msg);
+  /// Constructs a status with the given code, message and cause. Code must
+  /// not be kOk.
+  Status(StatusCode code, std::string msg,
+         StatusCause cause = StatusCause::kNone);
 
   /// \name Factory helpers, one per StatusCode.
   /// @{
@@ -92,11 +110,13 @@ class [[nodiscard]] Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
+  static Status Unavailable(std::string msg,
+                            StatusCause cause = StatusCause::kNone) {
+    return Status(StatusCode::kUnavailable, std::move(msg), cause);
   }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
+  static Status ResourceExhausted(std::string msg,
+                                  StatusCause cause = StatusCause::kNone) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg), cause);
   }
   /// @}
 
@@ -107,6 +127,12 @@ class [[nodiscard]] Status {
     static const std::string kEmpty;
     return ok() ? kEmpty : state_->msg;
   }
+  /// Typed cause of a non-OK status; kNone when OK or unclassified.
+  StatusCause cause() const {
+    return ok() ? StatusCause::kNone : state_->cause;
+  }
+  /// Suggested resubmit delay in simulated seconds; 0 means no hint.
+  double retry_after_s() const { return ok() ? 0 : state_->retry_after_s; }
 
   bool IsInvalid() const { return code() == StatusCode::kInvalidArgument; }
   bool IsNotImplemented() const { return code() == StatusCode::kNotImplemented; }
@@ -122,16 +148,23 @@ class [[nodiscard]] Status {
   /// Transient failures (link down, node churn) that retry layers may heal.
   bool IsTransient() const { return IsUnavailable() || IsTimeout(); }
 
-  /// "OK" or "<Code>: <message>".
+  /// "OK" or "<Code>: <message>", plus "; retry-after=<s>s" when a hint
+  /// is set.
   std::string ToString() const;
 
   /// Prepends context to the message of a non-OK status (no-op when OK).
+  /// The cause and the retry-after hint are kept.
   Status WithContext(const std::string& context) const;
+
+  /// Copy carrying a retry-after hint of `seconds` (no-op when OK).
+  Status WithRetryAfter(double seconds) const;
 
  private:
   struct State {
     StatusCode code;
     std::string msg;
+    StatusCause cause = StatusCause::kNone;
+    double retry_after_s = 0;
   };
   std::shared_ptr<State> state_;  // null == OK
 };

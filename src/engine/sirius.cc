@@ -129,13 +129,6 @@ class PipelineRunner {
         trace_(trace),
         limits_(limits) {}
 
-  /// True when the last Run failed (or degraded) because a spill tier was
-  /// lost mid-spill; tells the evict-and-retry path apart from other
-  /// Unavailable errors (which must not trigger a retry).
-  bool tier_loss_seen() const {
-    return spill_ != nullptr && spill_->tier_loss_seen();
-  }
-
   /// `trace_base_s` places this run on the query-global simulated time
   /// axis (after the fixed query overhead; retries start after the failed
   /// run's charged time).
@@ -145,8 +138,7 @@ class PipelineRunner {
                        double trace_base_s = 0.0) {
     const size_t n = pipelines.size();
     stages_ = &stages;
-    // Fresh spill state per run: a retry starts with empty lanes and no
-    // residual tier-loss flag from the failed attempt.
+    // Fresh spill state per run: a retry starts with empty lanes.
     spill_ = std::make_unique<mem::SpillSession>(tiers_);
     results_.assign(n, nullptr);
     timelines_.assign(n, sim::Timeline());
@@ -890,12 +882,14 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
   // Device-memory recovery, one retry per query: drop the caching region
   // (base columns re-load from the host) and re-run the pipeline set before
   // the host falls back to its CPU engine (§3.4). A mid-spill tier loss
-  // first revives the lost tiers (a transient loss heals; a persistent fault
-  // re-fires on the next placement). A second failure propagates, so the
-  // serving layer can re-admit the query or the host can fall back.
+  // (cause kSpillTierLost) first revives the lost tiers (a transient loss
+  // heals; a persistent fault re-fires on the next placement). A spill read
+  // or write fault that outlasted its in-place retries is not a tier loss
+  // and gets no retry. A second failure propagates, so the serving layer
+  // can re-admit the query or the host can fall back.
   const bool oom = !table.ok() && table.status().IsOutOfMemory();
-  const bool tier_loss = !table.ok() && table.status().IsUnavailable() &&
-                         runner.tier_loss_seen();
+  const bool tier_loss =
+      table.status().cause() == StatusCause::kSpillTierLost;
   if (oom) Bump(&metrics_, &Stats::oom_events);
   if (oom || tier_loss) {
     if (tier_loss) tiers_.ReviveLostTiers();

@@ -48,7 +48,8 @@ struct ExecLimits {
   /// Per-tenant spill quota (not owned; may be null = unlimited). Every
   /// byte the query spills to host/NVMe is charged here via
   /// Reservation::Grow; exhaustion surfaces as Status::ResourceExhausted
-  /// with a "; retry-after=<s>s" hint so the serving layer can shed.
+  /// with cause kSpillRefused and a retry-after hint so the serving layer
+  /// can shed.
   mem::Reservation* spill = nullptr;
 };
 

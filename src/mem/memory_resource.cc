@@ -117,23 +117,6 @@ void PressureMemoryResource::Deallocate(void* ptr, size_t size) {
   upstream_->Deallocate(ptr, size);
 }
 
-TrackingMemoryResource::TrackingMemoryResource(MemoryResource* wrapped)
-    : wrapped_(wrapped) {}
-
-Status TrackingMemoryResource::Allocate(size_t size, void** out) {
-  Status st = wrapped_->Allocate(size, out);
-  if (st.ok()) {
-    num_allocations_.fetch_add(1);
-    total_bytes_.fetch_add(size);
-  }
-  return st;
-}
-
-void TrackingMemoryResource::Deallocate(void* ptr, size_t size) {
-  wrapped_->Deallocate(ptr, size);
-  if (ptr != nullptr) num_deallocations_.fetch_add(1);
-}
-
 MemoryResource* DefaultResource() {
   static SystemMemoryResource resource(0, "host-heap");
   return &resource;

@@ -133,27 +133,6 @@ class PressureMemoryResource : public MemoryResource {
   std::atomic<size_t> injected_{0};
 };
 
-/// \brief Adaptor that counts allocations flowing through it.
-class TrackingMemoryResource : public MemoryResource {
- public:
-  explicit TrackingMemoryResource(MemoryResource* wrapped);
-
-  Status Allocate(size_t size, void** out) override;
-  void Deallocate(void* ptr, size_t size) override;
-  std::string name() const override { return "tracking(" + wrapped_->name() + ")"; }
-  size_t bytes_allocated() const override { return wrapped_->bytes_allocated(); }
-
-  size_t num_allocations() const { return num_allocations_.load(); }
-  size_t num_deallocations() const { return num_deallocations_.load(); }
-  size_t total_bytes_requested() const { return total_bytes_.load(); }
-
- private:
-  MemoryResource* wrapped_;
-  std::atomic<size_t> num_allocations_{0};
-  std::atomic<size_t> num_deallocations_{0};
-  std::atomic<size_t> total_bytes_{0};
-};
-
 /// Process-wide unlimited resource (host heap).
 MemoryResource* DefaultResource();
 

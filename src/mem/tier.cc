@@ -212,7 +212,8 @@ Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t generation,
   if (saw_loss) {
     return Status::Unavailable(
         "spill tier lost mid-spill; no surviving tier could absorb " +
-        std::to_string(bytes) + " bytes (" + why + ")");
+            std::to_string(bytes) + " bytes (" + why + ")",
+        StatusCause::kSpillTierLost);
   }
   if (!last_write_fault.ok()) {
     return Status(last_write_fault.code(),
@@ -221,8 +222,9 @@ Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t generation,
   }
   return Status::ResourceExhausted(
       "spill of " + std::to_string(bytes) +
-      " bytes exceeds every configured tier (" + why +
-      "); raise TierManager::Options capacities or lower concurrency");
+          " bytes exceeds every configured tier (" + why +
+          "); raise TierManager::Options capacities or lower concurrency",
+      StatusCause::kSpillRefused);
 }
 
 Result<int> TierManager::CompleteReadBack(uint64_t generation) {
@@ -231,7 +233,8 @@ Result<int> TierManager::CompleteReadBack(uint64_t generation) {
   if (it == extents_.end()) {
     return Status::Unavailable(
         "spill tier lost mid-spill: staged extent (generation " +
-        std::to_string(generation) + ") was voided when its tier failed");
+            std::to_string(generation) + ") was voided when its tier failed",
+        StatusCause::kSpillTierLost);
   }
   const Tier t = it->second.tier;
   TierState& ts = tiers_[static_cast<int>(t)];
@@ -301,7 +304,6 @@ Result<SpillSession::Ticket> SpillSession::RoundTrip(
   Result<Tier> placed = tiers_->PlaceExtent(bytes, gen, &write_retries);
   if (!placed.ok()) {
     tracker.OnFree(gen);  // the minted generation never held memory
-    if (placed.status().IsUnavailable()) tier_loss_seen_ = true;
     return placed.status();
   }
   const Tier tier = placed.ValueOrDie();
@@ -318,10 +320,11 @@ Result<SpillSession::Ticket> SpillSession::RoundTrip(
           std::max(0.0, std::max(L.busy_until[0], L.busy_until[1]) - now_s) +
           tiers_->WriteSeconds(tier, bytes) + tiers_->ReadSeconds(tier, bytes);
       return Status::ResourceExhausted(
-          "tenant spill quota exhausted while spilling " +
-          std::to_string(bytes) + " bytes to " + TierName(tier) +
-          " tier: " + q.message() +
-          "; retry-after=" + std::to_string(drain) + "s");
+                 "tenant spill quota exhausted while spilling " +
+                     std::to_string(bytes) + " bytes to " + TierName(tier) +
+                     " tier: " + q.message(),
+                 StatusCause::kSpillRefused)
+          .WithRetryAfter(drain);
     }
   }
 
@@ -356,8 +359,6 @@ Result<SpillSession::Ticket> SpillSession::RoundTrip(
   }
 
   L.extents.push_back(LaneExtent{gen, bytes, tier});
-  spilled_bytes_ += bytes;
-  ++round_trips_;
   return tk;
 }
 
@@ -372,9 +373,8 @@ Result<double> SpillSession::Join(int lane, double now_s) {
     Result<int> r = tiers_->CompleteReadBack(e.generation);
     if (r.ok()) {
       extra_s += r.ValueOrDie() * tiers_->ReadSeconds(e.tier, e.bytes);
-    } else {
-      if (r.status().IsUnavailable()) tier_loss_seen_ = true;
-      bad = r.status();
+    } else if (bad.cause() != StatusCause::kSpillTierLost) {
+      bad = r.status();  // a voided extent outranks a failed read-back
     }
     if (L.hazards != nullptr) L.hazards->ReleaseResource(e.generation);
   }
@@ -383,21 +383,6 @@ Result<double> SpillSession::Join(int lane, double now_s) {
   const double drain = std::max(0.0, busy - now_s) + extra_s;
   if (!bad.ok()) return bad;
   return drain;
-}
-
-bool SpillSession::tier_loss_seen() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tier_loss_seen_;
-}
-
-uint64_t SpillSession::spilled_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spilled_bytes_;
-}
-
-uint64_t SpillSession::round_trips() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return round_trips_;
 }
 
 }  // namespace sirius::mem

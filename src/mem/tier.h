@@ -24,9 +24,11 @@
 //                    home, there is nowhere to fall back to).
 //   mem.tier.lost    the tier dies mid-spill; resident extents are voided
 //                    (the lifetime tracker flags any that a kernel still
-//                    pins) and the query's Join reports Unavailable so the
-//                    engine can revive + retry, or the serving layer can
-//                    re-admit the query on the survivors.
+//                    pins) and the query's Join reports Unavailable with
+//                    cause kSpillTierLost so the engine can revive + retry,
+//                    or the serving layer can re-admit the query on the
+//                    survivors. A read or write fault that outlasts its
+//                    retries is not a tier loss: it carries no cause.
 
 #pragma once
 
@@ -146,13 +148,14 @@ class TierManager {
   /// Places a `bytes` extent on the first surviving tier with room,
   /// consulting the mem.tier.lost and mem.spill.write fault sites per tier.
   /// `write_retries_out` counts transient write attempts absorbed (the
-  /// session charges an extra write per retry). Unavailable when every tier
-  /// is lost; ResourceExhausted when every configured tier is full.
+  /// session charges an extra write per retry). Unavailable with
+  /// kSpillTierLost when no surviving tier could take the extent;
+  /// ResourceExhausted with kSpillRefused when every configured tier is full.
   Result<Tier> PlaceExtent(uint64_t bytes, uint64_t generation,
                            int* write_retries_out);
   /// Completes the prefetch of `generation` and releases its tier bytes.
-  /// Returns the transient read retries absorbed. Unavailable when the
-  /// extent was voided by a tier loss.
+  /// Returns the transient read retries absorbed. Unavailable with
+  /// kSpillTierLost when the extent was voided by a tier loss.
   Result<int> CompleteReadBack(uint64_t generation);
   /// Releases an extent without a read-back (quota refusal, session abort).
   void AbandonExtent(uint64_t generation);
@@ -197,10 +200,10 @@ class SpillSession {
   /// Spills `bytes` out of lane `lane` (the pipeline id) at lane-clock time
   /// `now_s` and schedules the prefetch back. Charges the bytes to `quota`
   /// (when non-null) via Reservation::Grow; on quota exhaustion returns
-  /// ResourceExhausted with a "; retry-after=<s>s" hint and releases the
-  /// extent. When `hazards` is non-null the writeback/prefetch are ordered
-  /// on the lane's dedicated spill stream with event edges against
-  /// `compute_stream`, so the hazard tracker sees the dependency.
+  /// ResourceExhausted with kSpillRefused and a retry-after hint, and
+  /// releases the extent. When `hazards` is non-null the writeback/prefetch
+  /// are ordered on the lane's dedicated spill stream with event edges
+  /// against `compute_stream`, so the hazard tracker sees the dependency.
   Result<Ticket> RoundTrip(int lane, uint64_t bytes, double now_s,
                            Reservation* quota = nullptr,
                            sim::HazardTracker* hazards = nullptr,
@@ -208,15 +211,9 @@ class SpillSession {
 
   /// Drains `lane`: completes every outstanding read-back and returns the
   /// seconds compute must stall for the lane to go idle past `now_s`.
-  /// Unavailable when a tier holding this lane's extents was lost mid-spill.
+  /// Unavailable with kSpillTierLost when a tier holding this lane's
+  /// extents was lost mid-spill.
   Result<double> Join(int lane, double now_s);
-
-  /// True once any operation failed because a tier was lost; the engine's
-  /// evict-and-retry path uses this to tell tier loss apart from other
-  /// Unavailable errors.
-  bool tier_loss_seen() const;
-  uint64_t spilled_bytes() const;
-  uint64_t round_trips() const;
 
  private:
   struct LaneExtent {
@@ -234,9 +231,6 @@ class SpillSession {
   TierManager* const tiers_;
   mutable std::mutex mu_;
   std::map<int, Lane> lanes_;
-  bool tier_loss_seen_ = false;
-  uint64_t spilled_bytes_ = 0;
-  uint64_t round_trips_ = 0;
 };
 
 }  // namespace sirius::mem

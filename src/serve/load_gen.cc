@@ -191,7 +191,7 @@ Result<LoadReport> LoadGenerator::Run() {
     if (submitted.ok()) return std::optional<QueryId>(submitted.ValueOrDie());
     if (!submitted.status().IsResourceExhausted()) return submitted.status();
     ++report.shed;
-    *hint = std::max(RetryAfterHint(submitted.status()), 1e-3);
+    *hint = std::max(submitted.status().retry_after_s(), 1e-3);
     return std::optional<QueryId>();
   };
 

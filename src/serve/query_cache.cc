@@ -76,7 +76,6 @@ QueryCache::Entry* QueryCache::Touch(const std::string& key,
 
 plan::PlanPtr QueryCache::LookupPlan(const std::string& normalized_sql,
                                      uint64_t catalog_version) {
-  if (!options_.cache_plans) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   Entry* e = FindLive(normalized_sql, catalog_version);
   if (e == nullptr || e->plan == nullptr) {
@@ -89,7 +88,7 @@ plan::PlanPtr QueryCache::LookupPlan(const std::string& normalized_sql,
 
 void QueryCache::InsertPlan(const std::string& normalized_sql,
                             uint64_t catalog_version, plan::PlanPtr plan) {
-  if (!options_.cache_plans || plan == nullptr) return;
+  if (plan == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   Touch(normalized_sql, catalog_version)->plan = std::move(plan);
 }

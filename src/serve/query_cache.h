@@ -35,7 +35,6 @@ class QueryCache {
  public:
   struct Options {
     size_t max_entries = 256;
-    bool cache_plans = true;
     bool cache_results = true;
   };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -24,19 +23,7 @@ const char* ToString(QueryState state) {
   return "unknown";
 }
 
-double RetryAfterHint(const Status& status) {
-  const std::string& msg = status.message();
-  const std::string key = "retry-after=";
-  size_t pos = msg.find(key);
-  if (pos == std::string::npos) return 0;
-  return std::strtod(msg.c_str() + pos + key.size(), nullptr);
-}
-
 namespace {
-
-std::string WithRetryAfter(const std::string& msg, double retry_after_s) {
-  return msg + "; retry-after=" + std::to_string(retry_after_s) + "s";
-}
 
 /// True when every base-table column the plan scans is resident in `bm`.
 /// Plans without scans report false (nothing resident to be warm about).
@@ -74,8 +61,7 @@ QueryServer::QueryServer(host::Database* db, engine::SiriusEngine* engine,
           options.fabric}),
       placer_(PlacementPolicy::Options{options.placement_imbalance_ratio,
                                        1e-3}),
-      cache_(QueryCache::Options{options.cache_entries, options.plan_cache,
-                                 options.result_cache}),
+      cache_(QueryCache::Options{options.cache_entries, options.result_cache}),
       exec_pool_(static_cast<size_t>(std::max(1, options.execution_threads))),
       trace_(obs::TraceRecorder::Options{options.tracing, 8192,
                                          /*unbounded=*/true}) {
@@ -224,9 +210,9 @@ double QueryServer::ComputeRetryAfter(int device) const {
 }
 
 Status QueryServer::Overloaded(int device, const std::string& why) const {
-  return Status::ResourceExhausted(
-      WithRetryAfter("device " + std::to_string(device) + ": " + why,
-                     ComputeRetryAfter(device)));
+  return Status::ResourceExhausted("device " + std::to_string(device) + ": " +
+                                   why)
+      .WithRetryAfter(ComputeRetryAfter(device));
 }
 
 PlacementPolicy::Decision QueryServer::PlaceQuery(const std::string& tenant,
@@ -362,8 +348,8 @@ Result<QueryId> QueryServer::Submit(SessionId session, const std::string& sql,
   Status admit = injector()->Check(kAdmitSite);
   if (!admit.ok()) {
     return ShedSubmit(tenant, "fault", arrival,
-                      Status::ResourceExhausted(WithRetryAfter(
-                          admit.message(), ComputeRetryAfter(0))));
+                      Status::ResourceExhausted(admit.message())
+                          .WithRetryAfter(ComputeRetryAfter(0)));
   }
 
   const std::string norm = NormalizeSql(sql);
@@ -639,9 +625,8 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
   // surfaced here, re-admission is the second line of defense (mirroring
   // the device-loss protocol): relaunch the kept plan through a fresh
   // execution, once per query.
-  if (!r.status.ok() && r.status.IsUnavailable() && entry->plan != nullptr &&
-      !entry->tier_requeued &&
-      r.status.message().find("spill tier lost") != std::string::npos) {
+  if (r.status.cause() == StatusCause::kSpillTierLost &&
+      entry->plan != nullptr && !entry->tier_requeued) {
     entry->tier_requeued = true;
     auto reservation = mem::Reservation::Take(
         pools_[static_cast<size_t>(entry->device)], entry->reservation_bytes);
@@ -666,18 +651,17 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
     return;
   }
 
-  // Tenant spill-quota exhaustion is an admission-class refusal, not a
-  // query failure: shed with the engine's retry-after hint so the tenant
-  // backs off while its other queries drain their staged bytes.
-  if (!r.status.ok() && r.status.IsResourceExhausted() &&
-      r.status.message().find("spill") != std::string::npos) {
+  // A refused spill (the tenant's quota, or every tier full) is an
+  // admission-class refusal, not a query failure: shed with the engine's
+  // retry-after hint, or the device backlog when the engine gave none, so
+  // the tenant backs off while its other queries drain their staged bytes.
+  if (r.status.cause() == StatusCause::kSpillRefused) {
     BumpTenantCounter(out.tenant, "spill_quota_shed");
     FinishUnplaced(entry, QueryState::kShed,
-                   RetryAfterHint(r.status) > 0
+                   r.status.retry_after_s() > 0
                        ? r.status
-                       : Status::ResourceExhausted(WithRetryAfter(
-                             r.status.message(),
-                             ComputeRetryAfter(entry->device))),
+                       : r.status.WithRetryAfter(
+                             ComputeRetryAfter(entry->device)),
                    ready_s);
     return;
   }
@@ -803,9 +787,6 @@ void QueryServer::FinishUnplaced(Entry* entry, QueryState state,
   out.status = std::move(status);
   out.dispatch_s = at_s;
   out.finish_s = at_s;
-  if (state == QueryState::kShed) {
-    out.retry_after_s = RetryAfterHint(out.status);
-  }
   Finalize(entry);
 }
 

@@ -88,7 +88,8 @@ struct QueryOutcome {
   std::string tenant;
   int priority = 0;
   QueryState state = QueryState::kQueued;
-  Status status;  ///< OK for kCompleted; the error otherwise
+  Status status;  ///< OK for kCompleted; the error otherwise (a shed
+                  ///< carries its retry-after hint, retry_after_s())
 
   double arrival_s = 0;   ///< admission time
   double dispatch_s = 0;  ///< placed on a stream (== finish_s for cache hits)
@@ -109,7 +110,6 @@ struct QueryOutcome {
   bool fell_back = false;  ///< device rejected the plan; CPU engine ran it
   size_t result_rows = 0;
   format::TablePtr table;  ///< only when SubmitOptions::keep_result
-  double retry_after_s = 0;  ///< shed only: suggested resubmit delay
 
   double latency_s() const { return finish_s - arrival_s; }
   double queue_wait_s() const { return dispatch_s - arrival_s; }
@@ -179,7 +179,6 @@ struct ServeOptions {
   uint64_t tenant_spill_quota_bytes = 0;
   /// Deadline applied when a submit does not specify one; 0 = none.
   double default_timeout_s = 0;
-  bool plan_cache = true;
   bool result_cache = true;
   size_t cache_entries = 256;
   /// Simulated cost of serving a result-cache hit.
@@ -198,10 +197,6 @@ struct ServeOptions {
   /// and flushes it later with no locks held.
   std::function<void(const ResultFillEvent&)> on_result_fill;
 };
-
-/// Parses the retry-after hint out of a shed status message ("...;
-/// retry-after=0.125s"). Returns 0 when absent.
-double RetryAfterHint(const Status& status);
 
 /// \brief The abstract submit/step/resolve surface of a query service.
 ///
@@ -260,8 +255,8 @@ class QueryServer : public QueryService {
 
   /// Submits one query. Returns the QueryId of an *admitted* query (resolve
   /// it with Resolve()); a shed submit returns Status::ResourceExhausted
-  /// with a retry-after hint (see RetryAfterHint). Planning errors surface
-  /// directly.
+  /// with a retry-after hint (Status::retry_after_s). Planning errors
+  /// surface directly.
   Result<QueryId> Submit(SessionId session, const std::string& sql,
                          const SubmitOptions& options = {}) override;
 
@@ -407,8 +402,7 @@ class QueryServer : public QueryService {
   /// Marks `entry` terminal and updates metrics/trace. Caller holds mu_.
   void Finalize(Entry* entry);
   /// Ends `entry` in `state` at `at_s` without a stream (dispatch ==
-  /// finish; a shed takes the status's retry-after hint) and finalizes it.
-  /// Caller holds mu_.
+  /// finish) and finalizes it. Caller holds mu_.
   void FinishUnplaced(Entry* entry, QueryState state, Status status,
                       double at_s);
   /// Projected backlog of `device` in simulated seconds. Caller holds mu_.

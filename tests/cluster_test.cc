@@ -286,7 +286,7 @@ TEST(ServeClusterTest, AllReplicasShedSurfacesMinRetryAfter) {
   for (const auto& c : cl.last_shed()) {
     min_hint = std::min(min_hint, std::max(c.retry_after_s, 1e-3));
   }
-  EXPECT_DOUBLE_EQ(serve::RetryAfterHint(all_shed), min_hint);
+  EXPECT_DOUBLE_EQ(all_shed.retry_after_s(), min_hint);
   ASSERT_TRUE(cl.DrainAll().ok());
 }
 

@@ -53,6 +53,35 @@ TEST(StatusTest, WithContextPrepends) {
   EXPECT_TRUE(Status::OK().WithContext("nope").ok());
 }
 
+TEST(StatusTest, TypedCauseAndRetryAfterSurviveWrapping) {
+  const Status shed =
+      Status::ResourceExhausted("spill quota", StatusCause::kSpillRefused)
+          .WithRetryAfter(1.0 / 3.0);
+  const Status wrapped = shed.WithContext("pipeline 2");
+  EXPECT_TRUE(wrapped.IsResourceExhausted());
+  EXPECT_EQ(wrapped.cause(), StatusCause::kSpillRefused);
+  EXPECT_EQ(wrapped.retry_after_s(), 1.0 / 3.0);  // exact, not re-parsed
+  EXPECT_EQ(wrapped.message(), "pipeline 2: spill quota");
+  EXPECT_EQ(wrapped.ToString(),
+            "Resource exhausted: pipeline 2: spill quota; "
+            "retry-after=0.333333s");
+  // Setting the hint copies: the original keeps its own detail.
+  const Status copy = shed;
+  EXPECT_EQ(copy.WithRetryAfter(2.0).retry_after_s(), 2.0);
+  EXPECT_EQ(shed.retry_after_s(), 1.0 / 3.0);
+
+  const Status lost =
+      Status::Unavailable("tier gone", StatusCause::kSpillTierLost);
+  EXPECT_TRUE(lost.IsTransient());
+  EXPECT_EQ(lost.retry_after_s(), 0.0);  // no hint reads 0
+  EXPECT_EQ(lost.ToString(), "Unavailable: tier gone");
+  EXPECT_EQ(Status::Unavailable("link down").cause(), StatusCause::kNone);
+
+  EXPECT_TRUE(Status::OK().WithRetryAfter(5.0).ok());
+  EXPECT_EQ(Status::OK().WithRetryAfter(5.0).retry_after_s(), 0.0);
+  EXPECT_EQ(Status::OK().cause(), StatusCause::kNone);
+}
+
 TEST(ResultTest, HoldsValue) {
   Result<int> r(42);
   ASSERT_TRUE(r.ok());

@@ -736,6 +736,7 @@ TEST(SpillChaosTest, BoundedHostSpillIsDiagnosableNotUnbounded) {
   auto r = engine.ExecutePlan(plan);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
+  EXPECT_EQ(r.status().cause(), StatusCause::kSpillRefused);
   EXPECT_NE(r.status().message().find("exceeds every configured tier"),
             std::string::npos)
       << r.status().ToString();

@@ -399,6 +399,55 @@ TEST(ServeBlockingTest, FutureJoinsAndNonCallMentionsAreClean) {
   EXPECT_EQ(CountRule(findings, kRuleServeBlocking), 0u);
 }
 
+// ---- status-message-dispatch ----------------------------------------------
+
+TEST(StatusMessageDispatchTest, BranchesOnMessageTextAreFlagged) {
+  const auto findings = Lint(
+      "src/serve/serve.cc",
+      "  if (st.message().find(\"spill\") != std::string::npos) Shed();\n"
+      "  if (st.message().rfind(\"spill\", 0) == 0) Shed();\n"
+      "  if (st.message().compare(\"lost\") == 0) Retry();\n"
+      "  if (st.message().starts_with(\"spill\")) Shed();\n"
+      "  if (st.message().ends_with(\"lost\")) Retry();\n"
+      "  if (st.message().contains(\"tier\")) Retry();\n"
+      "  if (st.message() == \"spill tier lost\") Retry();\n"
+      "  if (r.status().message () != kLost) Retry();\n");
+  ASSERT_EQ(CountRule(findings, kRuleStatusMessageDispatch), 8u);
+  EXPECT_EQ(findings[0].line, 1);
+  EXPECT_EQ(findings[7].line, 8);
+}
+
+TEST(StatusMessageDispatchTest, TypedBranchesLoggingAndSuppressionsAreClean) {
+  const auto findings = Lint(
+      "src/serve/serve.cc",
+      "  if (st.cause() == StatusCause::kSpillRefused) Shed();\n"
+      "  if (st.code() != StatusCode::kUnavailable) Fail();\n"
+      "  return Status::Internal(\"wrapped: \" + st.message());\n"
+      "  Overloaded(device, r.status().message());\n"
+      "  std::cerr << st.message() << \"\\n\";\n"
+      "  const std::string error_message = Describe(st);\n"
+      "  if (st.message() == kX) F();  "
+      "// sirius-lint: allow(status-message-dispatch)\n");
+  EXPECT_EQ(CountRule(findings, kRuleStatusMessageDispatch), 0u);
+}
+
+TEST(StatusMessageDispatchTest, TestsKeepAssertingOnText) {
+  const std::string content =
+      "  EXPECT_NE(st.message().find(\"spill\"), std::string::npos);\n"
+      "  if (st.message() == \"x\") FAIL();\n";
+  EXPECT_EQ(CountRule(Lint("tests/tier_test.cc", content),
+                      kRuleStatusMessageDispatch),
+            0u);
+  // A checkout under some .../src/ directory: the innermost top-level
+  // directory decides, so tests/ stays exempt and src/ stays in scope.
+  EXPECT_EQ(CountRule(Lint("home/me/src/sirius/tests/tier_test.cc", content),
+                      kRuleStatusMessageDispatch),
+            0u);
+  EXPECT_EQ(CountRule(Lint("home/me/src/sirius/src/mem/tier.cc", content),
+                      kRuleStatusMessageDispatch),
+            2u);
+}
+
 // ---- workload-family directories ------------------------------------------
 
 TEST(PathScopingTest, SsbDirectoryGetsFullRules) {

@@ -165,7 +165,7 @@ TEST(ServePlacementTest, ShedNamesDeviceAndCarriesItsRetryHint) {
   EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
   EXPECT_NE(r.status().message().find("device "), std::string::npos)
       << "shed message must name the device: " << r.status().message();
-  EXPECT_GT(serve::RetryAfterHint(r.status()), 0.0);
+  EXPECT_GT(r.status().retry_after_s(), 0.0);
   EXPECT_GT(server.total_refused(), 0u);
   EXPECT_EQ(server.total_reserved_bytes(), 0u);
 }
@@ -404,7 +404,7 @@ TEST(ServePlacementChaosTest, RequeueShedsWhenSurvivorPoolIsFull) {
     if (o.state == QueryState::kShed) {
       saw_terminal_shed = true;
       EXPECT_TRUE(o.status.IsResourceExhausted()) << o.status.ToString();
-      EXPECT_GT(o.retry_after_s, 0.0);
+      EXPECT_GT(o.status.retry_after_s(), 0.0);
     }
   }
   EXPECT_TRUE(saw_terminal_shed);

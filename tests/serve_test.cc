@@ -83,12 +83,6 @@ TEST(NormalizeSqlTest, PreservesStringLiterals) {
   EXPECT_NE(serve::NormalizeSql("select 'A'"), serve::NormalizeSql("select 'a'"));
 }
 
-TEST(RetryAfterTest, ParsesHintFromStatusMessage) {
-  Status s = Status::ResourceExhausted("queue full; retry-after=0.25s");
-  EXPECT_DOUBLE_EQ(serve::RetryAfterHint(s), 0.25);
-  EXPECT_EQ(serve::RetryAfterHint(Status::ResourceExhausted("no hint")), 0);
-}
-
 TEST(FairSchedulerTest, StrideConvergesToWeights) {
   serve::FairScheduler sched;
   sched.RegisterTenant("gold", 3.0);
@@ -132,7 +126,7 @@ TEST(ServeAdmissionTest, RejectsOverBudgetReservation) {
   auto r = server.Submit(session, tpch::Query(6), sub);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsResourceExhausted()) << r.status().ToString();
-  EXPECT_GT(serve::RetryAfterHint(r.status()), 0);
+  EXPECT_GT(r.status().retry_after_s(), 0);
   EXPECT_EQ(server.reservations().reserved(), 0u);
   EXPECT_EQ(server.reservations().total_refused(), 1u);
   EXPECT_EQ(server.metrics().Snapshot().at("serve.tenant.acme.shed"), 1u);

@@ -205,18 +205,6 @@ TEST(MemoryTest, PoolExhaustionIsOom) {
   EXPECT_TRUE(pool.Allocate(4096, &q).IsOutOfMemory());
 }
 
-TEST(MemoryTest, TrackingCountsOperations) {
-  mem::SystemMemoryResource upstream;
-  mem::TrackingMemoryResource tracking(&upstream);
-  void* p = nullptr;
-  SIRIUS_CHECK_OK(tracking.Allocate(100, &p));
-  SIRIUS_CHECK_OK(tracking.Allocate(200, &p));
-  tracking.Deallocate(p, 200);
-  EXPECT_EQ(tracking.num_allocations(), 2u);
-  EXPECT_EQ(tracking.num_deallocations(), 1u);
-  EXPECT_EQ(tracking.total_bytes_requested(), 300u);
-}
-
 TEST(MemoryTest, BufferRaii) {
   mem::SystemMemoryResource r;
   {

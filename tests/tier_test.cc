@@ -2,8 +2,10 @@
 // NVMe): placement and fallback order, per-tenant quota governance with
 // retry-after shedding, asynchronous writeback/prefetch overlap on per-lane
 // horizons, hazard-tracker ordering edges, lifetime diagnostics when a tier
-// dies under a pinned extent, and the serve-layer integration (quota shed,
-// tier-loss re-admission).
+// dies under a pinned extent, the typed failure causes the engine and the
+// server dispatch on (only a lost tier is kSpillTierLost), and the
+// serve-layer integration (quota and full-tier shed, tier-loss
+// re-admission).
 
 #include <gtest/gtest.h>
 
@@ -77,6 +79,7 @@ TEST(TierManagerTest, ExhaustingEveryTierIsDiagnosable) {
   auto r = session.RoundTrip(0, 4 * kKiB, 0.0);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsResourceExhausted());
+  EXPECT_EQ(r.status().cause(), StatusCause::kSpillRefused);
   EXPECT_NE(r.status().message().find("exceeds every configured tier"),
             std::string::npos);
 }
@@ -90,6 +93,7 @@ TEST(TierManagerTest, DisabledNvmeBoundsSpillToHostCapacity) {
   auto r = session.RoundTrip(0, 768 * kKiB, 0.0);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsResourceExhausted());
+  EXPECT_EQ(r.status().cause(), StatusCause::kSpillRefused);
   EXPECT_NE(r.status().message().find("exceeds every configured tier"),
             std::string::npos);
 }
@@ -127,9 +131,10 @@ TEST(TierManagerTest, QuotaChargesCumulativelyAndShedsWithRetryAfter) {
   auto refused = session.RoundTrip(0, kKiB, 0.0, &quota);
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsResourceExhausted());
+  EXPECT_EQ(refused.status().cause(), StatusCause::kSpillRefused);
   EXPECT_NE(refused.status().message().find("tenant spill quota exhausted"),
             std::string::npos);
-  EXPECT_GT(serve::RetryAfterHint(refused.status()), 0.0);
+  EXPECT_GT(refused.status().retry_after_s(), 0.0);
   // The refused extent was released: nothing extra resident, nothing charged.
   EXPECT_EQ(pool.reserved(), 2 * kKiB);
   EXPECT_EQ(tiers.stats(Tier::kHost).used_bytes, 2 * kKiB);
@@ -260,6 +265,7 @@ TEST(TierManagerTest, NonTransientWriteFaultPropagatesImmediately) {
   auto r = session.RoundTrip(0, kMiB, 0.0);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(r.status().cause(), StatusCause::kNone);
   EXPECT_NE(r.status().message().find("spill writeback"), std::string::npos);
   // Nothing stayed resident: the failed extent never committed.
   EXPECT_EQ(tiers.stats(Tier::kHost).used_bytes, 0u);
@@ -288,6 +294,7 @@ TEST(TierManagerTest, PersistentReadFaultExhaustsItsBudgetCleanly) {
   auto r = session.Join(0, rt.read_end_s);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUnavailable());
+  EXPECT_EQ(r.status().cause(), StatusCause::kNone);  // not a tier loss
   EXPECT_NE(r.status().message().find("spill read-back"), std::string::npos);
   EXPECT_EQ(inj.stats("mem.spill.read").hits, 4u);  // bounded attempts
   // Even a failed read-back releases the tier bytes (the extent is gone
@@ -327,7 +334,7 @@ TEST(TierManagerTest, TierLossVoidsExtentsAndFlagsKernelHeldOnes) {
     EXPECT_TRUE(join.status().IsUnavailable());
     EXPECT_NE(join.status().message().find("spill tier lost"),
               std::string::npos);
-    EXPECT_TRUE(session.tier_loss_seen());
+    EXPECT_EQ(join.status().cause(), StatusCause::kSpillTierLost);
 
     tiers.ReviveLostTiers();
     EXPECT_FALSE(tiers.lost(Tier::kHost));
@@ -336,6 +343,24 @@ TEST(TierManagerTest, TierLossVoidsExtentsAndFlagsKernelHeldOnes) {
   tracker.Reset();
   tracker.set_enabled(was_enabled);
   tracker.set_abort_on_violation(true);
+}
+
+TEST(TierManagerTest, JoinReportsTierLossOverALaterReadFault) {
+  // One lane, one extent voided by a host loss and a later one whose NVMe
+  // read-back exhausts its retries: the lane still lost data to a dead
+  // tier, so Join reports the loss (which revives tiers), not the read.
+  FaultInjector inj;
+  TierManager tiers(SmallTiers(kMiB, 8 * kMiB), &inj);
+  SpillSession session(&tiers);
+  ASSERT_EQ(session.RoundTrip(0, kMiB, 0.0).ValueOrDie().tier, Tier::kHost);
+  ASSERT_EQ(session.RoundTrip(0, kMiB, 0.0).ValueOrDie().tier, Tier::kNvme);
+  tiers.MarkLost(Tier::kHost);
+  inj.Arm("mem.spill.read", FaultSpec{});  // persistent
+  auto join = session.Join(0, 0.0);
+  ASSERT_FALSE(join.ok());
+  EXPECT_EQ(join.status().cause(), StatusCause::kSpillTierLost)
+      << join.status().ToString();
+  EXPECT_EQ(tiers.stats(Tier::kNvme).used_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -395,6 +420,38 @@ TEST(TierEngineTest, EngineRevivesLostTiersAndRetriesOnce) {
   EXPECT_EQ(engine.tiers().stats(Tier::kNvme).used_bytes, 0u);
 }
 
+TEST(TierEngineTest, SpillIoFaultIsNotATierLoss) {
+  // A spill read or write fault that outlasts its in-place retries leaves
+  // the tiers alive: it is Unavailable with no cause, so the engine neither
+  // revives tiers nor evicts and re-runs. The host falls back instead.
+  for (const char* site : {"mem.spill.read", "mem.spill.write"}) {
+    FaultInjector inj;
+    engine::SiriusEngine::Options options;
+    options.injector = &inj;
+    options.out_of_core = true;
+    engine::SiriusEngine engine(SpillDb(), options);
+    FaultSpec oom;
+    oom.code = StatusCode::kOutOfMemory;
+    inj.Arm("engine.reserve", oom);  // every intermediate spills
+    inj.Arm(site, FaultSpec{});      // persistent Unavailable
+
+    auto plan = SpillDb()->PlanSql(tpch::Query(6)).ValueOrDie();
+    auto r = engine.ExecutePlan(plan);
+    ASSERT_FALSE(r.ok()) << site;
+    EXPECT_TRUE(r.status().IsUnavailable()) << site << ": "
+                                            << r.status().ToString();
+    EXPECT_EQ(r.status().cause(), StatusCause::kNone) << site;
+    EXPECT_GE(inj.injected(site), 1u) << site;
+
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.tier_loss_retries, 0u) << site;
+    EXPECT_EQ(stats.pipeline_retries, 0u) << site;
+    EXPECT_EQ(stats.evictions_under_pressure, 0u) << site;
+    EXPECT_EQ(engine.tiers().stats(Tier::kHost).used_bytes, 0u) << site;
+    EXPECT_EQ(engine.tiers().stats(Tier::kNvme).used_bytes, 0u) << site;
+  }
+}
+
 TEST(TierEngineTest, SpillGaugesArePublishedAfterExecution) {
   FaultInjector inj;
   engine::SiriusEngine::Options options;
@@ -452,8 +509,9 @@ TEST(ServeSpillGovernanceTest, QuotaExhaustedTenantShedsWhileOthersComplete) {
 
   EXPECT_EQ(a.state, serve::QueryState::kShed) << a.status.ToString();
   EXPECT_TRUE(a.status.IsResourceExhausted());
+  EXPECT_EQ(a.status.cause(), StatusCause::kSpillRefused);
   EXPECT_NE(a.status.message().find("spill quota"), std::string::npos);
-  EXPECT_GT(a.retry_after_s, 0.0);
+  EXPECT_GT(a.status.retry_after_s(), 0.0);
 
   EXPECT_EQ(b.state, serve::QueryState::kCompleted) << b.status.ToString();
   EXPECT_TRUE(CpuQ6()->Equals(*b.table) || CpuQ6()->EqualsUnordered(*b.table));
@@ -464,6 +522,40 @@ TEST(ServeSpillGovernanceTest, QuotaExhaustedTenantShedsWhileOthersComplete) {
   EXPECT_GT(server.spill_quota("healthy").total_granted(), 0u);
   EXPECT_EQ(server.metrics().GetCounter("serve.spill_quota_shed")->raw(), 1u);
   EXPECT_EQ(server.reservations().reserved(), 0u);
+}
+
+TEST(ServeSpillGovernanceTest, ExhaustedTiersShedWithHint) {
+  // Every tier full is the same admission-class refusal as an exhausted
+  // quota: the engine's kSpillRefused carries no hint of its own, so the
+  // server sheds with the device backlog hint.
+  FaultInjector inj;
+  engine::SiriusEngine::Options eo;
+  eo.injector = &inj;
+  eo.out_of_core = true;
+  eo.tier.host_capacity_bytes = kKiB;  // nothing real fits
+  eo.tier.nvme_capacity_bytes = 0;
+  engine::SiriusEngine engine(SpillDb(), eo);
+  FaultSpec oom;
+  oom.code = StatusCode::kOutOfMemory;
+  inj.Arm("engine.reserve", oom);  // persistent: every intermediate spills
+
+  serve::ServeOptions so;
+  so.result_cache = false;
+  serve::QueryServer server(SpillDb(), &engine, so);
+  const auto session = server.OpenSession("tenant");
+  const auto id = server.Submit(session, tpch::Query(6)).ValueOrDie();
+  auto out = server.Resolve(id).ValueOrDie();
+
+  EXPECT_EQ(out.state, serve::QueryState::kShed) << out.status.ToString();
+  EXPECT_TRUE(out.status.IsResourceExhausted());
+  EXPECT_EQ(out.status.cause(), StatusCause::kSpillRefused);
+  EXPECT_NE(out.status.message().find("exceeds every configured tier"),
+            std::string::npos);
+  EXPECT_GE(out.status.retry_after_s(), 1e-3);
+  EXPECT_EQ(server.metrics().GetCounter("serve.spill_quota_shed")->raw(), 1u);
+  EXPECT_EQ(server.reservations().reserved(), 0u);
+  EXPECT_EQ(server.spill_quota("tenant").reserved(), 0u);
+  EXPECT_EQ(engine.tiers().stats(Tier::kHost).used_bytes, 0u);
 }
 
 TEST(ServeSpillGovernanceTest, TierLossRequeueHealsTransientLoss) {

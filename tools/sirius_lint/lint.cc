@@ -53,6 +53,18 @@ std::string BareCallName(const std::string& trimmed) {
   return name;
 }
 
+/// True when the innermost top-level directory enclosing `norm` is src/,
+/// so a checkout under ~/src/ still reads tests/x.cc as tests.
+bool InSrcTree(const std::string& norm) {
+  const size_t src = norm.rfind("/src/");
+  if (src == std::string::npos) return false;
+  for (const char* dir : {"/tests/", "/bench/", "/examples/", "/tools/"}) {
+    const size_t pos = norm.rfind(dir);
+    if (pos != std::string::npos && pos > src) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<Finding> LintContent(const std::string& path,
@@ -64,6 +76,7 @@ std::vector<Finding> LintContent(const std::string& path,
   const bool in_sim = InDir(norm, "src/sim");
   const bool in_serve =
       InDir(norm, "src/serve") || InDir(norm, "src/cluster");
+  const bool in_src = InSrcTree(norm);
   // Demo code under examples/ drops statuses and calls banned functions at
   // its peril like everything else, but the RAII/ownership house rules are
   // library-internal; only the two portable rules fire there.
@@ -217,6 +230,22 @@ std::vector<Finding> LintContent(const std::string& path,
                   "is a future/condition join in simulated time, never a "
                   "wall-clock sleep or busy-wait");
         }
+      }
+    }
+
+    // ---- status-message-dispatch ----------------------------------------
+    // Recovery branches on Status::code() and Status::cause(), never on the
+    // wording of message(): reword a message and a find("spill") silently
+    // changes which failures shed. Tests keep asserting on readable text, so
+    // only src/ is in scope.
+    if (in_src) {
+      static const std::regex re_dispatch(
+          R"(\bmessage\s*\(\s*\)\s*(?:\.\s*(?:find|rfind|compare|starts_with|ends_with|contains)\s*\(|[=!]=))");
+      if (std::regex_search(line, re_dispatch)) {
+        add(i, kRuleStatusMessageDispatch,
+            "control flow on Status message text; branch on code() or "
+            "cause() (add a StatusCause) so rewording a message cannot "
+            "change recovery");
       }
     }
 

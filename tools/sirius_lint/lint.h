@@ -38,12 +38,14 @@ inline constexpr char kRuleNodiscardStatus[] = "nodiscard-status-api";
 inline constexpr char kRuleRaiiSpan[] = "raii-span";
 inline constexpr char kRuleServeBlocking[] = "serve-no-blocking";
 inline constexpr char kRulePinnedHostAlloc[] = "pinned-host-alloc";
+inline constexpr char kRuleStatusMessageDispatch[] = "status-message-dispatch";
 /// @}
 
 /// Second pass: runs every rule over one file. `path` decides path-scoped
 /// rules (src/mem/ may use raw new/delete; src/sim/ may not read wall-clock
-/// time; examples/ only runs unchecked-status and banned-function, matching
-/// what demo code must honour). Findings suppressed by
+/// time; only src/ may not branch on Status message text; examples/ only
+/// runs unchecked-status and banned-function, matching what demo code must
+/// honour). Findings suppressed by
 /// `// sirius-lint: allow(<rule>)` on the same or preceding line are dropped;
 /// when `suppressed` is non-null the dropped findings are appended there (the
 /// repo test forbids suppressions in src/engine/ and src/net/).
