@@ -38,7 +38,7 @@ stage_desc() {
     spill)        echo "tiered memory: spill governance + fault recovery (ctest -L spill)" ;;
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
     tsan)         echo "ThreadSanitizer build + serving-layer, codec, spill and cluster suites" ;;
-    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec suites" ;;
+    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr suites" ;;
     bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots" ;;
     *)            echo "unknown" ;;
   esac
@@ -159,9 +159,11 @@ stage_asan() {
   # (including the serve.place placement faults); "race" re-runs the checked
   # device tests; "fusion" runs the view kernels both inside and outside a
   # fused pass; "codec" runs the bit-packing sweeps over exact-size buffers,
-  # where a read past the packed stream is a heap overflow.
+  # where a read past the packed stream is a heap overflow; "expr" runs the
+  # evaluator's property test, because its kernels index raw buffers with a
+  # 0/1 stride and write validity bitmaps directly.
   SIRIUS_RACE_CHECK=1 \
-    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec' --output-on-failure --no-tests=error -j "$JOBS"
+    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_bench_gate() {

@@ -13,11 +13,10 @@ namespace sirius::expr {
 ///
 /// SQL semantics: NULLs propagate through arithmetic/comparisons/functions;
 /// AND/OR use Kleene three-valued logic; IS [NOT] NULL never returns NULL.
+///
+/// Each operator runs one typed loop over whole columns. Literals and
+/// literal-only subtrees are computed once, as one row, and copied out to
+/// the input's length only when they are the whole expression.
 Result<format::ColumnPtr> Evaluate(const Expr& e, const format::Table& input);
-
-/// Evaluates a bound expression against a single row, producing a Scalar.
-/// Used for pre-aggregated single-row contexts (HAVING over one group).
-Result<format::Scalar> EvaluateScalar(const Expr& e, const format::Table& input,
-                                      size_t row);
 
 }  // namespace sirius::expr

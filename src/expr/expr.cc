@@ -1,6 +1,7 @@
 #include "expr/expr.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "expr/udf.h"
 
@@ -340,7 +341,48 @@ Status Bind(const ExprPtr& e, const format::Schema& input) {
   return Bind(e.get(), input);
 }
 
+namespace {
+
+/// The operand count each operator reads, checked before anything reads
+/// one; -1 when the count is not fixed (CASE, UDF) or there is none.
+int Arity(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kBinary:
+      return 2;
+    case ExprKind::kUnary:
+    case ExprKind::kInList:
+      return 1;
+    case ExprKind::kFunction:
+      switch (e.fop) {
+        case FuncOp::kLike:
+        case FuncOp::kNotLike:
+          return 2;
+        case FuncOp::kSubstring:
+          return 3;
+        default:
+          return 1;
+      }
+    default:
+      return -1;
+  }
+}
+
+/// True when `e` is a non-NULL literal of one of `types`.
+bool IsLiteralOf(const Expr& e, std::initializer_list<TypeId> types) {
+  return e.kind == ExprKind::kLiteral && !e.literal.is_null() &&
+         std::find(types.begin(), types.end(), e.literal.type().id) !=
+             types.end();
+}
+
+}  // namespace
+
 Status Bind(Expr* e, const format::Schema& input) {
+  const int arity = Arity(*e);
+  if (arity >= 0 && e->children.size() != static_cast<size_t>(arity)) {
+    return Status::BindError("operator expects " + std::to_string(arity) +
+                             " operands, got " +
+                             std::to_string(e->children.size()));
+  }
   for (auto& c : e->children) {
     SIRIUS_RETURN_NOT_OK(Bind(c.get(), input));
   }
@@ -428,9 +470,17 @@ Status Bind(Expr* e, const format::Schema& input) {
           if (!e->children[0]->type.is_string()) {
             return Status::TypeError("LIKE requires string input");
           }
+          if (!IsLiteralOf(*e->children[1], {TypeId::kString})) {
+            return Status::TypeError("LIKE pattern must be a string literal");
+          }
           e->type = format::Bool();
           return Status::OK();
         case FuncOp::kSubstring:
+          if (!IsLiteralOf(*e->children[1], {TypeId::kInt32, TypeId::kInt64}) ||
+              !IsLiteralOf(*e->children[2], {TypeId::kInt32, TypeId::kInt64})) {
+            return Status::TypeError(
+                "substring start and length must be integer literals");
+          }
           e->type = format::String();
           return Status::OK();
         case FuncOp::kExtractYear:

@@ -71,6 +71,9 @@ Status ColumnBuilder::AppendScalar(const Scalar& s) {
       AppendDouble(s.AsDouble());
       return Status::OK();
     case TypeId::kDecimal64: {
+      if (s.type().id == TypeId::kString) {
+        return Status::TypeError("AppendScalar: expected numeric, got string");
+      }
       if (s.type().is_decimal()) {
         int diff = type_.scale - s.type().scale;
         if (diff >= 0) {

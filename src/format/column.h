@@ -73,6 +73,9 @@ class Column {
     return data_.data_as<T>();
   }
 
+  /// Bytes in the values buffer (the offsets, for strings and lists).
+  size_t data_size() const { return data_.size(); }
+
   /// String offsets (int64, length+1 entries). String columns only.
   const int64_t* offsets() const { return data_.data_as<int64_t>(); }
   const char* chars() const { return chars_.data_as<char>(); }

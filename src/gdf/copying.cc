@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/bitutil.h"
 #include "format/builder.h"
 
 namespace sirius::gdf {
@@ -155,6 +156,88 @@ Result<ColumnPtr> GatherList(const Context& ctx, const ColumnPtr& col,
                           std::move(validity), null_count);
 }
 
+/// Column `c` of every table, stacked into the buffers ColumnBuilder::Finish
+/// produces from the boxed values: BOOLs as 0/1, NULL slots zero (empty for
+/// strings), and a validity bitmap only when some row is NULL. The output
+/// lives on the default resource, like the builder's.
+ColumnPtr ConcatColumn(const std::vector<TablePtr>& tables, size_t c,
+                       const format::DataType& type) {
+  size_t n = 0;
+  bool any_null = false;
+  for (const auto& t : tables) {
+    n += t->column(c)->length();
+    any_null = any_null || t->column(c)->has_nulls();
+  }
+  mem::Buffer validity;
+  size_t null_count = 0;
+  if (any_null) {
+    validity = mem::Buffer::AllocateZeroed(bit::BytesForBits(n)).ValueOrDie();
+    size_t row = 0;
+    for (const auto& t : tables) {
+      const ColumnPtr& col = t->column(c);
+      for (size_t i = 0; i < col->length(); ++i, ++row) {
+        if (col->IsNull(i)) {
+          ++null_count;
+        } else {
+          bit::SetBit(validity.data(), row);
+        }
+      }
+    }
+  }
+
+  if (type.is_string()) {
+    mem::Buffer offsets =
+        mem::Buffer::Allocate((n + 1) * sizeof(int64_t)).ValueOrDie();
+    int64_t* off = offsets.data_as<int64_t>();
+    off[0] = 0;
+    size_t row = 0;
+    for (const auto& t : tables) {
+      const ColumnPtr& col = t->column(c);
+      const int64_t* src = col->offsets();
+      for (size_t i = 0; i < col->length(); ++i, ++row) {
+        off[row + 1] = off[row] + (col->IsNull(i) ? 0 : src[i + 1] - src[i]);
+      }
+    }
+    mem::Buffer chars =
+        mem::Buffer::Allocate(static_cast<size_t>(off[n])).ValueOrDie();
+    row = 0;
+    for (const auto& t : tables) {
+      const ColumnPtr& col = t->column(c);
+      for (size_t i = 0; i < col->length(); ++i, ++row) {
+        const size_t len = static_cast<size_t>(off[row + 1] - off[row]);
+        if (len > 0) {
+          std::memcpy(chars.data() + off[row],
+                      col->chars() + col->offsets()[i], len);
+        }
+      }
+    }
+    return Column::MakeString(std::move(offsets), std::move(chars), n,
+                              std::move(validity), null_count);
+  }
+
+  const size_t width = static_cast<size_t>(type.byte_width());
+  mem::Buffer data = mem::Buffer::Allocate(n * width).ValueOrDie();
+  uint8_t* out = data.data();
+  for (const auto& t : tables) {
+    const ColumnPtr& col = t->column(c);
+    const size_t len = col->length();
+    if (type.id == TypeId::kBool) {
+      const uint8_t* src = col->data<uint8_t>();
+      for (size_t i = 0; i < len; ++i) out[i] = !col->IsNull(i) && src[i] != 0;
+    } else if (len > 0) {
+      std::memcpy(out, col->data<uint8_t>(), len * width);
+      if (col->has_nulls()) {
+        for (size_t i = 0; i < len; ++i) {
+          if (col->IsNull(i)) std::memset(out + i * width, 0, width);
+        }
+      }
+    }
+    out += len * width;
+  }
+  return Column::MakeFixed(type, std::move(data), n, std::move(validity),
+                           null_count);
+}
+
 }  // namespace
 
 Result<ColumnPtr> GatherColumn(const Context& ctx, const ColumnPtr& col,
@@ -238,7 +321,13 @@ Result<TablePtr> ConcatTables(const Context& ctx,
 
   std::vector<ColumnPtr> cols;
   for (size_t c = 0; c < schema.num_fields(); ++c) {
-    format::ColumnBuilder b(schema.field(c).type);
+    const format::DataType& type = schema.field(c).type;
+    if (!type.is_list()) {
+      cols.push_back(ConcatColumn(tables, c, type));
+      continue;
+    }
+    // A list boxes as its rendering, which the builder refuses.
+    format::ColumnBuilder b(type);
     for (const auto& t : tables) {
       const ColumnPtr& col = t->column(c);
       for (size_t i = 0; i < col->length(); ++i) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "format/builder.h"
 #include "gdf/copying.h"
 #include "gdf/filter.h"
@@ -153,6 +155,91 @@ TEST(ConcatTest, SchemaMismatchRejected) {
   auto t2 = MakeTable({{"s", format::String()}}, {Column::FromStrings({"x"})});
   auto ctx = Ctx();
   EXPECT_FALSE(ConcatTables(ctx, {t1, t2}).ok());
+}
+
+TEST(ConcatTest, TypedCopyMatchesBoxedBuilder) {
+  // The typed copy must produce the bytes a ColumnBuilder fed one boxed
+  // value at a time produces: BOOLs normalized to 0/1, NULL slots zeroed or
+  // empty, validity only when a NULL is present, across empty inputs too.
+  Schema schema({{"b", format::Bool()},
+                 {"i", format::Int32()},
+                 {"l", format::Int64()},
+                 {"f", format::Float64()},
+                 {"d", format::Decimal(2)},
+                 {"dt", format::Date32()},
+                 {"s", format::String()}});
+  auto part = [&](size_t rows, bool nulls, int salt) {
+    std::vector<ColumnPtr> cols;
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      format::ColumnBuilder b(schema.field(c).type);
+      for (size_t r = 0; r < rows; ++r) {
+        const int64_t v = static_cast<int64_t>(r * 7 + c) * salt - 40;
+        if (nulls && (r + c) % 3 == 0) {
+          b.AppendNull();
+        } else if (c == 3) {
+          b.AppendDouble(static_cast<double>(v) / 4);
+        } else if (c == 6) {
+          b.AppendString(std::string(r % 5, static_cast<char>('a' + r % 26)));
+        } else {
+          b.AppendInt(v);
+        }
+      }
+      cols.push_back(b.Finish());
+    }
+    // Non-zero bytes under NULL slots and a non-0/1 BOOL, as kernels that
+    // compute every row leave them.
+    if (nulls && rows > 0) {
+      cols[2]->mutable_data<int64_t>()[0] = 99;
+      cols[0]->mutable_data<uint8_t>()[rows - 1] = 7;
+    }
+    return Table::Make(schema, std::move(cols)).ValueOrDie();
+  };
+  auto ctx = Ctx();
+  const std::vector<std::vector<TablePtr>> cases = {
+      {part(0, false, 1)},
+      {part(5, false, 1), part(0, true, 2), part(11, false, 3)},
+      {part(9, true, 1), part(0, false, 2), part(17, true, 3)},
+      {part(3, false, 1), part(6, true, 5)},
+  };
+  for (size_t k = 0; k < cases.size(); ++k) {
+    const auto& tables = cases[k];
+    TablePtr got = ConcatTables(ctx, tables).ValueOrDie();
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      format::ColumnBuilder b(schema.field(c).type);
+      for (const auto& t : tables) {
+        for (size_t i = 0; i < t->num_rows(); ++i) {
+          SIRIUS_CHECK_OK(b.AppendScalar(t->column(c)->GetScalar(i)));
+        }
+      }
+      const ColumnPtr want = b.Finish();
+      const Column& g = *got->column(c);
+      const std::string what = "case " + std::to_string(k) + " column " +
+                               schema.field(c).name;
+      ASSERT_EQ(g.type(), want->type()) << what;
+      ASSERT_EQ(g.length(), want->length()) << what;
+      ASSERT_EQ(g.null_count(), want->null_count()) << what;
+      ASSERT_EQ(g.MemoryUsage(), want->MemoryUsage()) << what;
+      ASSERT_EQ(g.data_size(), want->data_size()) << what;
+      ASSERT_EQ(g.validity() == nullptr, want->validity() == nullptr) << what;
+      if (want->validity() != nullptr) {
+        EXPECT_EQ(std::memcmp(g.validity(), want->validity(),
+                              bit::BytesForBits(want->length())),
+                  0)
+            << what;
+      }
+      if (want->data_size() > 0) {
+        EXPECT_EQ(std::memcmp(g.data<uint8_t>(), want->data<uint8_t>(),
+                              want->data_size()),
+                  0)
+            << what;
+      }
+      ASSERT_EQ(g.chars_size(), want->chars_size()) << what;
+      if (want->chars_size() > 0) {
+        EXPECT_EQ(std::memcmp(g.chars(), want->chars(), want->chars_size()), 0)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(SliceTest, OffsetAndClamping) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/sirius.h"
 #include "host/database.h"
 #include "plan/json.h"
 #include "plan/plan.h"
@@ -228,6 +229,71 @@ TEST(SubstraitTest, All22TpchPlansRoundTrip) {
     EXPECT_TRUE(back.ValueOrDie()->output_schema.Equals(
         plan.ValueOrDie()->output_schema))
         << "Q" << q;
+  }
+}
+
+TEST(PlanTest, MalformedExpressionsAreErrors) {
+  // Each predicate parses as plan text but is malformed in a way only
+  // expr::Bind sees. Every plan constructor binds its expressions, so both
+  // the deserializer and the engine's Substrait entry point must refuse them
+  // with an error instead of crashing.
+  const std::string col_s = R"({"k":"col","i":2})";
+  const std::string col_a = R"({"k":"col","i":0})";
+  const std::string lit_int = R"({"k":"lit","v":{"type":{"id":2},"i":5}})";
+  const std::string lit_str = R"({"k":"lit","v":{"type":{"id":6},"s":"ab"}})";
+  const std::string null_str = R"({"k":"lit","v":{"type":{"id":6},"null":true}})";
+  auto eq = [](const std::string& l, const std::string& r) {
+    return R"({"k":"bin","op":4,"args":[)" + l + "," + r + "]}";
+  };
+  const std::vector<std::string> predicates = {
+      // LIKE whose pattern is an integer literal.
+      R"({"k":"fn","op":0,"args":[)" + col_s + "," + lit_int + "]}",
+      // LIKE with one argument.
+      R"({"k":"fn","op":0,"args":[)" + col_s + "]}",
+      // A binary operator without operands.
+      R"({"k":"bin","op":4})",
+      // A binary operator with one operand.
+      R"({"k":"bin","op":4,"args":[)" + col_a + "]}",
+      // NOT LIKE whose pattern is NULL, or a column.
+      R"({"k":"fn","op":1,"args":[)" + col_s + "," + null_str + "]}",
+      R"({"k":"fn","op":1,"args":[)" + col_s + "," + col_s + "]}",
+      // SUBSTRING with a string start, and with two arguments.
+      eq(R"({"k":"fn","op":2,"args":[)" + col_s + "," + lit_str + "," +
+             lit_int + "]}",
+         lit_str),
+      eq(R"({"k":"fn","op":2,"args":[)" + col_s + "," + lit_int + "]}", lit_str),
+      // NOT without an operand; IN with two.
+      R"({"k":"un","op":0})",
+      R"({"k":"in","args":[)" + col_a + "," + col_a +
+          R"(],"list":[{"type":{"id":2},"i":1}]})",
+      // CAST with no operand.
+      eq(R"({"k":"fn","op":4})", lit_int),
+  };
+
+  host::Database db;
+  SIRIUS_CHECK_OK(db.CreateTable(
+      "t", format::Table::Make(TestSchema(),
+                               {format::Column::FromInt64({1, 2}),
+                                format::Column::FromDecimal({100, 250}, 2),
+                                format::Column::FromStrings({"abc", "xy"})})
+               .ValueOrDie()));
+  engine::SiriusEngine eng(&db, {});
+  auto plan_text = [](const std::string& predicate) {
+    return R"({"version":"sirius-substrait-1","root":{"op":"Filter","inputs":[)"
+           R"({"op":"TableScan","table":"t","columns":[0,1,2]}],"predicate":)" +
+           predicate + "}}";
+  };
+  // The same text with well-formed predicates runs.
+  for (const std::string& good :
+       {eq(col_a, lit_int),
+        R"({"k":"fn","op":0,"args":[)" + col_s + "," + lit_str + "]}"}) {
+    ASSERT_TRUE(DeserializePlan(plan_text(good), TestResolver()).ok()) << good;
+    ASSERT_TRUE(eng.ExecuteSubstrait(plan_text(good)).ok()) << good;
+  }
+  for (const std::string& predicate : predicates) {
+    EXPECT_FALSE(DeserializePlan(plan_text(predicate), TestResolver()).ok())
+        << predicate;
+    EXPECT_FALSE(eng.ExecuteSubstrait(plan_text(predicate)).ok()) << predicate;
   }
 }
 
