@@ -43,6 +43,23 @@ format::ColumnPtr RandomStrings(size_t n, int64_t cardinality, uint32_t seed) {
   return b.Finish();
 }
 
+/// Values drawn from [0, cardinality) of `type` (an int32, date32 or int64
+/// column), each NULL with probability `null_percent`%.
+format::ColumnPtr RandomKeys(format::DataType type, size_t n, int64_t cardinality,
+                             int null_percent, uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  format::ColumnBuilder b(type);
+  b.Reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (static_cast<int>(rng() % 100) < null_percent) {
+      b.AppendNull();
+    } else {
+      b.AppendInt(static_cast<int64_t>(rng() % static_cast<uint64_t>(cardinality)));
+    }
+  }
+  return b.Finish();
+}
+
 format::TablePtr OneColumnTable(format::ColumnPtr col, const char* name) {
   return format::Table::Make(
              format::Schema({{name, col->type()}}), {col})
@@ -99,6 +116,51 @@ void BM_HashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashJoin)->Arg(1 << 14)->Arg(1 << 18);
 
+// Two keys, int64 + int32: the partsupp (ps_partkey, ps_suppkey) shape. The
+// build side holds unique pairs; each probe row draws one of them.
+void BM_HashJoinTwoKeys(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t m = n / 4;
+  std::vector<int64_t> build_part(m), probe_part(n);
+  std::vector<int32_t> build_supp(m), probe_supp(n);
+  for (size_t i = 0; i < m; ++i) {
+    build_part[i] = static_cast<int64_t>(i / 4);
+    build_supp[i] = static_cast<int32_t>(i % 4);
+  }
+  std::mt19937_64 rng(13);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = rng() % m;
+    probe_part[i] = build_part[r];
+    probe_supp[i] = build_supp[r];
+  }
+  const std::vector<format::ColumnPtr> probe = {format::Column::FromInt64(probe_part),
+                                                format::Column::FromInt32(probe_supp)};
+  const std::vector<format::ColumnPtr> build = {format::Column::FromInt64(build_part),
+                                                format::Column::FromInt32(build_supp)};
+  gdf::Context ctx = Ctx();
+  gdf::JoinOptions options;
+  for (auto _ : state) {
+    auto out = gdf::HashJoin(ctx, probe, build, options).ValueOrDie();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_HashJoinTwoKeys)->Arg(1 << 14)->Arg(1 << 18);
+
+void BM_HashJoinString(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto probe = RandomStrings(n, static_cast<int64_t>(n / 4), 11);
+  auto build = RandomStrings(n / 4, static_cast<int64_t>(n / 4), 12);
+  gdf::Context ctx = Ctx();
+  gdf::JoinOptions options;
+  for (auto _ : state) {
+    auto out = gdf::HashJoin(ctx, {probe}, {build}, options).ValueOrDie();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_HashJoinString)->Arg(1 << 14)->Arg(1 << 18);
+
 void BM_GroupByHashInt(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto keys = RandomInts(n, 1024, 5);
@@ -112,6 +174,24 @@ void BM_GroupByHashInt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_GroupByHashInt)->Arg(1 << 14)->Arg(1 << 18);
+
+// Two nullable keys, int64 + date32, ~10% NULL each: the key-by-key shape.
+void BM_GroupByHashTwoKeysNulls(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<format::ColumnPtr> keys = {
+      RandomKeys(format::Int64(), n, 256, 10, 14),
+      RandomKeys(format::Date32(), n, 32, 10, 15)};
+  auto values = OneColumnTable(RandomInts(n, 1000, 16), "v");
+  gdf::Context ctx = Ctx();
+  std::vector<gdf::AggRequest> aggs{{gdf::AggKind::kSum, 0, "s"}};
+  for (auto _ : state) {
+    auto out =
+        gdf::GroupByAggregate(ctx, keys, {"k", "d"}, values, aggs).ValueOrDie();
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_GroupByHashTwoKeysNulls)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_GroupBySortString(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -38,7 +38,7 @@ stage_desc() {
     spill)        echo "tiered memory: spill governance + fault recovery (ctest -L spill)" ;;
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
     tsan)         echo "ThreadSanitizer build + serving-layer, codec, spill and cluster suites" ;;
-    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr suites" ;;
+    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr/keys suites" ;;
     bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots" ;;
     *)            echo "unknown" ;;
   esac
@@ -161,9 +161,12 @@ stage_asan() {
   # fused pass; "codec" runs the bit-packing sweeps over exact-size buffers,
   # where a read past the packed stream is a heap overflow; "expr" runs the
   # evaluator's property test, because its kernels index raw buffers with a
-  # 0/1 stride and write validity bitmaps directly.
+  # 0/1 stride and write validity bitmaps directly; "keys" runs the key
+  # kernels' property test, because the join and group-by slots pack 32-bit
+  # row ids with hash tags and the typed hash/equality loops index raw
+  # buffers.
   SIRIUS_RACE_CHECK=1 \
-    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr' --output-on-failure --no-tests=error -j "$JOBS"
+    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr|keys' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_bench_gate() {

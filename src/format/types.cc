@@ -45,6 +45,29 @@ std::string DataType::ToString() const {
   return "?";
 }
 
+namespace {
+
+/// The type a value of type `id` is stored as.
+TypeId StorageId(TypeId id) {
+  switch (id) {
+    case TypeId::kDate32:
+      return TypeId::kInt32;
+    case TypeId::kDecimal64:
+      return TypeId::kInt64;
+    default:
+      return id;
+  }
+}
+
+}  // namespace
+
+bool SameRepresentation(const DataType& a, const DataType& b) {
+  if (StorageId(a.id) != StorageId(b.id) || a.scale != b.scale) return false;
+  if (a.id != TypeId::kList) return true;
+  if ((a.child == nullptr) != (b.child == nullptr)) return false;
+  return a.child == nullptr || SameRepresentation(*a.child, *b.child);
+}
+
 int64_t DecimalPow10(int scale) {
   static const int64_t kPow10[19] = {1LL,
                                      10LL,

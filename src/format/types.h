@@ -70,6 +70,12 @@ inline DataType List(DataType element) {
   return t;
 }
 
+/// True when values of `a` and `b` are stored, hashed and compared alike:
+/// the same storage (DATE32 is stored as INT32, DECIMAL64 as INT64), the
+/// same decimal scale, and list elements alike. The key kernels read both
+/// sides of a key pair with one type, so join key pairs must satisfy this.
+bool SameRepresentation(const DataType& a, const DataType& b);
+
 /// 10^scale for decimal rescaling, scale in [0, 18].
 int64_t DecimalPow10(int scale);
 

@@ -79,7 +79,8 @@ Result<ColumnPtr> GatherString(const Context& ctx, const ColumnPtr& col,
       continue;
     }
     size_t len = static_cast<size_t>(src_off[idx + 1] - src_off[idx]);
-    std::memcpy(out + pos, src_chars + src_off[idx], len);
+    // Only empty strings leave `out` null: memcpy must not see it.
+    if (len > 0) std::memcpy(out + pos, src_chars + src_off[idx], len);
     pos += len;
     if (src_nulls && col->IsNull(static_cast<size_t>(idx))) valid[k] = false;
   }

@@ -61,71 +61,141 @@ format::DataType AggOutputType(AggKind kind, const DataType& in) {
 
 namespace {
 
-/// Maps each row to a dense group id. Returns group count; fills group_of
-/// (per row) and representative row per group.
+/// Maps each row to a dense group id in first-seen order. Returns the group
+/// count; fills group_of (per row) and the representative (first) row per
+/// group. Each slot packs a group id with its hash tag (PackSlot).
 size_t AssignGroupsHash(const RowOps& keys, size_t n, std::vector<int64_t>* group_of,
                         std::vector<index_t>* rep_rows) {
-  const uint64_t capacity = bit::NextPow2(std::max<uint64_t>(16, n * 2));
-  std::vector<int64_t> slots(capacity, -1);  // group id stored per slot
-  group_of->assign(n, -1);
+  const std::vector<uint64_t> hashes = keys.HashAll();
+  const uint64_t mask = bit::NextPow2(std::max<uint64_t>(16, n * 2)) - 1;
+  std::vector<uint64_t> slots(mask + 1, kEmptySlot);
+  group_of->resize(n);
   rep_rows->clear();
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t h = keys.Hash(i);
-    size_t slot = h & (capacity - 1);
-    for (;;) {
-      int64_t gid = slots[slot];
-      if (gid < 0) {
-        gid = static_cast<int64_t>(rep_rows->size());
-        slots[slot] = gid;
-        rep_rows->push_back(static_cast<index_t>(i));
-        (*group_of)[i] = gid;
-        break;
+  WithRowEquality(keys, keys, [&](const auto& eq) {
+    int64_t* gids = group_of->data();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t h = hashes[i];
+      for (uint64_t slot = h & mask;; slot = (slot + 1) & mask) {
+        const uint64_t s = slots[slot];
+        if (s == kEmptySlot) {
+          slots[slot] = PackSlot(h, rep_rows->size());
+          gids[i] = static_cast<int64_t>(rep_rows->size());
+          rep_rows->push_back(static_cast<index_t>(i));
+          break;
+        }
+        const size_t gid = SlotId(s);
+        if (SlotTagMatches(s, h) && eq(i, static_cast<size_t>((*rep_rows)[gid]))) {
+          gids[i] = static_cast<int64_t>(gid);
+          break;
+        }
       }
-      if (keys.EqualsNullEqual(i, keys, static_cast<size_t>((*rep_rows)[gid]))) {
-        (*group_of)[i] = gid;
-        break;
-      }
-      slot = (slot + 1) & (capacity - 1);
     }
-  }
+  });
   return rep_rows->size();
 }
 
-/// Sort-based group assignment: stable-sorts row indices by key and segments
-/// equal runs. Used for string keys (libcudf behaviour) and charged as the
-/// more expensive path.
+/// Sort-ordered group assignment for string keys (libcudf behaviour; the
+/// caller charges the n log n row sort). The groups are hashed in first-seen
+/// order, then only the g group ids are stable-sorted by their
+/// representatives' keys and renumbered. Wherever Compare is a strict weak
+/// order (every input without NaN keys) this is exactly a stable row sort
+/// segmented into equal runs: the same groups, ids in key order, and each
+/// group's first-seen row as its representative.
 size_t AssignGroupsSort(const RowOps& keys, size_t n, std::vector<int64_t>* group_of,
                         std::vector<index_t>* rep_rows) {
-  std::vector<index_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<index_t>(i);
-  std::vector<bool> no_desc;
+  const size_t g = AssignGroupsHash(keys, n, group_of, rep_rows);
+  std::vector<index_t> order(g);
+  for (size_t k = 0; k < g; ++k) order[k] = static_cast<index_t>(k);
+  const std::vector<index_t>& first = *rep_rows;
+  const std::vector<bool> no_desc;
+  // stable_sort, not sort: with NaN keys Compare is no strict weak order,
+  // and std::sort may then run past the range.
   std::stable_sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-    return keys.Compare(static_cast<size_t>(a), static_cast<size_t>(b), no_desc) < 0;
+    return keys.Compare(static_cast<size_t>(first[a]), static_cast<size_t>(first[b]),
+                        no_desc) < 0;
   });
-  group_of->assign(n, -1);
-  rep_rows->clear();
-  for (size_t k = 0; k < n; ++k) {
-    size_t row = static_cast<size_t>(order[k]);
-    if (k == 0 ||
-        !keys.EqualsNullEqual(row, keys, static_cast<size_t>(order[k - 1]))) {
-      rep_rows->push_back(static_cast<index_t>(row));
-    }
-    (*group_of)[row] = static_cast<int64_t>(rep_rows->size()) - 1;
+  std::vector<int64_t> rank(g);
+  std::vector<index_t> sorted_reps(g);
+  for (size_t k = 0; k < g; ++k) {
+    rank[order[k]] = static_cast<int64_t>(k);
+    sorted_reps[k] = first[order[k]];
   }
-  return rep_rows->size();
+  for (int64_t& gid : *group_of) gid = rank[gid];
+  *rep_rows = std::move(sorted_reps);
+  return g;
+}
+
+struct AggState {
+  std::vector<double> dsum;
+  std::vector<int64_t> isum;
+  std::vector<int64_t> count;
+  std::vector<index_t> best_row;           // min/max representative
+  std::vector<std::set<int64_t>> iset;     // count distinct (ints)
+  std::vector<std::set<std::string>> sset; // count distinct (strings)
+};
+
+/// SUM/AVG accumulation over a numeric column, one typed loop per value type.
+/// Each row adds the same expressions in the same order as a row-at-a-time
+/// loop, so the double sums are bit-identical to it.
+void AccumulateSums(const Column& col, const std::vector<int64_t>& group_of,
+                    AggState* st) {
+  const size_t n = col.length();
+  const uint8_t* valid = col.has_nulls() ? col.validity() : nullptr;
+  const int64_t* gids = group_of.data();
+  int64_t* count = st->count.data();
+  int64_t* isum = st->isum.empty() ? nullptr : st->isum.data();
+  double* dsum = st->dsum.empty() ? nullptr : st->dsum.data();
+  auto each_row = [&](auto add) {
+    if (valid == nullptr) {
+      for (size_t i = 0; i < n; ++i) add(i, gids[i]);
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        if (bit::GetBit(valid, i)) add(i, gids[i]);
+      }
+    }
+  };
+  auto sum_ints = [&](const auto* v) {
+    if (dsum == nullptr) {
+      each_row([&](size_t i, int64_t gid) {
+        ++count[gid];
+        isum[gid] += v[i];
+      });
+      return;
+    }
+    // AVG: scaled to a double as raw / 10^scale, the divisor hoisted.
+    const double divisor = static_cast<double>(DecimalPow10(col.type().scale));
+    each_row([&](size_t i, int64_t gid) {
+      ++count[gid];
+      isum[gid] += v[i];
+      dsum[gid] += static_cast<double>(static_cast<int64_t>(v[i])) / divisor;
+    });
+  };
+  switch (col.type().id) {
+    case TypeId::kFloat64: {
+      const double* v = col.data<double>();
+      each_row([&](size_t i, int64_t gid) {
+        ++count[gid];
+        dsum[gid] += v[i];
+      });
+      return;
+    }
+    case TypeId::kInt64:
+    case TypeId::kDecimal64:
+      sum_ints(col.data<int64_t>());
+      return;
+    case TypeId::kInt32:
+      sum_ints(col.data<int32_t>());
+      return;
+    default:
+      return;  // non-numeric arguments are rejected before accumulation
+  }
 }
 
 struct NumericView {
-  bool is_double = false;
   const int64_t* i64 = nullptr;
   const int32_t* i32 = nullptr;
-  const double* f64 = nullptr;
   const uint8_t* b8 = nullptr;
 
-  double AsDouble(size_t k, int scale) const {
-    if (is_double) return f64[k];
-    return static_cast<double>(Raw(k)) / static_cast<double>(DecimalPow10(scale));
-  }
   int64_t Raw(size_t k) const {
     if (i64 != nullptr) return i64[k];
     if (i32 != nullptr) return i32[k];
@@ -137,10 +207,6 @@ struct NumericView {
 NumericView ViewOf(const Column& col) {
   NumericView v;
   switch (col.type().id) {
-    case TypeId::kFloat64:
-      v.is_double = true;
-      v.f64 = col.data<double>();
-      break;
     case TypeId::kInt64:
     case TypeId::kDecimal64:
       v.i64 = col.data<int64_t>();
@@ -152,6 +218,7 @@ NumericView ViewOf(const Column& col) {
     case TypeId::kBool:
       v.b8 = col.data<uint8_t>();
       break;
+    case TypeId::kFloat64:
     case TypeId::kString:
     case TypeId::kList:
       break;
@@ -240,14 +307,6 @@ Result<TablePtr> GroupByAggregate(const Context& ctx,
 
   // --- Aggregate accumulation ---
   const size_t g = num_groups;
-  struct AggState {
-    std::vector<double> dsum;
-    std::vector<int64_t> isum;
-    std::vector<int64_t> count;
-    std::vector<index_t> best_row;           // min/max representative
-    std::vector<std::set<int64_t>> iset;     // count distinct (ints)
-    std::vector<std::set<std::string>> sset; // count distinct (strings)
-  };
   std::vector<AggState> states(aggs.size());
 
   uint64_t value_bytes = 0;
@@ -288,15 +347,7 @@ Result<TablePtr> GroupByAggregate(const Context& ctx,
           st.dsum.assign(g, 0.0);
         }
         if (col->type().id != TypeId::kFloat64) st.isum.assign(g, 0);
-        NumericView v = ViewOf(*col);
-        const int scale = col->type().scale;
-        for (size_t i = 0; i < n; ++i) {
-          if (col->IsNull(i)) continue;
-          int64_t gid = group_of[i];
-          ++st.count[gid];
-          if (!st.isum.empty()) st.isum[gid] += v.Raw(i);
-          if (!st.dsum.empty()) st.dsum[gid] += v.AsDouble(i, scale);
-        }
+        AccumulateSums(*col, group_of, &st);
         break;
       }
       case AggKind::kMin:

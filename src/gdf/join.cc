@@ -26,59 +26,64 @@ const char* JoinTypeName(JoinType t) {
 
 namespace {
 
-/// Chained open-addressing hash table over build-side key rows.
+/// Chained open-addressing hash table over build-side key rows. Each slot
+/// packs a chain's head row with its hash tag (PackSlot); rows with an equal
+/// key chain behind the head through `next_`.
 class BuildTable {
  public:
-  BuildTable(const RowOps& keys, size_t num_rows)
-      : keys_(keys),
-        capacity_(bit::NextPow2(std::max<uint64_t>(16, num_rows * 2))),
-        slots_(capacity_, -1),
-        next_(num_rows, -1) {
-    for (size_t i = 0; i < num_rows; ++i) Insert(i);
-  }
+  explicit BuildTable(size_t num_rows)
+      : mask_(bit::NextPow2(std::max<uint64_t>(16, num_rows * 2)) - 1),
+        slots_(mask_ + 1, kEmptySlot),
+        next_(num_rows, -1) {}
 
-  /// First build row matching probe row `j` under `probe_keys`, or -1.
-  index_t FindFirst(const RowOps& probe_keys, size_t j) const {
-    if (probe_keys.AnyNull(j)) return -1;
-    uint64_t h = probe_keys.Hash(j);
-    size_t slot = h & (capacity_ - 1);
-    for (;;) {
-      index_t head = slots_[slot];
-      if (head < 0) return -1;
-      if (probe_keys.EqualsNullEqual(j, keys_, static_cast<size_t>(head))) {
-        return head;
+  /// Inserts build rows in order, skipping NULL keys (they never match).
+  /// `eq(i, j)` compares build rows i and j.
+  template <typename Eq>
+  void Build(const RowOps& keys, const std::vector<uint64_t>& hashes, const Eq& eq) {
+    const bool nulls = keys.has_nulls();
+    for (size_t i = 0; i < hashes.size(); ++i) {
+      if (nulls && keys.AnyNull(i)) continue;
+      const uint64_t h = hashes[i];
+      for (uint64_t slot = h & mask_;; slot = (slot + 1) & mask_) {
+        const uint64_t s = slots_[slot];
+        if (s == kEmptySlot) {
+          slots_[slot] = PackSlot(h, i);
+          break;
+        }
+        if (SlotTagMatches(s, h) && eq(i, SlotId(s))) {
+          // Duplicate key: chain in front, preserving the slot as the head.
+          const size_t head = SlotId(s);
+          next_[i] = next_[head];
+          next_[head] = static_cast<index_t>(i);
+          break;
+        }
       }
-      slot = (slot + 1) & (capacity_ - 1);
     }
   }
 
-  /// Next build row in the duplicate chain after `row`, or -1.
-  index_t NextMatch(index_t row) const { return next_[static_cast<size_t>(row)]; }
+  /// Emits `(j, build row)` through `emit` for every build row matching probe
+  /// row `j` (hash `h`): the head row, then its chain. `eq(j, i)` compares
+  /// probe row j with build row i. With `first_only`, emits at most one.
+  template <typename Eq, typename Emit>
+  void Probe(uint64_t h, size_t j, const Eq& eq, bool first_only, Emit&& emit) const {
+    for (uint64_t slot = h & mask_;; slot = (slot + 1) & mask_) {
+      const uint64_t s = slots_[slot];
+      if (s == kEmptySlot) return;
+      if (SlotTagMatches(s, h) && eq(j, SlotId(s))) {
+        index_t m = static_cast<index_t>(SlotId(s));
+        emit(m);
+        if (first_only) return;
+        for (m = next_[static_cast<size_t>(m)]; m >= 0; m = next_[static_cast<size_t>(m)]) {
+          emit(m);
+        }
+        return;
+      }
+    }
+  }
 
  private:
-  void Insert(size_t i) {
-    if (keys_.AnyNull(i)) return;  // NULL keys never match
-    uint64_t h = keys_.Hash(i);
-    size_t slot = h & (capacity_ - 1);
-    for (;;) {
-      index_t head = slots_[slot];
-      if (head < 0) {
-        slots_[slot] = static_cast<index_t>(i);
-        return;
-      }
-      if (keys_.EqualsNullEqual(i, keys_, static_cast<size_t>(head))) {
-        // Duplicate key: chain in front, preserving the slot as the head.
-        next_[i] = next_[static_cast<size_t>(head)];
-        next_[static_cast<size_t>(head)] = static_cast<index_t>(i);
-        return;
-      }
-      slot = (slot + 1) & (capacity_ - 1);
-    }
-  }
-
-  const RowOps& keys_;
-  uint64_t capacity_;
-  std::vector<index_t> slots_;
+  uint64_t mask_;
+  std::vector<uint64_t> slots_;
   std::vector<index_t> next_;
 };
 
@@ -138,30 +143,34 @@ Result<JoinResult> HashJoin(const Context& ctx,
   if (left_keys.size() != right_keys.size() || left_keys.empty()) {
     return Status::Invalid("HashJoin: key count mismatch or empty keys");
   }
+  SIRIUS_RETURN_NOT_OK(CheckKeyTypes("HashJoin", left_keys, right_keys));
   const size_t build_rows = right_keys[0]->length();
   const size_t probe_rows = left_keys[0]->length();
 
   RowOps build_ops(right_keys);
   RowOps probe_ops(left_keys);
-  BuildTable ht(build_ops, build_rows);
+  BuildTable ht(build_rows);
+  WithRowEquality(build_ops, build_ops, [&](const auto& eq) {
+    ht.Build(build_ops, build_ops.HashAll(), eq);
+  });
 
-  // Candidate generation.
+  // Candidate generation: probe order, then the head row and its chain.
+  // Without a residual, a semi/anti join needs only the first candidate.
   std::vector<index_t> cand_l, cand_r;
-  // Probe-side rows with at least one candidate (for anti/left tracking).
-  std::vector<uint8_t> has_candidate(probe_rows, 0);
-  for (size_t j = 0; j < probe_rows; ++j) {
-    index_t m = ht.FindFirst(probe_ops, j);
-    while (m >= 0) {
-      has_candidate[j] = 1;
-      cand_l.push_back(static_cast<index_t>(j));
-      cand_r.push_back(m);
-      if (options.residual == nullptr &&
-          (options.type == JoinType::kSemi || options.type == JoinType::kAnti)) {
-        break;  // existence established; no need for more candidates
-      }
-      m = ht.NextMatch(m);
+  const bool first_only =
+      options.residual == nullptr &&
+      (options.type == JoinType::kSemi || options.type == JoinType::kAnti);
+  const std::vector<uint64_t> probe_hashes = probe_ops.HashAll();
+  const bool probe_nulls = probe_ops.has_nulls();
+  WithRowEquality(probe_ops, build_ops, [&](const auto& eq) {
+    for (size_t j = 0; j < probe_rows; ++j) {
+      if (probe_nulls && probe_ops.AnyNull(j)) continue;
+      ht.Probe(probe_hashes[j], j, eq, first_only, [&](index_t m) {
+        cand_l.push_back(static_cast<index_t>(j));
+        cand_r.push_back(m);
+      });
     }
-  }
+  });
 
   // Charge build + probe + output traffic. Probe keys delivered
   // register-resident by an active fused pass skip the sequential re-read
@@ -181,7 +190,14 @@ Result<JoinResult> HashJoin(const Context& ctx,
   cost.launches = 2;  // build kernel + probe kernel
   ctx.Charge(sim::OpCategory::kJoin, cost);
 
-  // Residual filtering.
+  JoinResult result;
+  if (options.residual == nullptr && options.type == JoinType::kInner) {
+    result.left_indices = std::move(cand_l);
+    result.right_indices = std::move(cand_r);
+    return result;
+  }
+
+  // Residual filtering; without a residual every candidate passes.
   std::vector<uint8_t> pass;
   if (options.residual != nullptr) {
     SIRIUS_ASSIGN_OR_RETURN(pass, EvalResidual(ctx, options, cand_l, cand_r));
@@ -189,7 +205,6 @@ Result<JoinResult> HashJoin(const Context& ctx,
     pass.assign(cand_l.size(), 1);
   }
 
-  JoinResult result;
   switch (options.type) {
     case JoinType::kInner: {
       for (size_t i = 0; i < cand_l.size(); ++i) {

@@ -18,9 +18,13 @@ Result<std::vector<format::TablePtr>> HashPartition(
   }
   RowOps ops(keys);
   const size_t n = table->num_rows();
+  // Without keys every row hashes to 0, i.e. lands in partition 0.
+  const std::vector<uint64_t> hashes =
+      keys.empty() ? std::vector<uint64_t>(n, 0) : ops.HashAll();
+  const bool nulls = ops.has_nulls();
   std::vector<std::vector<index_t>> buckets(num_partitions);
   for (size_t i = 0; i < n; ++i) {
-    size_t p = ops.AnyNull(i) ? 0 : ops.Hash(i) % num_partitions;
+    size_t p = nulls && ops.AnyNull(i) ? 0 : hashes[i] % num_partitions;
     buckets[p].push_back(static_cast<index_t>(i));
   }
 

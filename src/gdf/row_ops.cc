@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 namespace sirius::gdf {
 
@@ -116,10 +117,78 @@ int ValueCompare(const Column& a, size_t i, const Column& b, size_t j) {
   return 0;
 }
 
-uint64_t RowOps::Hash(size_t i) const {
-  uint64_t h = 0;
-  for (const auto& k : keys_) h = HashCombine(h, HashValueAt(*k, i));
+namespace {
+
+/// Folds `col`'s value hashes into h[i], exactly as
+/// h[i] = HashCombine(h[i], HashValueAt(col, i)), one typed loop per type.
+void CombineColumnHashes(const Column& col, uint64_t* h) {
+  const size_t n = col.length();
+  const uint8_t* valid = col.has_nulls() ? col.validity() : nullptr;
+  auto fold = [&](auto value_hash) {
+    if (valid == nullptr) {
+      for (size_t i = 0; i < n; ++i) h[i] = HashCombine(h[i], value_hash(i));
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        h[i] = HashCombine(h[i], bit::GetBit(valid, i) ? value_hash(i) : kNullHash);
+      }
+    }
+  };
+  switch (col.type().id) {
+    case TypeId::kBool: {
+      const uint8_t* v = col.data<uint8_t>();
+      fold([v](size_t i) { return HashMix64(v[i]); });
+      return;
+    }
+    case TypeId::kInt32:
+    case TypeId::kDate32: {
+      const int32_t* v = col.data<int32_t>();
+      fold([v](size_t i) { return HashMix64(static_cast<uint64_t>(v[i])); });
+      return;
+    }
+    case TypeId::kInt64:
+    case TypeId::kDecimal64: {
+      const int64_t* v = col.data<int64_t>();
+      fold([v](size_t i) { return HashMix64(static_cast<uint64_t>(v[i])); });
+      return;
+    }
+    case TypeId::kFloat64: {
+      const double* v = col.data<double>();
+      fold([v](size_t i) {
+        double d = v[i];
+        if (d == 0) d = 0;  // normalize -0.0
+        uint64_t bits;
+        std::memcpy(&bits, &d, sizeof(d));
+        return HashMix64(bits);
+      });
+      return;
+    }
+    case TypeId::kString: {
+      const int64_t* off = col.offsets();
+      const char* chars = col.chars();
+      fold([off, chars](size_t i) {
+        return HashBytes(chars + off[i], static_cast<size_t>(off[i + 1] - off[i]));
+      });
+      return;
+    }
+    case TypeId::kList:
+      fold([&col](size_t i) { return HashValueAt(col, i); });
+      return;
+  }
+}
+
+}  // namespace
+
+std::vector<uint64_t> RowOps::HashAll() const {
+  std::vector<uint64_t> h(keys_.empty() ? 0 : keys_[0]->length(), 0);
+  for (const auto& k : keys_) CombineColumnHashes(*k, h.data());
   return h;
+}
+
+bool RowOps::has_nulls() const {
+  for (const auto& k : keys_) {
+    if (k->has_nulls()) return true;
+  }
+  return false;
 }
 
 bool RowOps::AnyNull(size_t i) const {
@@ -127,15 +196,6 @@ bool RowOps::AnyNull(size_t i) const {
     if (k->IsNull(i)) return true;
   }
   return false;
-}
-
-bool RowOps::EqualsNullEqual(size_t i, const RowOps& other, size_t j) const {
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    if (!ValueEquals(*keys_[k], i, *other.keys_[k], j, /*null_equal=*/true)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 int RowOps::Compare(size_t i, size_t j, const std::vector<bool>& descending) const {
@@ -149,5 +209,32 @@ int RowOps::Compare(size_t i, size_t j, const std::vector<bool>& descending) con
   }
   return 0;
 }
+
+Status CheckKeyTypes(const char* kernel, const std::vector<format::ColumnPtr>& left,
+                     const std::vector<format::ColumnPtr>& right) {
+  for (size_t k = 0; k < left.size(); ++k) {
+    if (!format::SameRepresentation(left[k]->type(), right[k]->type())) {
+      return Status::TypeError(std::string(kernel) + ": key " + std::to_string(k) +
+                               " compares " + left[k]->type().ToString() + " with " +
+                               right[k]->type().ToString());
+    }
+  }
+  return Status::OK();
+}
+
+namespace row_eq {
+
+KeyByKey::KeyByKey(const std::vector<format::ColumnPtr>& a,
+                   const std::vector<format::ColumnPtr>& b) {
+  auto side = [](const Column& c) {
+    return Side{c.has_nulls() ? c.validity() : nullptr, c.data<uint8_t>(), &c};
+  };
+  keys_.reserve(a.size());
+  for (size_t k = 0; k < a.size(); ++k) {
+    keys_.push_back({a[k]->type().id, side(*a[k]), side(*b[k])});
+  }
+}
+
+}  // namespace row_eq
 
 }  // namespace sirius::gdf

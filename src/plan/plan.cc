@@ -197,6 +197,24 @@ Status CheckColumnRange(const std::vector<int>& cols, const Schema& schema,
   return Status::OK();
 }
 
+/// TypeError unless each left key column is stored like its right partner
+/// (format::SameRepresentation): the join kernels read both sides of a key
+/// pair with one type. Both ranges must already be checked.
+Status CheckJoinKeyTypes(const std::vector<int>& left_cols, const Schema& left,
+                         const std::vector<int>& right_cols, const Schema& right,
+                         const char* what) {
+  for (size_t k = 0; k < left_cols.size(); ++k) {
+    const format::Field& l = left.field(left_cols[k]);
+    const format::Field& r = right.field(right_cols[k]);
+    if (!format::SameRepresentation(l.type, r.type)) {
+      return Status::TypeError(std::string(what) + ": " + l.name + " (" +
+                               l.type.ToString() + ") and " + r.name + " (" +
+                               r.type.ToString() + ") have different types");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string PlanNode::ToString() const {
@@ -232,11 +250,17 @@ Status PlanNode::Validate() const {
           CheckColumnRange(left_keys, children[0]->output_schema, "Join.left"));
       SIRIUS_RETURN_NOT_OK(
           CheckColumnRange(right_keys, children[1]->output_schema, "Join.right"));
+      SIRIUS_RETURN_NOT_OK(CheckJoinKeyTypes(left_keys, children[0]->output_schema,
+                                             right_keys, children[1]->output_schema,
+                                             "Join keys"));
       if (join_type == JoinType::kAsof) {
         SIRIUS_RETURN_NOT_OK(CheckColumnRange(
             {asof_left_on}, children[0]->output_schema, "Join.asof_left"));
         SIRIUS_RETURN_NOT_OK(CheckColumnRange(
             {asof_right_on}, children[1]->output_schema, "Join.asof_right"));
+        SIRIUS_RETURN_NOT_OK(CheckJoinKeyTypes(
+            {asof_left_on}, children[0]->output_schema, {asof_right_on},
+            children[1]->output_schema, "AsofJoin ordering columns"));
       }
       break;
     case PlanKind::kAggregate:
@@ -318,6 +342,8 @@ Result<PlanPtr> MakeJoin(PlanPtr left, PlanPtr right, JoinType type,
   SIRIUS_RETURN_NOT_OK(CheckColumnRange(left_keys, left->output_schema, "Join.left"));
   SIRIUS_RETURN_NOT_OK(
       CheckColumnRange(right_keys, right->output_schema, "Join.right"));
+  SIRIUS_RETURN_NOT_OK(CheckJoinKeyTypes(left_keys, left->output_schema, right_keys,
+                                         right->output_schema, "Join keys"));
 
   Schema out;
   for (const auto& f : left->output_schema.fields()) out.AddField(f);
@@ -350,6 +376,9 @@ Result<PlanPtr> MakeAsofJoin(PlanPtr left, PlanPtr right,
       CheckColumnRange({left_on}, left->output_schema, "AsofJoin.left_on"));
   SIRIUS_RETURN_NOT_OK(
       CheckColumnRange({right_on}, right->output_schema, "AsofJoin.right_on"));
+  SIRIUS_RETURN_NOT_OK(CheckJoinKeyTypes({left_on}, left->output_schema, {right_on},
+                                         right->output_schema,
+                                         "AsofJoin ordering columns"));
   SIRIUS_ASSIGN_OR_RETURN(
       PlanPtr node, MakeJoin(std::move(left), std::move(right), JoinType::kAsof,
                              std::move(by_left), std::move(by_right)));

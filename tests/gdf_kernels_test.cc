@@ -40,17 +40,18 @@ TablePtr MakeTable(std::vector<format::Field> fields,
 
 TEST(RowOpsTest, HashIsConsistentAcrossTypes) {
   auto ints = Column::FromInt64({1, 2, 1});
-  RowOps ops({ints});
-  EXPECT_EQ(ops.Hash(0), ops.Hash(2));
-  EXPECT_NE(ops.Hash(0), ops.Hash(1));
+  const std::vector<uint64_t> h = RowOps({ints}).HashAll();
+  ASSERT_EQ(h.size(), 3u);
+  EXPECT_EQ(h[0], h[2]);
+  EXPECT_NE(h[0], h[1]);
 }
 
 TEST(RowOpsTest, MultiKeyHashCombinesInOrder) {
   auto a = Column::FromInt64({1, 2});
   auto b = Column::FromInt64({2, 1});
-  RowOps ab({a, b});
+  const std::vector<uint64_t> h = RowOps({a, b}).HashAll();
   // (1,2) vs (2,1) must hash differently.
-  EXPECT_NE(ab.Hash(0), ab.Hash(1));
+  EXPECT_NE(h[0], h[1]);
 }
 
 TEST(RowOpsTest, NullSemantics) {
@@ -58,9 +59,16 @@ TEST(RowOpsTest, NullSemantics) {
   RowOps ops({c});
   EXPECT_FALSE(ops.AnyNull(0));
   EXPECT_TRUE(ops.AnyNull(1));
-  // NULL == NULL under group-by semantics.
-  EXPECT_TRUE(ops.EqualsNullEqual(1, ops, 1));
-  EXPECT_FALSE(ops.EqualsNullEqual(0, ops, 1));
+  // NULL == NULL under group-by semantics; a value never equals NULL.
+  auto s = Column::FromStrings({"x", "x"}, {true, false});
+  for (const RowOps& keys : {ops, RowOps({s}), RowOps({c, s})}) {
+    WithRowEquality(keys, keys, [](const auto& eq) {
+      EXPECT_TRUE(eq(0, 0));
+      EXPECT_TRUE(eq(1, 1));
+      EXPECT_FALSE(eq(0, 1));
+      EXPECT_FALSE(eq(1, 0));
+    });
+  }
 }
 
 TEST(RowOpsTest, CompareOrdersNullsLast) {

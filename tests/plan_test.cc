@@ -297,5 +297,121 @@ TEST(PlanTest, MalformedExpressionsAreErrors) {
   }
 }
 
+TEST(PlanTest, MismatchedJoinKeyTypesAreErrors) {
+  // The join kernels read both sides of a key pair with one type, so a key
+  // pair of different types must be refused where plans are built, not
+  // answered wrongly. Equalities over expressions stay filters.
+  host::Database db;
+  std::vector<int64_t> big(1000);
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<int64_t>(i);
+  std::vector<int32_t> small(200);
+  for (size_t i = 0; i < small.size(); ++i) small[i] = static_cast<int32_t>(i * 2);
+  std::vector<int64_t> cents(100), basis_points(100);
+  for (size_t i = 0; i < cents.size(); ++i) {
+    cents[i] = static_cast<int64_t>(i) * 100;          // i.00 at scale 2
+    basis_points[i] = static_cast<int64_t>(i) * 10000;  // i.0000 at scale 4
+  }
+  auto table = [](const std::string& col, format::ColumnPtr c) {
+    return format::Table::Make(Schema({{col, c->type()}}), {c}).ValueOrDie();
+  };
+  SIRIUS_CHECK_OK(db.CreateTable("big64", table("a", format::Column::FromInt64(big))));
+  SIRIUS_CHECK_OK(
+      db.CreateTable("small32", table("b", format::Column::FromInt32(small))));
+  SIRIUS_CHECK_OK(
+      db.CreateTable("dec2", table("x", format::Column::FromDecimal(cents, 2))));
+  SIRIUS_CHECK_OK(
+      db.CreateTable("dec4", table("y", format::Column::FromDecimal(basis_points, 4))));
+  std::vector<int32_t> days(100);
+  std::vector<int64_t> units(100);
+  for (size_t i = 0; i < days.size(); ++i) {
+    days[i] = static_cast<int32_t>(i);
+    units[i] = static_cast<int64_t>(i);
+  }
+  SIRIUS_CHECK_OK(db.CreateTable("days", table("d", format::Column::FromDate(days))));
+  SIRIUS_CHECK_OK(
+      db.CreateTable("dec0", table("z", format::Column::FromDecimal(units, 0))));
+  SIRIUS_CHECK_OK(db.CreateTable(
+      "trades",
+      format::Table::Make(Schema({{"symbol", format::String()},
+                                  {"t_time", format::Int64()}}),
+                          {format::Column::FromStrings({"A", "A", "B"}),
+                           format::Column::FromInt64({3, 10, 4})})
+          .ValueOrDie()));
+  SIRIUS_CHECK_OK(db.CreateTable(
+      "quotes",
+      format::Table::Make(Schema({{"q_symbol", format::String()},
+                                  {"q_time", format::Int32()}}),
+                          {format::Column::FromStrings({"A", "B"}),
+                           format::Column::FromInt32({2, 3})})
+          .ValueOrDie()));
+
+  const std::vector<std::string> mismatched = {
+      "SELECT count(*) FROM big64, small32 WHERE a = b",
+      "SELECT count(*) FROM big64 JOIN small32 ON a = b",
+      "SELECT count(*) FROM small32 JOIN big64 ON b = a",
+      "SELECT count(*) FROM dec2, dec4 WHERE x = y",
+      "SELECT symbol, t_time FROM trades ASOF JOIN quotes "
+      "ON symbol = q_symbol AND t_time >= q_time",
+  };
+  engine::SiriusEngine eng(&db, {});
+  for (host::Accelerator* accelerator : {static_cast<host::Accelerator*>(nullptr),
+                                         static_cast<host::Accelerator*>(&eng)}) {
+    db.SetAccelerator(accelerator);
+    const std::string engine_name = accelerator == nullptr ? "cpu" : "sirius";
+    for (const std::string& sql : mismatched) {
+      auto r = db.Query(sql);
+      ASSERT_FALSE(r.ok()) << engine_name << ": " << sql;
+      EXPECT_EQ(r.status().code(), StatusCode::kTypeError) << engine_name << ": " << sql;
+    }
+    // The message names both types.
+    const std::string msg =
+        db.Query("SELECT count(*) FROM big64 JOIN small32 ON a = b").status().message();
+    EXPECT_NE(msg.find("INT64"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("INT32"), std::string::npos) << msg;
+
+    // Equalities over expressions are filters, and answer correctly.
+    auto count = [&](const std::string& sql) {
+      auto r = db.Query(sql);
+      SIRIUS_CHECK_OK(r.status());
+      return r.ValueOrDie().table->column(0)->GetScalar(0).int_value();
+    };
+    EXPECT_EQ(count("SELECT count(*) FROM big64, small32 WHERE a + 0 = b"), 200)
+        << engine_name;
+    EXPECT_EQ(count("SELECT count(*) FROM dec2, dec4 WHERE x + 0 = y"), 100)
+        << engine_name;
+    // Keys stored alike are not mismatched: DATE32 is stored as INT32 and
+    // DECIMAL64(0) as INT64, so both pairs join.
+    EXPECT_EQ(count("SELECT count(*) FROM small32, days WHERE b = d"), 50)
+        << engine_name;
+    EXPECT_EQ(count("SELECT count(*) FROM big64 JOIN dec0 ON a = z"), 100)
+        << engine_name;
+  }
+  db.SetAccelerator(nullptr);
+
+  // A hand-built or deserialized join node is checked the same way.
+  auto join = MakeJoin(Scan(), Scan(), JoinType::kInner, {0}, {0}).ValueOrDie();
+  auto bad = std::make_shared<PlanNode>(*join);
+  bad->right_keys = {1};  // INT64 against DECIMAL64(2)
+  EXPECT_EQ(bad->Validate().code(), StatusCode::kTypeError);
+  EXPECT_EQ(MakeJoin(Scan(), Scan(), JoinType::kInner, {0}, {1}).status().code(),
+            StatusCode::kTypeError);
+  const std::string wire = SerializePlan(join);
+  const std::string bad_wire = SerializePlan(bad);
+  ASSERT_NE(wire, bad_wire);
+  EXPECT_TRUE(DeserializePlan(wire, TestResolver()).ok());
+  EXPECT_EQ(DeserializePlan(bad_wire, TestResolver()).status().code(),
+            StatusCode::kTypeError);
+  host::Database tdb;
+  SIRIUS_CHECK_OK(tdb.CreateTable(
+      "t", format::Table::Make(TestSchema(),
+                               {format::Column::FromInt64({1, 2}),
+                                format::Column::FromDecimal({100, 250}, 2),
+                                format::Column::FromStrings({"abc", "xy"})})
+               .ValueOrDie()));
+  engine::SiriusEngine teng(&tdb, {});
+  ASSERT_TRUE(teng.ExecuteSubstrait(wire).ok());
+  EXPECT_EQ(teng.ExecuteSubstrait(bad_wire).status().code(), StatusCode::kTypeError);
+}
+
 }  // namespace
 }  // namespace sirius::plan
