@@ -39,7 +39,7 @@ stage_desc() {
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
     tsan)         echo "ThreadSanitizer build + serving-layer, codec, spill and cluster suites" ;;
     asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr/keys suites" ;;
-    bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots" ;;
+    bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots + Fig 4 scale invariance (loaded SF 0.01 vs 0.1)" ;;
     *)            echo "unknown" ;;
   esac
 }
@@ -181,7 +181,16 @@ stage_bench_gate() {
     echo "--- $b"
     SIRIUS_BENCH_JSON_DIR="$out" "$BUILD/bench/$b"
   done
-  python3 scripts/bench_gate.py --fresh "$out" --baseline bench
+  python3 scripts/bench_gate.py --fresh "$out" --baseline bench || return 1
+  # Modeled SF-100 numbers must not depend on the loaded SF: re-run Fig 4
+  # on ten times the data (every query must still run on the device, which
+  # the bench checks itself) and compare it with the SF 0.01 run above.
+  local big="$BUILD/bench-json-sf0.1"
+  rm -rf "$big" && mkdir -p "$big"
+  echo "--- bench_fig4_tpch_single_node (SIRIUS_SF=0.1)"
+  SIRIUS_SF=0.1 SIRIUS_BENCH_JSON_DIR="$big" \
+    "$BUILD/bench/bench_fig4_tpch_single_node" || return 1
+  python3 scripts/scale_gate.py --low "$out" --high "$big"
 }
 
 usage() {

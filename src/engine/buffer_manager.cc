@@ -13,8 +13,7 @@ BufferManager::BufferManager(Options options)
           static_cast<double>(options.device_capacity_bytes) *
           options.cache_fraction)),
       processing_capacity_(options.device_capacity_bytes - cache_capacity_),
-      device_mem_(/*capacity=*/0, "device-hbm"),
-      pool_(&device_mem_, options.pool_bytes),
+      pool_(mem::DefaultResource()),
       processing_reservations_(processing_capacity_, "processing-region") {}
 
 namespace {

@@ -45,11 +45,6 @@ class BufferManager {
     double cache_fraction = 0.5;
     /// Host<->device link used for cold loads.
     sim::Link host_link = sim::NvlinkC2c();
-    /// A-priori compression-ratio estimate, used only for the out-of-core
-    /// sizing pre-check; actual cache accounting uses the real encoded size.
-    double compression_ratio = 2.5;
-    /// Actual pool bytes backing the processing region allocator.
-    uint64_t pool_bytes = 64ull << 20;
     /// When set, processing_resource() returns this instead of the built-in
     /// pool — the hook for injecting allocation pressure (fault tests) or an
     /// instrumented allocator. Not owned.
@@ -120,7 +115,6 @@ class BufferManager {
   /// Modeled compressed bytes resident in the caching region.
   uint64_t cached_modeled_bytes() const;
   uint64_t cache_capacity_bytes() const { return cache_capacity_; }
-  double compression_ratio() const { return options_.compression_ratio; }
   uint64_t processing_capacity_bytes() const { return processing_capacity_; }
   /// Number of LRU evictions performed (cache-pressure diagnostics).
   uint64_t eviction_count() const;
@@ -138,7 +132,8 @@ class BufferManager {
   }
 
   /// The allocator backing the processing region (RMM pool equivalent), or
-  /// the configured override.
+  /// the configured override. It recycles blocks but enforces no capacity:
+  /// ReserveProcessing and the reservation pool bound the modeled region.
   mem::MemoryResource* processing_resource() {
     return options_.processing_override != nullptr
                ? options_.processing_override
@@ -199,7 +194,6 @@ class BufferManager {
   Options options_;
   uint64_t cache_capacity_;
   uint64_t processing_capacity_;
-  mem::SystemMemoryResource device_mem_;
   mem::PoolMemoryResource pool_;
   mem::ReservationPool processing_reservations_;
 

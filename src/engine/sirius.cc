@@ -107,6 +107,11 @@ namespace {
 /// namespace disjoint from LifetimeTracker generations (cache entries).
 constexpr uint64_t kPipelineResourceBase = 1ull << 32;
 
+/// A-priori compression-ratio estimate of the caching region, used only for
+/// RunScan's out-of-core sizing pre-check; the cache itself accounts the
+/// real encoded size.
+constexpr double kCacheCompressionEstimate = 2.5;
+
 uint64_t PipelineResource(int id) {
   return kPipelineResourceBase + static_cast<uint64_t>(id);
 }
@@ -380,7 +385,7 @@ class PipelineRunner {
         static_cast<uint64_t>(static_cast<double>(scanned_raw) *
                               ctx.sim.data_scale);
     const uint64_t compressed_bytes = static_cast<uint64_t>(
-        static_cast<double>(modeled_bytes) / bm_->compression_ratio());
+        static_cast<double>(modeled_bytes) / kCacheCompressionEstimate);
 
     if (compressed_bytes <= bm_->cache_capacity_bytes() ||
         !options_.out_of_core) {

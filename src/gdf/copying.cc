@@ -14,11 +14,11 @@ using format::TypeId;
 
 namespace {
 
-// Gather output buffers come from ctx.mr — the processing region when the
-// engine drives the kernel. Allocation failures (real pool exhaustion or an
-// injected pressure resource) propagate as OutOfMemory; they must never
-// abort, since the engine heals them by evicting/spilling or falling back
-// to the CPU engine (§3.4).
+// Gather output buffers come from ctx.mr — the processing region's pool when
+// the engine drives the kernel. Allocation failures (a failed heap
+// allocation or an injected pressure resource) propagate as OutOfMemory;
+// they must never abort, since the engine heals them by evicting/spilling or
+// falling back to the CPU engine (§3.4).
 template <typename T>
 Result<ColumnPtr> GatherFixed(const Context& ctx, const ColumnPtr& col,
                               const std::vector<index_t>& indices,

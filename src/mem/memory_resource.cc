@@ -1,5 +1,6 @@
 #include "mem/memory_resource.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/bitutil.h"
@@ -11,30 +12,25 @@ constexpr size_t kAlignment = 64;
 constexpr size_t kMinClass = 64;
 
 size_t AlignUp(size_t v, size_t a) { return (v + a - 1) / a * a; }
+
+/// Power-of-two size class of a pool request.
+size_t ClassFor(size_t size) { return bit::NextPow2(std::max(size, kMinClass)); }
 }  // namespace
 
-SystemMemoryResource::SystemMemoryResource(size_t capacity, std::string name)
-    : capacity_(capacity), name_(std::move(name)) {}
+SystemMemoryResource::SystemMemoryResource(std::string name)
+    : name_(std::move(name)) {}
 
 SystemMemoryResource::~SystemMemoryResource() = default;
 
 Status SystemMemoryResource::Allocate(size_t size, void** out) {
   if (size == 0) size = kAlignment;
   size = AlignUp(size, kAlignment);
-  size_t prev = allocated_.fetch_add(size);
-  if (capacity_ != 0 && prev + size > capacity_) {
-    allocated_.fetch_sub(size);
-    return Status::OutOfMemory(name_ + ": allocation of " + std::to_string(size) +
-                               " bytes exceeds capacity " +
-                               std::to_string(capacity_) + " (in use " +
-                               std::to_string(prev) + ")");
-  }
   void* p = std::aligned_alloc(kAlignment, size);
   if (p == nullptr) {
-    allocated_.fetch_sub(size);
     return Status::OutOfMemory(name_ + ": aligned_alloc failed for " +
                                std::to_string(size) + " bytes");
   }
+  allocated_.fetch_add(size);
   *out = p;
   return Status::OK();
 }
@@ -46,43 +42,31 @@ void SystemMemoryResource::Deallocate(void* ptr, size_t size) {
   allocated_.fetch_sub(AlignUp(size, kAlignment));
 }
 
-PoolMemoryResource::PoolMemoryResource(MemoryResource* upstream, size_t pool_size)
-    : upstream_(upstream), pool_size_(pool_size) {
-  void* p = nullptr;
-  Status st = upstream_->Allocate(pool_size_, &p);
-  SIRIUS_CHECK_OK(st);
-  arena_ = static_cast<uint8_t*>(p);
-}
+PoolMemoryResource::PoolMemoryResource(MemoryResource* upstream)
+    : upstream_(upstream) {}
 
 PoolMemoryResource::~PoolMemoryResource() {
-  upstream_->Deallocate(arena_, pool_size_);
-}
-
-size_t PoolMemoryResource::ClassFor(size_t size) const {
-  if (size < kMinClass) size = kMinClass;
-  return bit::NextPow2(size);
+  for (const auto& [cls, blocks] : free_lists_) {
+    for (void* p : blocks) upstream_->Deallocate(p, cls);
+  }
 }
 
 Status PoolMemoryResource::Allocate(size_t size, void** out) {
   const size_t cls = ClassFor(size);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = free_lists_.find(cls);
-  if (it != free_lists_.end() && !it->second.empty()) {
-    *out = it->second.back();
-    it->second.pop_back();
-    ++free_list_hits_;
-  } else {
-    if (bump_ + cls > pool_size_) {
-      return Status::OutOfMemory(
-          "pool: allocation of " + std::to_string(cls) +
-          " bytes exceeds processing region of " + std::to_string(pool_size_) +
-          " bytes (bump offset " + std::to_string(bump_) + ")");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = free_lists_.find(cls);
+    if (it != free_lists_.end() && !it->second.empty()) {
+      *out = it->second.back();
+      it->second.pop_back();
+      allocated_.fetch_add(cls);
+      return Status::OK();
     }
-    *out = arena_ + bump_;
-    bump_ += cls;
   }
-  allocated_ += cls;
-  high_water_ = std::max(high_water_, allocated_);
+  // A miss goes to the upstream outside the lock, so concurrent gathers do
+  // not queue behind one another's fresh allocations.
+  SIRIUS_RETURN_NOT_OK(upstream_->Allocate(cls, out));
+  allocated_.fetch_add(cls);
   return Status::OK();
 }
 
@@ -91,7 +75,7 @@ void PoolMemoryResource::Deallocate(void* ptr, size_t size) {
   const size_t cls = ClassFor(size);
   std::lock_guard<std::mutex> lock(mu_);
   free_lists_[cls].push_back(ptr);
-  allocated_ -= cls;
+  allocated_.fetch_sub(cls);
 }
 
 PressureMemoryResource::PressureMemoryResource(MemoryResource* upstream,
@@ -118,7 +102,7 @@ void PressureMemoryResource::Deallocate(void* ptr, size_t size) {
 }
 
 MemoryResource* DefaultResource() {
-  static SystemMemoryResource resource(0, "host-heap");
+  static SystemMemoryResource resource("host-heap");
   return &resource;
 }
 

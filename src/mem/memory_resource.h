@@ -2,8 +2,9 @@
 //
 // Sirius' buffer manager builds two regions on top of these resources: a
 // pre-allocated caching region and an RMM-pool-managed processing region.
-// On this machine "device memory" is host memory owned by a resource with a
-// capacity limit equal to the modeled device's HBM size.
+// On this machine "device memory" is host memory. These resources enforce
+// no capacity of their own: the buffer manager's modeled regions are the
+// only memory limit.
 
 #pragma once
 
@@ -26,7 +27,7 @@ class MemoryResource {
   virtual ~MemoryResource() = default;
 
   /// Allocates `size` bytes, 64-byte aligned. On success stores the pointer
-  /// in *out. Returns OutOfMemory when the resource's capacity is exhausted.
+  /// in *out. Returns OutOfMemory when the allocation fails.
   virtual Status Allocate(size_t size, void** out) = 0;
 
   /// Returns memory obtained from Allocate. `size` must match.
@@ -39,63 +40,46 @@ class MemoryResource {
   virtual size_t bytes_allocated() const = 0;
 };
 
-/// \brief Heap-backed resource with an optional capacity cap.
-///
-/// Models raw device memory: capacity equals the device's HBM size, so
-/// exceeding it surfaces the same OOM the paper's out-of-core extension
-/// (§3.4) exists to handle.
+/// \brief Heap-backed resource that tracks the bytes it hands out.
 class SystemMemoryResource : public MemoryResource {
  public:
-  /// `capacity` = 0 means unlimited.
-  explicit SystemMemoryResource(size_t capacity = 0, std::string name = "system");
+  explicit SystemMemoryResource(std::string name = "system");
   ~SystemMemoryResource() override;
 
   Status Allocate(size_t size, void** out) override;
   void Deallocate(void* ptr, size_t size) override;
   std::string name() const override { return name_; }
   size_t bytes_allocated() const override { return allocated_.load(); }
-  size_t capacity() const { return capacity_; }
 
  private:
-  size_t capacity_;
   std::string name_;
   std::atomic<size_t> allocated_{0};
 };
 
-/// \brief Pool (arena) resource in the style of rmm::mr::pool_memory_resource.
+/// \brief Recycling pool in the style of rmm::mr::pool_memory_resource.
 ///
-/// Carves allocations out of a pre-reserved arena using power-of-two size
-/// classes with per-class free lists. Used for Sirius' data-processing
-/// region, where intermediate results churn quickly (§3.2.3).
+/// Rounds each request up to a power-of-two size class and keeps freed
+/// blocks on per-class free lists, so the processing region's churning
+/// intermediates (§3.2.3) reuse blocks instead of returning them to the
+/// upstream. A miss takes a fresh block from the upstream. The pool has no
+/// capacity of its own.
 class PoolMemoryResource : public MemoryResource {
  public:
-  /// Pre-reserves `pool_size` bytes from `upstream` (not owned).
-  PoolMemoryResource(MemoryResource* upstream, size_t pool_size);
+  /// `upstream` is not owned and must outlive the pool.
+  explicit PoolMemoryResource(MemoryResource* upstream);
+  /// Returns every cached free block to the upstream.
   ~PoolMemoryResource() override;
 
   Status Allocate(size_t size, void** out) override;
   void Deallocate(void* ptr, size_t size) override;
   std::string name() const override { return "pool(" + upstream_->name() + ")"; }
-  size_t bytes_allocated() const override { return allocated_; }
-
-  size_t pool_size() const { return pool_size_; }
-  /// Highest concurrent allocation seen, for sizing diagnostics.
-  size_t high_water_mark() const { return high_water_; }
-  /// Number of allocations served from a free list (vs carved fresh).
-  size_t free_list_hits() const { return free_list_hits_; }
+  size_t bytes_allocated() const override { return allocated_.load(); }
 
  private:
-  size_t ClassFor(size_t size) const;
-
   MemoryResource* upstream_;
-  size_t pool_size_;
-  uint8_t* arena_ = nullptr;
-  size_t bump_ = 0;  // next fresh offset
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<size_t, std::vector<void*>> free_lists_;  // size class -> blocks
-  size_t allocated_ = 0;
-  size_t high_water_ = 0;
-  size_t free_list_hits_ = 0;
+  std::atomic<size_t> allocated_{0};
 };
 
 /// \brief Adaptor that injects allocation pressure: every Nth allocation

@@ -754,6 +754,38 @@ TEST(SpillChaosTest, BoundedHostSpillIsDiagnosableNotUnbounded) {
               SpillCpuResult(6)->EqualsUnordered(*full.ValueOrDie().table));
 }
 
+TEST(MemoryPressureTest, TpchSuiteAtSf005StaysOnDevice) {
+  // The modeled processing region is the only capacity limit on the device
+  // path. One engine runs the 22 TPC-H queries at loaded SF 0.05 in turn,
+  // as bench_fig4 does. No query holds more than ~40 MiB of gathers live,
+  // but across the suite the pool keeps more than 64 MiB of blocks spread
+  // over its size classes, so a fixed 64 MiB arena runs out on Q21. Every
+  // query must stay on the device and match the CPU engine.
+  host::Database db;
+  SIRIUS_CHECK_OK(tpch::LoadTpch(&db, 0.05));
+  std::vector<TablePtr> expected;
+  for (int q = 1; q <= 22; ++q) {
+    auto cpu = db.Query(tpch::Query(q));
+    ASSERT_TRUE(cpu.ok()) << "Q" << q << ": " << cpu.status().ToString();
+    expected.push_back(cpu.ValueOrDie().table);
+  }
+
+  engine::SiriusEngine engine(&db, {});
+  db.SetAccelerator(&engine);
+  for (int q = 1; q <= 22; ++q) {
+    auto r = db.Query(tpch::Query(q));
+    ASSERT_TRUE(r.ok()) << "Q" << q << ": " << r.status().ToString();
+    EXPECT_TRUE(r.ValueOrDie().accelerated) << "Q" << q;
+    EXPECT_FALSE(r.ValueOrDie().fell_back) << "Q" << q;
+    const TablePtr& want = expected[q - 1];
+    EXPECT_TRUE(want->Equals(*r.ValueOrDie().table) ||
+                want->EqualsUnordered(*r.ValueOrDie().table))
+        << "Q" << q;
+  }
+  db.SetAccelerator(nullptr);
+  EXPECT_EQ(engine.stats().oom_events, 0u);
+}
+
 TEST(MemoryPressureTest, ResultTablesOutliveTheEngine) {
   TablePtr table;
   {

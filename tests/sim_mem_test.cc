@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/buffer.h"
 #include "mem/memory_resource.h"
 #include "sim/cost_model.h"
@@ -171,38 +173,52 @@ TEST(TrendsTest, GpuMemoryReaches288) {
 // ---------------------------------------------------------------------------
 
 TEST(MemoryTest, SystemResourceTracksAndCaps) {
-  mem::SystemMemoryResource r(1 << 20, "test");
+  mem::SystemMemoryResource r("test");
   void* p1 = nullptr;
   SIRIUS_CHECK_OK(r.Allocate(1000, &p1));
   EXPECT_GE(r.bytes_allocated(), 1000u);
-  void* p2 = nullptr;
-  Status st = r.Allocate(2 << 20, &p2);
-  EXPECT_TRUE(st.IsOutOfMemory());
   r.Deallocate(p1, 1000);
   EXPECT_EQ(r.bytes_allocated(), 0u);
 }
 
 TEST(MemoryTest, PoolReusesFreedBlocks) {
   mem::SystemMemoryResource upstream;
-  mem::PoolMemoryResource pool(&upstream, 1 << 20);
+  mem::PoolMemoryResource pool(&upstream);
   void* a = nullptr;
   SIRIUS_CHECK_OK(pool.Allocate(500, &a));
   pool.Deallocate(a, 500);
   void* b = nullptr;
   SIRIUS_CHECK_OK(pool.Allocate(400, &b));  // same 512-byte class
   EXPECT_EQ(a, b);
-  EXPECT_EQ(pool.free_list_hits(), 1u);
-  EXPECT_GT(pool.high_water_mark(), 0u);
+  pool.Deallocate(b, 400);
 }
 
-TEST(MemoryTest, PoolExhaustionIsOom) {
+TEST(MemoryTest, PoolGrowsFromUpstreamAndReturnsItsBlocks) {
+  // The pool has no capacity of its own: it holds more than 64 MiB live,
+  // only an upstream failure is an OutOfMemory, and destroying the pool
+  // hands every block back.
+  constexpr size_t kBlock = 16ull << 20;
   mem::SystemMemoryResource upstream;
-  mem::PoolMemoryResource pool(&upstream, 4096);
-  void* p = nullptr;
-  EXPECT_TRUE(pool.Allocate(8192, &p).IsOutOfMemory());
-  SIRIUS_CHECK_OK(pool.Allocate(2048, &p));
-  void* q = nullptr;
-  EXPECT_TRUE(pool.Allocate(4096, &q).IsOutOfMemory());
+  // Upstream requests 1-5 succeed; request 6 fails.
+  mem::PressureMemoryResource pressure(&upstream, /*fail_every_nth=*/6);
+  {
+    mem::PoolMemoryResource pool(&pressure);
+    std::vector<void*> live(5);
+    for (void*& p : live) SIRIUS_CHECK_OK(pool.Allocate(kBlock, &p));
+    EXPECT_EQ(pool.bytes_allocated(), 5 * kBlock);
+    EXPECT_GT(pool.bytes_allocated(), 64ull << 20);
+    void* extra = nullptr;
+    EXPECT_TRUE(pool.Allocate(kBlock, &extra).IsOutOfMemory());
+    EXPECT_EQ(pool.bytes_allocated(), 5 * kBlock);
+    for (void* p : live) pool.Deallocate(p, kBlock);
+    EXPECT_EQ(pool.bytes_allocated(), 0u);
+    // A freed block serves the next request without touching the upstream.
+    SIRIUS_CHECK_OK(pool.Allocate(kBlock, &extra));
+    EXPECT_EQ(pressure.num_requests(), 6u);
+    pool.Deallocate(extra, kBlock);
+    EXPECT_EQ(upstream.bytes_allocated(), 5 * kBlock);
+  }
+  EXPECT_EQ(upstream.bytes_allocated(), 0u);
 }
 
 TEST(MemoryTest, BufferRaii) {
