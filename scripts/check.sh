@@ -38,7 +38,7 @@ stage_desc() {
     spill)        echo "tiered memory: spill governance + fault recovery (ctest -L spill)" ;;
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
     tsan)         echo "ThreadSanitizer build + serving-layer, codec, spill and cluster suites" ;;
-    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr/keys suites" ;;
+    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr/keys/kernels suites" ;;
     bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots + Fig 4 scale invariance (loaded SF 0.01 vs 0.1)" ;;
     *)            echo "unknown" ;;
   esac
@@ -164,9 +164,11 @@ stage_asan() {
   # 0/1 stride and write validity bitmaps directly; "keys" runs the key
   # kernels' property test, because the join and group-by slots pack 32-bit
   # row ids with hash tags and the typed hash/equality loops index raw
-  # buffers.
+  # buffers; "kernels" runs the gdf kernel suite, because the slice computes
+  # byte ranges and rebased offsets over raw buffers, so an off-by-one is a
+  # heap overflow.
   SIRIUS_RACE_CHECK=1 \
-    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr|keys' --output-on-failure --no-tests=error -j "$JOBS"
+    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr|keys|kernels' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_bench_gate() {

@@ -390,7 +390,8 @@ class DistExecutor {
             // Gathered input: only rank 0 holds data; others send nothing.
             SIRIUS_ASSIGN_OR_RETURN(
                 TablePtr empty,
-                gdf::SliceTable(ctx, child.parts[0], 0, 0));
+                gdf::SliceTable(ctx, child.parts[0],
+                                child.parts[0]->ColumnIndices(), 0, 0));
             matrix[r].assign(n(), empty);
             continue;
           }

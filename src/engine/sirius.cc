@@ -377,13 +377,12 @@ class PipelineRunner {
     const PlanNode& scan = *p.source_scan;
     SIRIUS_ASSIGN_OR_RETURN(TablePtr host_table,
                             host_db_->catalog().GetTable(scan.table_name));
-    uint64_t scanned_raw = 0;
-    for (int c : scan.scan_columns) {
-      scanned_raw += host_table->column(c)->MemoryUsage();
-    }
-    const uint64_t modeled_bytes =
-        static_cast<uint64_t>(static_cast<double>(scanned_raw) *
-                              ctx.sim.data_scale);
+    // Selecting first range-checks the plan against the table as it is now:
+    // a plan bound before the table was replaced may scan a column it lost.
+    SIRIUS_ASSIGN_OR_RETURN(TablePtr scanned,
+                            host_table->SelectColumns(scan.scan_columns));
+    const uint64_t modeled_bytes = static_cast<uint64_t>(
+        static_cast<double>(scanned->MemoryUsage()) * ctx.sim.data_scale);
     const uint64_t compressed_bytes = static_cast<uint64_t>(
         static_cast<double>(modeled_bytes) / kCacheCompressionEstimate);
 
@@ -399,19 +398,19 @@ class PipelineRunner {
     }
 
     // Batch execution: split the input so each modeled batch fits in half of
-    // the caching region, stream each batch over the host link.
+    // the caching region, stream each batch over the host link. Each batch
+    // copies only the scanned columns (the slice still prices the whole row).
     const uint64_t budget = bm_->cache_capacity_bytes() / 2;
     const size_t num_batches =
         static_cast<size_t>((modeled_bytes + budget - 1) / budget);
     const size_t rows_per_batch =
-        (host_table->num_rows() + num_batches - 1) / num_batches;
+        (scanned->num_rows() + num_batches - 1) / num_batches;
     std::vector<TablePtr> outputs;
-    for (size_t offset = 0; offset < host_table->num_rows();
+    for (size_t offset = 0; offset < scanned->num_rows();
          offset += rows_per_batch) {
       SIRIUS_ASSIGN_OR_RETURN(
-          TablePtr batch,
-          gdf::SliceTable(ctx, host_table, offset, rows_per_batch));
-      SIRIUS_ASSIGN_OR_RETURN(batch, batch->SelectColumns(scan.scan_columns));
+          TablePtr batch, gdf::SliceTable(ctx, host_table, scan.scan_columns,
+                                          offset, rows_per_batch));
       ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
                             options_.host_link.TransferSeconds(
                                 batch->MemoryUsage(), ctx.sim.data_scale));
@@ -821,11 +820,8 @@ class PipelineRunner {
 /// the engine (and its processing pool), so they must not alias pool-backed
 /// buffers. Untimed: the copy-out is not part of the modeled query.
 Result<TablePtr> CopyOutResult(const TablePtr& t) {
-  if (t->num_rows() > static_cast<size_t>(INT32_MAX)) return t;
   gdf::Context ctx;  // default resource, no timeline
-  std::vector<gdf::index_t> idx(t->num_rows());
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<gdf::index_t>(i);
-  return gdf::GatherTable(ctx, t, idx, sim::OpCategory::kOther);
+  return gdf::SliceTable(ctx, t, t->ColumnIndices(), 0, t->num_rows());
 }
 
 }  // namespace
@@ -956,14 +952,10 @@ Result<format::TablePtr> SiriusEngine::VectorSearch(
   ctx.sim.data_scale = options_.data_scale;
 
   // All columns participate in the result; cache them like a scan would.
-  std::vector<int> all_columns;
-  for (size_t c = 0; c < host_table->num_columns(); ++c) {
-    all_columns.push_back(static_cast<int>(c));
-  }
   SIRIUS_ASSIGN_OR_RETURN(
       format::TablePtr device_table,
-      buffer_manager_.GetOrCacheColumns(table_name, host_table, all_columns,
-                                        ctx.sim));
+      buffer_manager_.GetOrCacheColumns(table_name, host_table,
+                                        host_table->ColumnIndices(), ctx.sim));
   SIRIUS_ASSIGN_OR_RETURN(
       gdf::TopKResult top,
       gdf::VectorTopK(ctx, device_table->column(emb_idx), query, k, metric));

@@ -1,6 +1,7 @@
 #include "format/table.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 namespace sirius::format {
@@ -69,6 +70,12 @@ Result<TablePtr> Table::SelectColumns(const std::vector<int>& indices) const {
     cols.push_back(columns_[i]);
   }
   return Make(Schema(std::move(fields)), std::move(cols));
+}
+
+std::vector<int> Table::ColumnIndices() const {
+  std::vector<int> indices(columns_.size());
+  std::iota(indices.begin(), indices.end(), 0);
+  return indices;
 }
 
 uint64_t Table::MemoryUsage() const {

@@ -68,6 +68,9 @@ class Table {
   /// Projects a subset of columns (by index) into a new table.
   Result<TablePtr> SelectColumns(const std::vector<int>& indices) const;
 
+  /// Every column index in order, 0 .. num_columns() - 1.
+  std::vector<int> ColumnIndices() const;
+
   /// Total bytes across all column buffers.
   uint64_t MemoryUsage() const;
 

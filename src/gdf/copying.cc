@@ -157,6 +157,92 @@ Result<ColumnPtr> GatherList(const Context& ctx, const ColumnPtr& col,
                           std::move(validity), null_count);
 }
 
+/// GatherTable's charge for `rows` output rows of every column of `table`.
+sim::KernelCost GatherTableCost(const format::Table& table, size_t rows) {
+  sim::KernelCost cost;
+  cost.rows = rows * std::max<size_t>(1, table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    cost.rand_bytes += rows * table.column(c)->type().byte_width();
+    cost.seq_bytes += rows * table.column(c)->type().byte_width();
+  }
+  return cost;
+}
+
+/// Bits [offset, offset + n) of `col`'s validity, shifted down to bit 0 with
+/// the tail of the last byte cleared. Empty when none of them is NULL, the
+/// rule ValidityFromBools applies to a gather.
+Result<mem::Buffer> SliceValidity(const Context& ctx, const Column& col,
+                                  size_t offset, size_t n, size_t* null_count) {
+  *null_count = 0;
+  if (!col.has_nulls() || n == 0) return mem::Buffer{};
+  const size_t bytes = bit::BytesForBits(n);
+  SIRIUS_ASSIGN_OR_RETURN(mem::Buffer out, mem::Buffer::Allocate(bytes, ctx.mr));
+  const uint8_t* src = col.validity() + offset / 8;
+  const size_t src_bytes = bit::BytesForBits(col.length()) - offset / 8;
+  const unsigned shift = offset % 8;
+  uint8_t* dst = out.data();
+  for (size_t j = 0; j < bytes; ++j) {
+    unsigned v = src[j] >> shift;
+    if (shift != 0 && j + 1 < src_bytes) v |= unsigned{src[j + 1]} << (8 - shift);
+    dst[j] = static_cast<uint8_t>(v);
+  }
+  if (n % 8 != 0) dst[bytes - 1] &= static_cast<uint8_t>((1u << (n % 8)) - 1);
+  *null_count = n - bit::CountSetBits(dst, n);
+  if (*null_count == 0) return mem::Buffer{};
+  return out;
+}
+
+/// Rows [offset, offset + n) of `col` as one contiguous copy per buffer:
+/// values (or chars) in one memcpy, offsets rebased to 0, a list's child
+/// sliced over its element range. The buffers match GatherImpl's over the
+/// same rows byte for byte, and are allocated in the same order.
+Result<ColumnPtr> SliceColumn(const Context& ctx, const ColumnPtr& col,
+                              size_t offset, size_t n) {
+  const format::DataType& type = col->type();
+  size_t null_count = 0;
+  if (!type.is_string() && !type.is_list()) {
+    const size_t width = static_cast<size_t>(type.byte_width());
+    SIRIUS_ASSIGN_OR_RETURN(mem::Buffer data,
+                            mem::Buffer::Allocate(n * width, ctx.mr));
+    if (n > 0) {
+      std::memcpy(data.data(), col->data<uint8_t>() + offset * width, n * width);
+    }
+    SIRIUS_ASSIGN_OR_RETURN(mem::Buffer validity,
+                            SliceValidity(ctx, *col, offset, n, &null_count));
+    return Column::MakeFixed(type, std::move(data), n, std::move(validity),
+                             null_count);
+  }
+
+  const int64_t* src_off = n > 0 ? col->offsets() + offset : nullptr;
+  const int64_t begin = n > 0 ? src_off[0] : 0;
+  const size_t elems = n > 0 ? static_cast<size_t>(src_off[n] - begin) : 0;
+  mem::Buffer chars;
+  ColumnPtr child;
+  if (type.is_string()) {
+    SIRIUS_ASSIGN_OR_RETURN(chars, mem::Buffer::Allocate(elems, ctx.mr));
+    // Only an all-empty range leaves `chars` null: memcpy must not see it.
+    if (elems > 0) std::memcpy(chars.data(), col->chars() + begin, elems);
+  } else {
+    SIRIUS_ASSIGN_OR_RETURN(
+        child, SliceColumn(ctx, col->list_child(), static_cast<size_t>(begin),
+                           elems));
+  }
+  SIRIUS_ASSIGN_OR_RETURN(
+      mem::Buffer off_buf,
+      mem::Buffer::Allocate((n + 1) * sizeof(int64_t), ctx.mr));
+  int64_t* off = off_buf.data_as<int64_t>();
+  off[0] = 0;
+  for (size_t k = 1; k <= n; ++k) off[k] = src_off[k] - begin;
+  SIRIUS_ASSIGN_OR_RETURN(mem::Buffer validity,
+                          SliceValidity(ctx, *col, offset, n, &null_count));
+  if (type.is_string()) {
+    return Column::MakeString(std::move(off_buf), std::move(chars), n,
+                              std::move(validity), null_count);
+  }
+  return Column::MakeList(std::move(off_buf), std::move(child), n,
+                          std::move(validity), null_count);
+}
+
 /// Column `c` of every table, stacked into the buffers ColumnBuilder::Finish
 /// produces from the boxed values: BOOLs as 0/1, NULL slots zero (empty for
 /// strings), and a validity bitmap only when some row is NULL. The output
@@ -286,13 +372,7 @@ Result<ColumnPtr> GatherColumnUncharged(const Context& ctx, const ColumnPtr& col
 Result<TablePtr> GatherTable(const Context& ctx, const TablePtr& table,
                              const std::vector<index_t>& indices,
                              sim::OpCategory charge_as, bool nulls_for_negative) {
-  sim::KernelCost cost;
-  cost.rows = indices.size() * std::max<size_t>(1, table->num_columns());
-  for (size_t c = 0; c < table->num_columns(); ++c) {
-    cost.rand_bytes += indices.size() * table->column(c)->type().byte_width();
-    cost.seq_bytes += indices.size() * table->column(c)->type().byte_width();
-  }
-  ctx.Charge(charge_as, cost);
+  ctx.Charge(charge_as, GatherTableCost(*table, indices.size()));
 
   std::vector<ColumnPtr> cols;
   cols.reserve(table->num_columns());
@@ -341,13 +421,20 @@ Result<TablePtr> ConcatTables(const Context& ctx,
 }
 
 Result<TablePtr> SliceTable(const Context& ctx, const TablePtr& table,
-                            size_t offset, size_t length) {
-  length = std::min(length, table->num_rows() > offset
-                                ? table->num_rows() - offset
-                                : size_t{0});
-  std::vector<index_t> indices(length);
-  for (size_t i = 0; i < length; ++i) indices[i] = static_cast<index_t>(offset + i);
-  return GatherTable(ctx, table, indices, sim::OpCategory::kOther);
+                            const std::vector<int>& columns, size_t offset,
+                            size_t length) {
+  SIRIUS_ASSIGN_OR_RETURN(TablePtr selected, table->SelectColumns(columns));
+  offset = std::min(offset, table->num_rows());
+  length = std::min(length, table->num_rows() - offset);
+  ctx.Charge(sim::OpCategory::kOther, GatherTableCost(*table, length));
+
+  std::vector<ColumnPtr> cols;
+  cols.reserve(selected->num_columns());
+  for (const ColumnPtr& col : selected->columns()) {
+    SIRIUS_ASSIGN_OR_RETURN(ColumnPtr out, SliceColumn(ctx, col, offset, length));
+    cols.push_back(std::move(out));
+  }
+  return format::Table::Make(selected->schema(), std::move(cols));
 }
 
 }  // namespace sirius::gdf

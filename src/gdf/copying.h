@@ -42,9 +42,24 @@ Result<format::TablePtr> GatherTable(const Context& ctx,
 Result<format::TablePtr> ConcatTables(const Context& ctx,
                                       const std::vector<format::TablePtr>& tables);
 
-/// Rows [offset, offset+length) of a table as a new (copied) table.
+/// \brief Rows [offset, offset+length) of `columns` of `table` (by index,
+/// in that order, repeats allowed) as a new table of copies. A range past the
+/// end is clamped; an index out of range is an IndexError.
+///
+/// Each column is one contiguous copy from `ctx.mr`: fixed-width values in
+/// one memcpy; a string's chars range in one memcpy with its offsets rebased
+/// to 0; a list's offsets rebased and its child sliced the same way; a
+/// validity bitmap only when the range holds a NULL. The buffers equal what
+/// GatherTable produces over the identity range, byte for byte.
+///
+/// The charge is GatherTable's, as one kOther launch, over every column of
+/// `table` and not only the copied ones. The out-of-core batch loop slices
+/// only the columns its scan reads, and charging just those would move every
+/// modeled out-of-core number; that re-pricing waits for the paper-shape
+/// gates, so the model's bytes stay those of a whole-table slice.
 Result<format::TablePtr> SliceTable(const Context& ctx,
-                                    const format::TablePtr& table, size_t offset,
-                                    size_t length);
+                                    const format::TablePtr& table,
+                                    const std::vector<int>& columns,
+                                    size_t offset, size_t length);
 
 }  // namespace sirius::gdf

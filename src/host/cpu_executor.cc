@@ -166,7 +166,8 @@ Result<TablePtr> ExecLimit(const PlanNode& node, const TablePtr& input,
                            const gdf::Context& ctx) {
   size_t limit =
       node.limit < 0 ? input->num_rows() : static_cast<size_t>(node.limit);
-  return gdf::SliceTable(ctx, input, static_cast<size_t>(node.offset), limit);
+  return gdf::SliceTable(ctx, input, input->ColumnIndices(),
+                         static_cast<size_t>(node.offset), limit);
 }
 
 Result<TablePtr> ExecDistinct(const TablePtr& input, const gdf::Context& ctx) {

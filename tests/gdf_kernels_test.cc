@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <numeric>
+#include <random>
 
 #include "format/builder.h"
 #include "gdf/copying.h"
@@ -165,6 +167,38 @@ TEST(ConcatTest, SchemaMismatchRejected) {
   EXPECT_FALSE(ConcatTables(ctx, {t1, t2}).ok());
 }
 
+/// Every buffer of `got` equals `want`'s byte for byte, list children too.
+void ExpectSameBytes(const Column& got, const Column& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.type(), want.type()) << what;
+  ASSERT_EQ(got.length(), want.length()) << what;
+  ASSERT_EQ(got.null_count(), want.null_count()) << what;
+  ASSERT_EQ(got.MemoryUsage(), want.MemoryUsage()) << what;
+  ASSERT_EQ(got.data_size(), want.data_size()) << what;
+  ASSERT_EQ(got.chars_size(), want.chars_size()) << what;
+  ASSERT_EQ(got.validity() == nullptr, want.validity() == nullptr) << what;
+  if (want.validity() != nullptr) {
+    EXPECT_EQ(std::memcmp(got.validity(), want.validity(),
+                          bit::BytesForBits(want.length())),
+              0)
+        << what;
+  }
+  if (want.data_size() > 0) {
+    EXPECT_EQ(std::memcmp(got.data<uint8_t>(), want.data<uint8_t>(),
+                          want.data_size()),
+              0)
+        << what;
+  }
+  if (want.chars_size() > 0) {
+    EXPECT_EQ(std::memcmp(got.chars(), want.chars(), want.chars_size()), 0)
+        << what;
+  }
+  ASSERT_EQ(got.list_child() == nullptr, want.list_child() == nullptr) << what;
+  if (want.list_child() != nullptr) {
+    ExpectSameBytes(*got.list_child(), *want.list_child(), what + " child");
+  }
+}
+
 TEST(ConcatTest, TypedCopyMatchesBoxedBuilder) {
   // The typed copy must produce the bytes a ColumnBuilder fed one boxed
   // value at a time produces: BOOLs normalized to 0/1, NULL slots zeroed or
@@ -220,32 +254,9 @@ TEST(ConcatTest, TypedCopyMatchesBoxedBuilder) {
         }
       }
       const ColumnPtr want = b.Finish();
-      const Column& g = *got->column(c);
-      const std::string what = "case " + std::to_string(k) + " column " +
-                               schema.field(c).name;
-      ASSERT_EQ(g.type(), want->type()) << what;
-      ASSERT_EQ(g.length(), want->length()) << what;
-      ASSERT_EQ(g.null_count(), want->null_count()) << what;
-      ASSERT_EQ(g.MemoryUsage(), want->MemoryUsage()) << what;
-      ASSERT_EQ(g.data_size(), want->data_size()) << what;
-      ASSERT_EQ(g.validity() == nullptr, want->validity() == nullptr) << what;
-      if (want->validity() != nullptr) {
-        EXPECT_EQ(std::memcmp(g.validity(), want->validity(),
-                              bit::BytesForBits(want->length())),
-                  0)
-            << what;
-      }
-      if (want->data_size() > 0) {
-        EXPECT_EQ(std::memcmp(g.data<uint8_t>(), want->data<uint8_t>(),
-                              want->data_size()),
-                  0)
-            << what;
-      }
-      ASSERT_EQ(g.chars_size(), want->chars_size()) << what;
-      if (want->chars_size() > 0) {
-        EXPECT_EQ(std::memcmp(g.chars(), want->chars(), want->chars_size()), 0)
-            << what;
-      }
+      ExpectSameBytes(*got->column(c), *want,
+                      "case " + std::to_string(k) + " column " +
+                          schema.field(c).name);
     }
   }
 }
@@ -254,12 +265,140 @@ TEST(SliceTest, OffsetAndClamping) {
   auto t = MakeTable({{"i", format::Int64()}},
                      {Column::FromInt64({1, 2, 3, 4, 5})});
   auto ctx = Ctx();
-  auto out = SliceTable(ctx, t, 1, 2).ValueOrDie();
+  auto out = SliceTable(ctx, t, {0}, 1, 2).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 2u);
   EXPECT_EQ(out->column(0)->data<int64_t>()[0], 2);
   // Length clamps at the end; offset past the end yields zero rows.
-  EXPECT_EQ(SliceTable(ctx, t, 3, 100).ValueOrDie()->num_rows(), 2u);
-  EXPECT_EQ(SliceTable(ctx, t, 9, 1).ValueOrDie()->num_rows(), 0u);
+  EXPECT_EQ(SliceTable(ctx, t, {0}, 3, 100).ValueOrDie()->num_rows(), 2u);
+  EXPECT_EQ(SliceTable(ctx, t, {0}, 9, 1).ValueOrDie()->num_rows(), 0u);
+  // A column the table does not have is an error, as in SelectColumns.
+  EXPECT_EQ(SliceTable(ctx, t, {1}, 0, 1).status().code(),
+            StatusCode::kIndexError);
+}
+
+/// A column of `type` with `rows` random rows. NULL slots keep non-zero
+/// values and non-empty chars, BOOL bytes range over 0..255, and strings and
+/// lists include empty ones: the raw bytes a slice must carry over as is.
+ColumnPtr RandomColumn(std::mt19937_64& rng, const format::DataType& type,
+                       size_t rows, bool nulls) {
+  std::vector<bool> valid(rows, true);
+  if (nulls) {
+    for (size_t i = 0; i < rows; ++i) valid[i] = rng() % 4 != 0;
+  }
+  size_t null_count = 0;
+  mem::Buffer validity = format::ValidityFromBools(valid, &null_count);
+  if (type.is_string() || type.is_list()) {
+    mem::Buffer offsets =
+        mem::Buffer::Allocate((rows + 1) * sizeof(int64_t)).ValueOrDie();
+    int64_t* off = offsets.data_as<int64_t>();
+    off[0] = 0;
+    for (size_t i = 0; i < rows; ++i) {
+      off[i + 1] = off[i] + static_cast<int64_t>(rng() % 6);
+    }
+    const size_t elems = static_cast<size_t>(off[rows]);
+    if (type.is_list()) {
+      ColumnPtr child = RandomColumn(rng, format::Float64(), elems, nulls);
+      return Column::MakeList(std::move(offsets), std::move(child), rows,
+                              std::move(validity), null_count);
+    }
+    mem::Buffer chars = mem::Buffer::Allocate(elems).ValueOrDie();
+    for (size_t i = 0; i < elems; ++i) {
+      chars.data()[i] = static_cast<uint8_t>('a' + rng() % 26);
+    }
+    return Column::MakeString(std::move(offsets), std::move(chars), rows,
+                              std::move(validity), null_count);
+  }
+  mem::Buffer data =
+      mem::Buffer::Allocate(rows * static_cast<size_t>(type.byte_width()))
+          .ValueOrDie();
+  for (size_t i = 0; i < data.size(); ++i) {
+    data.data()[i] = static_cast<uint8_t>(rng());
+  }
+  return Column::MakeFixed(type, std::move(data), rows, std::move(validity),
+                           null_count);
+}
+
+TEST(SliceTest, ContiguousCopyMatchesIndexGather) {
+  // The oracle is the identity-range gather of the selected columns. The
+  // charge must be what that gather charges for the whole table.
+  Schema schema({{"b", format::Bool()},
+                 {"i", format::Int32()},
+                 {"dt", format::Date32()},
+                 {"l", format::Int64()},
+                 {"d", format::Decimal(2)},
+                 {"f", format::Float64()},
+                 {"s", format::String()},
+                 {"v", format::List(format::Float64())}});
+  const int num_fields = static_cast<int>(schema.num_fields());
+  std::mt19937_64 rng(20);
+  for (int round = 0; round < 60; ++round) {
+    const size_t rows = round % 10 == 0 ? 0 : rng() % 70;
+    const bool nulls = round % 2 == 1;
+    std::vector<ColumnPtr> cols;
+    for (const auto& f : schema.fields()) {
+      cols.push_back(RandomColumn(rng, f.type, rows, nulls));
+    }
+    const TablePtr t = Table::Make(schema, std::move(cols)).ValueOrDie();
+
+    // Column subsets in any order with repeats, plus none and all.
+    std::vector<std::vector<int>> subsets = {{}, t->ColumnIndices()};
+    for (int k = 0; k < 3; ++k) {
+      std::vector<int> subset(1 + rng() % 10);
+      for (int& c : subset) c = static_cast<int>(rng() % num_fields);
+      subsets.push_back(std::move(subset));
+    }
+    // Offsets off byte boundaries, zero-length, clamped and past-the-end.
+    const std::vector<std::pair<size_t, size_t>> ranges = {
+        {0, rows},
+        {0, 0},
+        {rows == 0 ? 0 : rng() % rows, rng() % 40},
+        {rows == 0 ? 0 : 1 + rng() % rows, 1000},
+        {rows, 3},
+        {rows + 1 + rng() % 9, rng() % 5},
+    };
+    for (const auto& columns : subsets) {
+      const TablePtr selected = t->SelectColumns(columns).ValueOrDie();
+      for (const auto& [offset, length] : ranges) {
+        const std::string what = "round " + std::to_string(round) +
+                                 " offset " + std::to_string(offset) +
+                                 " length " + std::to_string(length);
+        sim::Timeline got_time;
+        sim::KernelStats got_kernels;
+        Context ctx = Ctx();
+        ctx.sim.timeline = &got_time;
+        ctx.sim.kernel_stats = &got_kernels;
+        const TablePtr got =
+            SliceTable(ctx, t, columns, offset, length).ValueOrDie();
+
+        const size_t start = std::min(offset, rows);
+        std::vector<index_t> identity(std::min(length, rows - start));
+        std::iota(identity.begin(), identity.end(),
+                  static_cast<index_t>(start));
+        const TablePtr want =
+            GatherTable(Ctx(), selected, identity, sim::OpCategory::kOther)
+                .ValueOrDie();
+        ASSERT_TRUE(got->schema().Equals(want->schema())) << what;
+        ASSERT_EQ(got->num_rows(), want->num_rows()) << what;
+        ASSERT_EQ(got->MemoryUsage(), want->MemoryUsage()) << what;
+        for (size_t c = 0; c < want->num_columns(); ++c) {
+          ExpectSameBytes(*got->column(c), *want->column(c),
+                          what + " column " + want->schema().field(c).name);
+        }
+
+        sim::Timeline want_time;
+        sim::KernelStats want_kernels;
+        Context gctx = Ctx();
+        gctx.sim.timeline = &want_time;
+        gctx.sim.kernel_stats = &want_kernels;
+        (void)GatherTable(gctx, t, identity, sim::OpCategory::kOther);
+        EXPECT_EQ(got_time.total_seconds(), want_time.total_seconds()) << what;
+        EXPECT_EQ(got_time.breakdown(), want_time.breakdown()) << what;
+        EXPECT_EQ(got_kernels.launches, want_kernels.launches) << what;
+        EXPECT_EQ(got_kernels.seq_bytes, want_kernels.seq_bytes) << what;
+        EXPECT_EQ(got_kernels.rand_bytes, want_kernels.rand_bytes) << what;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
