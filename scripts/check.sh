@@ -164,9 +164,10 @@ stage_asan() {
   # 0/1 stride and write validity bitmaps directly; "keys" runs the key
   # kernels' property test, because the join and group-by slots pack 32-bit
   # row ids with hash tags and the typed hash/equality loops index raw
-  # buffers; "kernels" runs the gdf kernel suite, because the slice computes
-  # byte ranges and rebased offsets over raw buffers, so an off-by-one is a
-  # heap overflow.
+  # buffers; "kernels" runs the gdf kernel suite and the LIST suite, because
+  # the range copy behind slice and concat and the gathers compute byte
+  # ranges and rebased offsets over raw buffers, a list's child ranges
+  # included, so an off-by-one is a heap overflow.
   SIRIUS_RACE_CHECK=1 \
     ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr|keys|kernels' --output-on-failure --no-tests=error -j "$JOBS"
 }

@@ -573,10 +573,7 @@ Result<DistQueryResult> DorisCluster::Query(const std::string& sql) {
   std::unique_ptr<obs::TraceRecorder> recorder;
   obs::TrackId coord_track = 0;
   if (options_.tracing) {
-    obs::TraceRecorder::Options topt;
-    topt.capacity = options_.trace_capacity;
-    topt.unbounded = options_.detailed_trace;
-    recorder = std::make_unique<obs::TraceRecorder>(topt);
+    recorder = std::make_unique<obs::TraceRecorder>();
     coord_track = recorder->RegisterTrack("coordinator");
   }
   double trace_now = 0.0;  // simulated clock carried across attempts

@@ -146,11 +146,9 @@ class DorisCluster {
     /// Minimum alive nodes required to serve queries; below this Query()
     /// returns Status::Unavailable without touching the data plane.
     int quorum = 1;
-    /// Per-query tracing (DistQueryResult::profile). Same span budget rules
-    /// as the single-node engine.
+    /// Per-query tracing (DistQueryResult::profile). Same span budget as
+    /// the single-node engine.
     bool tracing = true;
-    bool detailed_trace = false;
-    size_t trace_capacity = 8192;
   };
 
   explicit DorisCluster(Options options);

@@ -851,10 +851,7 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
 
   std::shared_ptr<obs::TraceRecorder> recorder;
   if (options_.tracing) {
-    obs::TraceRecorder::Options topt;
-    topt.capacity = options_.trace_capacity;
-    topt.unbounded = options_.detailed_trace;
-    recorder = std::make_shared<obs::TraceRecorder>(topt);
+    recorder = std::make_shared<obs::TraceRecorder>();
     const obs::TrackId engine_track = recorder->RegisterTrack("engine");
     recorder->AddComplete(engine_track, "query-overhead", "engine", 0.0,
                           options_.profile.fixed_query_overhead_s);

@@ -108,13 +108,9 @@ class SiriusEngine : public host::Accelerator {
     bool race_check_abort = true;
     /// Per-query tracing (spans over simulated time, exposed as
     /// host::QueryResult::profile). On by default; allocation-light — the
-    /// span buffer is preallocated to `trace_capacity` and overflow spans
-    /// are dropped (and counted) unless `detailed_trace` is set.
+    /// span buffer is preallocated to obs::TraceRecorder::Options' capacity
+    /// and overflow spans are dropped (and counted).
     bool tracing = true;
-    /// Let the trace buffer grow without bound instead of dropping spans.
-    bool detailed_trace = false;
-    /// Preallocated span slots per query when not detailed.
-    size_t trace_capacity = 8192;
   };
 
   /// \brief Engine counters — a view over the metrics registry (snapshot;

@@ -99,7 +99,7 @@ std::string ToTextSummary(const QueryProfile& profile, size_t top_n) {
   os << buf;
   if (profile.dropped_spans > 0) {
     os << "  (" << profile.dropped_spans
-       << " spans dropped; rerun with detailed_trace for the full set)\n";
+       << " spans dropped past the recorder's capacity)\n";
   }
 
   std::map<std::string, std::pair<size_t, double>> by_category;

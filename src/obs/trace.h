@@ -92,7 +92,8 @@ class TraceRecorder {
     bool enabled = true;
     /// Preallocated span slots; spans beyond this are dropped and counted.
     size_t capacity = 8192;
-    /// Grow without bound instead of dropping (Options::detailed_trace).
+    /// Grow without bound instead of dropping (the serving layer's
+    /// server-wide trace).
     bool unbounded = false;
   };
 

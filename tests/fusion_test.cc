@@ -111,7 +111,8 @@ TEST(SelectionViewTest, GatherViewColumnMatchesGatheredColumn) {
   ASSERT_TRUE(view.Refine({4, 1, 3}).ok());
   auto c1 = gdf::GatherViewColumn(ctx, view, 0, sim::OpCategory::kFilter)
                 .ValueOrDie();
-  auto ref = gdf::GatherColumn(ctx, t->column(0), {4, 1, 3}).ValueOrDie();
+  auto ref =
+      gdf::GatherColumnUncharged(ctx, t->column(0), {4, 1, 3}).ValueOrDie();
   EXPECT_TRUE(c1->Equals(*ref));
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <random>
 
@@ -119,14 +120,15 @@ TEST(GatherTest, FixedWidthAndStrings) {
 TEST(GatherTest, OutOfBoundsRejected) {
   auto c = Column::FromInt64({1, 2});
   auto ctx = Ctx();
-  EXPECT_FALSE(GatherColumn(ctx, c, {0, 5}).ok());
-  EXPECT_FALSE(GatherColumn(ctx, c, {-1}).ok());
+  EXPECT_FALSE(GatherColumnUncharged(ctx, c, {0, 5}).ok());
+  EXPECT_FALSE(GatherColumnUncharged(ctx, c, {-1}).ok());
 }
 
 TEST(GatherTest, NegativeIndexProducesNull) {
   auto c = Column::FromInt64({1, 2});
   auto ctx = Ctx();
-  auto out = GatherColumnWithNulls(ctx, c, {1, -1, 0}).ValueOrDie();
+  auto out = GatherColumnUncharged(ctx, c, {1, -1, 0}, /*nulls_for_negative=*/true)
+                 .ValueOrDie();
   EXPECT_FALSE(out->IsNull(0));
   EXPECT_TRUE(out->IsNull(1));
   EXPECT_EQ(out->data<int64_t>()[0], 2);
@@ -136,7 +138,7 @@ TEST(GatherTest, NegativeIndexProducesNull) {
 TEST(GatherTest, PropagatesSourceNulls) {
   auto c = Column::FromInt64({1, 2, 3}, {true, false, true});
   auto ctx = Ctx();
-  auto out = GatherColumn(ctx, c, {1, 2}).ValueOrDie();
+  auto out = GatherColumnUncharged(ctx, c, {1, 2}).ValueOrDie();
   EXPECT_TRUE(out->IsNull(0));
   EXPECT_FALSE(out->IsNull(1));
 }
@@ -146,8 +148,9 @@ TEST(GatherTest, ChargesCostModel) {
   Context ctx = Ctx();
   ctx.sim.device = sim::Gh200Gpu();
   ctx.sim.timeline = &t;
-  auto c = Column::FromInt64({1, 2, 3, 4});
-  (void)GatherColumn(ctx, c, {0, 1, 2, 3}).ValueOrDie();
+  auto table =
+      MakeTable({{"i", format::Int64()}}, {Column::FromInt64({1, 2, 3, 4})});
+  (void)GatherTable(ctx, table, {0, 1, 2, 3}).ValueOrDie();
   EXPECT_GT(t.total_seconds(), 0.0);
 }
 
@@ -196,68 +199,6 @@ void ExpectSameBytes(const Column& got, const Column& want,
   ASSERT_EQ(got.list_child() == nullptr, want.list_child() == nullptr) << what;
   if (want.list_child() != nullptr) {
     ExpectSameBytes(*got.list_child(), *want.list_child(), what + " child");
-  }
-}
-
-TEST(ConcatTest, TypedCopyMatchesBoxedBuilder) {
-  // The typed copy must produce the bytes a ColumnBuilder fed one boxed
-  // value at a time produces: BOOLs normalized to 0/1, NULL slots zeroed or
-  // empty, validity only when a NULL is present, across empty inputs too.
-  Schema schema({{"b", format::Bool()},
-                 {"i", format::Int32()},
-                 {"l", format::Int64()},
-                 {"f", format::Float64()},
-                 {"d", format::Decimal(2)},
-                 {"dt", format::Date32()},
-                 {"s", format::String()}});
-  auto part = [&](size_t rows, bool nulls, int salt) {
-    std::vector<ColumnPtr> cols;
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      format::ColumnBuilder b(schema.field(c).type);
-      for (size_t r = 0; r < rows; ++r) {
-        const int64_t v = static_cast<int64_t>(r * 7 + c) * salt - 40;
-        if (nulls && (r + c) % 3 == 0) {
-          b.AppendNull();
-        } else if (c == 3) {
-          b.AppendDouble(static_cast<double>(v) / 4);
-        } else if (c == 6) {
-          b.AppendString(std::string(r % 5, static_cast<char>('a' + r % 26)));
-        } else {
-          b.AppendInt(v);
-        }
-      }
-      cols.push_back(b.Finish());
-    }
-    // Non-zero bytes under NULL slots and a non-0/1 BOOL, as kernels that
-    // compute every row leave them.
-    if (nulls && rows > 0) {
-      cols[2]->mutable_data<int64_t>()[0] = 99;
-      cols[0]->mutable_data<uint8_t>()[rows - 1] = 7;
-    }
-    return Table::Make(schema, std::move(cols)).ValueOrDie();
-  };
-  auto ctx = Ctx();
-  const std::vector<std::vector<TablePtr>> cases = {
-      {part(0, false, 1)},
-      {part(5, false, 1), part(0, true, 2), part(11, false, 3)},
-      {part(9, true, 1), part(0, false, 2), part(17, true, 3)},
-      {part(3, false, 1), part(6, true, 5)},
-  };
-  for (size_t k = 0; k < cases.size(); ++k) {
-    const auto& tables = cases[k];
-    TablePtr got = ConcatTables(ctx, tables).ValueOrDie();
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      format::ColumnBuilder b(schema.field(c).type);
-      for (const auto& t : tables) {
-        for (size_t i = 0; i < t->num_rows(); ++i) {
-          SIRIUS_CHECK_OK(b.AppendScalar(t->column(c)->GetScalar(i)));
-        }
-      }
-      const ColumnPtr want = b.Finish();
-      ExpectSameBytes(*got->column(c), *want,
-                      "case " + std::to_string(k) + " column " +
-                          schema.field(c).name);
-    }
   }
 }
 
@@ -318,10 +259,9 @@ ColumnPtr RandomColumn(std::mt19937_64& rng, const format::DataType& type,
                            null_count);
 }
 
-TEST(SliceTest, ContiguousCopyMatchesIndexGather) {
-  // The oracle is the identity-range gather of the selected columns. The
-  // charge must be what that gather charges for the whole table.
-  Schema schema({{"b", format::Bool()},
+/// One column of every type, LIST<FLOAT64> included.
+Schema AllTypes() {
+  return Schema({{"b", format::Bool()},
                  {"i", format::Int32()},
                  {"dt", format::Date32()},
                  {"l", format::Int64()},
@@ -329,16 +269,27 @@ TEST(SliceTest, ContiguousCopyMatchesIndexGather) {
                  {"f", format::Float64()},
                  {"s", format::String()},
                  {"v", format::List(format::Float64())}});
-  const int num_fields = static_cast<int>(schema.num_fields());
+}
+
+/// A table of AllTypes() with a RandomColumn per field.
+TablePtr RandomTable(std::mt19937_64& rng, size_t rows, bool nulls) {
+  Schema schema = AllTypes();
+  std::vector<ColumnPtr> cols;
+  for (const auto& f : schema.fields()) {
+    cols.push_back(RandomColumn(rng, f.type, rows, nulls));
+  }
+  return Table::Make(std::move(schema), std::move(cols)).ValueOrDie();
+}
+
+TEST(SliceTest, ContiguousCopyMatchesIndexGather) {
+  // The oracle is the identity-range gather of the selected columns. The
+  // charge must be what that gather charges for the whole table.
+  const int num_fields = static_cast<int>(AllTypes().num_fields());
   std::mt19937_64 rng(20);
   for (int round = 0; round < 60; ++round) {
     const size_t rows = round % 10 == 0 ? 0 : rng() % 70;
     const bool nulls = round % 2 == 1;
-    std::vector<ColumnPtr> cols;
-    for (const auto& f : schema.fields()) {
-      cols.push_back(RandomColumn(rng, f.type, rows, nulls));
-    }
-    const TablePtr t = Table::Make(schema, std::move(cols)).ValueOrDie();
+    const TablePtr t = RandomTable(rng, rows, nulls);
 
     // Column subsets in any order with repeats, plus none and all.
     std::vector<std::vector<int>> subsets = {{}, t->ColumnIndices()};
@@ -399,6 +350,155 @@ TEST(SliceTest, ContiguousCopyMatchesIndexGather) {
       }
     }
   }
+}
+
+TEST(ConcatTest, CopiesEachInputAsItIs) {
+  // Slicing each input's rows back out of the result gives that input byte
+  // for byte: NULL slots keep their values and chars, BOOL bytes stay 0-255,
+  // empty strings and lists and empty inputs pass. The values are those a
+  // ColumnBuilder makes of the boxed rows, compared as the builder's bytes
+  // because random FLOAT64 bytes include NaNs, which Column::Equals never
+  // equates.
+  const Schema schema = AllTypes();
+  auto boxed = [](const format::DataType& type,
+                  const std::vector<ColumnPtr>& cols) {
+    format::ColumnBuilder b(type);
+    for (const ColumnPtr& col : cols) {
+      for (size_t i = 0; i < col->length(); ++i) {
+        SIRIUS_CHECK_OK(b.AppendScalar(col->GetScalar(i)));
+      }
+    }
+    return b.Finish();
+  };
+  std::mt19937_64 rng(21);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<TablePtr> tables(1 + rng() % 4);
+    for (TablePtr& t : tables) {
+      const size_t rows = rng() % 3 == 0 ? 0 : rng() % 50;
+      t = RandomTable(rng, rows, rng() % 2 == 1);
+    }
+    const TablePtr got = ConcatTables(Ctx(), tables).ValueOrDie();
+    size_t offset = 0;
+    for (size_t k = 0; k < tables.size(); ++k) {
+      const TablePtr part = SliceTable(Ctx(), got, got->ColumnIndices(), offset,
+                                       tables[k]->num_rows())
+                                .ValueOrDie();
+      ASSERT_EQ(part->num_rows(), tables[k]->num_rows());
+      for (size_t c = 0; c < schema.num_fields(); ++c) {
+        ExpectSameBytes(*part->column(c), *tables[k]->column(c),
+                        "round " + std::to_string(round) + " input " +
+                            std::to_string(k) + " column " +
+                            schema.field(c).name);
+      }
+      offset += tables[k]->num_rows();
+    }
+    ASSERT_EQ(got->num_rows(), offset);
+
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      const format::DataType& type = schema.field(c).type;
+      if (type.is_list()) continue;  // a list boxes as its rendering
+      std::vector<ColumnPtr> inputs;
+      for (const TablePtr& t : tables) inputs.push_back(t->column(c));
+      ExpectSameBytes(*boxed(type, {got->column(c)}), *boxed(type, inputs),
+                      "round " + std::to_string(round) + " values of " +
+                          schema.field(c).name);
+    }
+  }
+}
+
+/// Bytes a SystemMemoryResource holds for `col`'s buffers: each buffer's
+/// size rounded up to its 64-byte alignment, list children included.
+size_t HeldBytes(const Column& col) {
+  auto held = [](size_t bytes) { return (bytes + 63) / 64 * 64; };
+  const ColumnPtr& child = col.list_child();
+  const size_t child_bytes = child == nullptr ? 0 : child->MemoryUsage();
+  const size_t validity =
+      col.MemoryUsage() - col.data_size() - col.chars_size() - child_bytes;
+  return held(col.data_size()) + held(col.chars_size()) + held(validity) +
+         (child == nullptr ? 0 : HeldBytes(*child));
+}
+
+/// Each copying kernel over the same nullable input, LIST included: a
+/// gather that also makes NULLs from negative indices, a slice, and a
+/// concat of the input with a slice of itself.
+std::vector<std::pair<std::string, std::function<Result<TablePtr>(const Context&)>>>
+CopyKernels(const TablePtr& t) {
+  return {
+      {"gather",
+       [t](const Context& ctx) {
+         return GatherTable(ctx, t, {3, -1, 0, 5, 5, -1, 7},
+                            sim::OpCategory::kProject,
+                            /*nulls_for_negative=*/true);
+       }},
+      {"slice",
+       [t](const Context& ctx) {
+         return SliceTable(ctx, t, t->ColumnIndices(), 3, 9);
+       }},
+      {"concat",
+       [t](const Context& ctx) {
+         const TablePtr tail =
+             SliceTable(Ctx(), t, t->ColumnIndices(), 5, 4).ValueOrDie();
+         return ConcatTables(ctx, {t, tail});
+       }},
+  };
+}
+
+TEST(CopyMemoryTest, OutputsComeOnlyFromCtxMr) {
+  std::mt19937_64 rng(22);
+  const TablePtr t = RandomTable(rng, 12, /*nulls=*/true);
+  mem::SystemMemoryResource mr("copy-out");
+  Context ctx = Ctx();
+  ctx.mr = &mr;
+  for (const auto& [name, kernel] : CopyKernels(t)) {
+    {
+      const TablePtr out = kernel(ctx).ValueOrDie();
+      size_t want = 0;
+      for (const ColumnPtr& col : out->columns()) want += HeldBytes(*col);
+      EXPECT_EQ(mr.bytes_allocated(), want) << name;
+    }
+    EXPECT_EQ(mr.bytes_allocated(), 0u) << name;
+  }
+}
+
+TEST(CopyMemoryTest, RefusedAllocationIsOutOfMemory) {
+  std::mt19937_64 rng(23);
+  const TablePtr t = RandomTable(rng, 12, /*nulls=*/true);
+  mem::SystemMemoryResource mr("copy-out");
+  for (const auto& [name, kernel] : CopyKernels(t)) {
+    mem::PressureMemoryResource counting(&mr, /*fail_every_nth=*/0);
+    Context ctx = Ctx();
+    ctx.mr = &counting;
+    ASSERT_TRUE(kernel(ctx).ok()) << name;
+    const size_t requests = counting.num_requests();
+    ASSERT_GT(requests, 0u) << name;
+    for (size_t k = 0; k < requests; ++k) {
+      // Requests 0..k-1 pass, request k and every later one is refused.
+      mem::PressureMemoryResource refusing(&mr, /*fail_every_nth=*/1,
+                                           /*skip_first=*/k);
+      ctx.mr = &refusing;
+      const auto r = kernel(ctx);
+      EXPECT_TRUE(r.status().IsOutOfMemory())
+          << name << " refusing request " << k << ": " << r.status().ToString();
+      EXPECT_EQ(mr.bytes_allocated(), 0u) << name << " request " << k;
+    }
+  }
+}
+
+TEST(GatherTest, TableIndexRuleMatchesColumnRule) {
+  // Each index is in [0, rows), or negative only with nulls_for_negative.
+  auto t = MakeTable({{"i", format::Int64()}, {"s", format::String()}},
+                     {Column::FromInt64({1, 2, 3, 4}),
+                      Column::FromStrings({"a", "bb", "", "dddd"})});
+  auto ctx = Ctx();
+  EXPECT_EQ(GatherTable(ctx, t, {0, 9}).status().code(), StatusCode::kIndexError);
+  EXPECT_EQ(GatherTable(ctx, t, {0, 4}).status().code(), StatusCode::kIndexError);
+  EXPECT_EQ(GatherTable(ctx, t, {2, -1}).status().code(), StatusCode::kIndexError);
+  EXPECT_EQ(GatherTable(ctx, t, {0, -1}, sim::OpCategory::kProject,
+                        /*nulls_for_negative=*/true)
+                .ValueOrDie()
+                ->column(1)
+                ->null_count(),
+            1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -80,6 +80,28 @@ TEST(ListColumnTest, GatherPreservesLists) {
   EXPECT_EQ(g->GetScalar(2).string_value(), "[3, 4, 5]");
 }
 
+TEST(ListColumnTest, ConcatAndSlicePreserveLists) {
+  auto table = [](const std::vector<std::vector<double>>& lists) {
+    auto col = Column::FromListsOfDoubles(lists);
+    return format::Table::Make(format::Schema({{"v", col->type()}}), {col})
+        .ValueOrDie();
+  };
+  auto ctx = Ctx();
+  auto out = gdf::ConcatTables(ctx, {table({{1, 2}, {}}), table({}),
+                                     table({{3}, {4, 5, 6}})})
+                 .ValueOrDie();
+  auto c = out->column(0);
+  ASSERT_EQ(c->length(), 4u);
+  EXPECT_EQ(c->GetScalar(0).string_value(), "[1, 2]");
+  EXPECT_EQ(c->GetScalar(1).string_value(), "[]");
+  EXPECT_EQ(c->GetScalar(2).string_value(), "[3]");
+  EXPECT_EQ(c->GetScalar(3).string_value(), "[4, 5, 6]");
+  auto s = gdf::SliceTable(ctx, out, {0}, 1, 2).ValueOrDie()->column(0);
+  ASSERT_EQ(s->length(), 2u);
+  EXPECT_EQ(s->GetScalar(0).string_value(), "[]");
+  EXPECT_EQ(s->GetScalar(1).string_value(), "[3]");
+}
+
 TEST(ListColumnTest, SortByListKeysLexicographic) {
   auto col = Column::FromListsOfDoubles({{2}, {1, 5}, {1}});
   auto ctx = Ctx();

@@ -319,6 +319,34 @@ TEST(DorisClusterTest, AllNodesDeadIsAnError) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(DorisClusterTest, ListColumnsCrossTheExchange) {
+  // The coordinator gathers every node's rows, LIST columns included.
+  std::vector<int64_t> ids(2000);
+  std::vector<std::vector<double>> embs(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<int64_t>(i);
+    embs[i].assign(i % 4, static_cast<double>(i) / 8);  // some lists empty
+  }
+  auto docs = format::Table::Make(
+                  format::Schema({{"id", format::Int64()},
+                                  {"emb", format::List(format::Float64())}}),
+                  {Column::FromInt64(ids), Column::FromListsOfDoubles(embs)})
+                  .ValueOrDie();
+  dist::DorisCluster::Options options;
+  options.num_nodes = 4;
+  dist::DorisCluster cluster(options);
+  SIRIUS_CHECK_OK(cluster.LoadPartitioned("docs", docs));
+  const std::string sql = "SELECT id, emb FROM docs WHERE id > 1500";
+  auto r = cluster.Query(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.ValueOrDie().table->num_rows(), 499u);
+
+  host::Database single;
+  SIRIUS_CHECK_OK(single.CreateTable("docs", docs));
+  EXPECT_TRUE(single.Query(sql).ValueOrDie().table->EqualsUnordered(
+      *r.ValueOrDie().table));
+}
+
 TEST(DorisClusterTest, GpuClusterFasterThanCpu) {
   dist::DorisCluster::Options cpu;
   cpu.data_scale = 10000.0;

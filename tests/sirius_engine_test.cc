@@ -209,6 +209,49 @@ TEST(SiriusEngineTest, StalePlanScanningAMissingColumnIsAnError) {
   }
 }
 
+TEST(SiriusEngineTest, OutOfCoreBatchesCarryListColumns) {
+  // A scan over the caching region streams in batches, and the batch loop
+  // concatenates their outputs. A LIST column (an embedding, one of the
+  // nested types of §3.4) must cross it on the device, not fall back.
+  host::Database db;
+  std::vector<int64_t> ids(2000);
+  std::vector<std::vector<double>> embs(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<int64_t>(i);
+    embs[i].assign(i % 4, static_cast<double>(i) / 8);  // some lists empty
+  }
+  ASSERT_TRUE(db.CreateTable(
+                    "docs", format::Table::Make(
+                                format::Schema({{"id", format::Int64()},
+                                                {"emb", format::List(format::Float64())}}),
+                                {format::Column::FromInt64(ids),
+                                 format::Column::FromListsOfDoubles(embs)})
+                                .ValueOrDie())
+                  .ok());
+  const std::string sql = "SELECT id, emb FROM docs WHERE id > 1500";
+  auto plan = db.PlanSql(sql).ValueOrDie();
+  auto cpu = db.ExecutePlanCpu(plan).ValueOrDie();
+  ASSERT_EQ(cpu.table->num_rows(), 499u);
+
+  engine::SiriusEngine::Options options;
+  options.out_of_core = true;
+  options.data_scale = 1.0e6;             // the scan overflows the caching
+  options.device.mem_capacity_gib = 1.0;  // region of a 1 GiB device
+  engine::SiriusEngine eng(&db, options);
+  auto gpu = eng.ExecutePlan(plan);
+  ASSERT_TRUE(gpu.ok()) << gpu.status().ToString();
+  EXPECT_FALSE(eng.buffer_manager().IsCached("docs", 1));  // it batched
+  EXPECT_TRUE(cpu.table->Equals(*gpu.ValueOrDie().table));
+
+  db.SetAccelerator(&eng);
+  auto r = db.Query(sql);
+  db.SetAccelerator(nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.ValueOrDie().accelerated);
+  EXPECT_FALSE(r.ValueOrDie().fell_back);
+  EXPECT_TRUE(cpu.table->Equals(*r.ValueOrDie().table));
+}
+
 /// The out-of-core pin below, one line per run in ModeledFingerprint's
 /// format, runs 0-21 being the first pass. Recorded when each batch still
 /// copied every column of the host table; only a change to the model may
