@@ -38,7 +38,7 @@ stage_desc() {
     spill)        echo "tiered memory: spill governance + fault recovery (ctest -L spill)" ;;
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
     tsan)         echo "ThreadSanitizer build + serving-layer, codec, spill and cluster suites" ;;
-    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr/keys/kernels suites" ;;
+    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr/keys/kernels/parse suites" ;;
     bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots + Fig 4 scale invariance (loaded SF 0.01 vs 0.1)" ;;
     *)            echo "unknown" ;;
   esac
@@ -167,9 +167,11 @@ stage_asan() {
   # buffers; "kernels" runs the gdf kernel suite and the LIST suite, because
   # the range copy behind slice and concat and the gathers compute byte
   # ranges and rebased offsets over raw buffers, a list's child ranges
-  # included, so an off-by-one is a heap overflow.
+  # included, so an off-by-one is a heap overflow; "parse" runs the CSV
+  # suite and the fuzzers of the SQL, plan-JSON, CSV and Substrait parsers,
+  # because those parsers index bytes that come from outside the program.
   SIRIUS_RACE_CHECK=1 \
-    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr|keys|kernels' --output-on-failure --no-tests=error -j "$JOBS"
+    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr|keys|kernels|parse' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_bench_gate() {

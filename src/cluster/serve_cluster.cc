@@ -23,6 +23,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Modeled size of a version-stamp invalidation message on the wire.
 constexpr uint64_t kInvalidationBytes = 64;
+/// Modeled (de)compression throughput for fill payloads, GB/s per side.
+constexpr double kCodecGbps = 25.0;
 
 std::string NodeTag(int node) { return "node" + std::to_string(node); }
 
@@ -35,8 +37,7 @@ ServeCluster::ServeCluster(host::Database* db,
       db_(db),
       router_(options.num_nodes),
       membership_(options.num_nodes),
-      comm_(options.num_nodes, options.fabric, options.injector,
-            options.replication_retry),
+      comm_(options.num_nodes, options.fabric, options.injector),
       node_sessions_(static_cast<size_t>(options.num_nodes)),
       remote_hit_service_s_(static_cast<size_t>(options.num_nodes), 0.0),
       fill_egress_s_(static_cast<size_t>(options.num_nodes), 0.0),
@@ -149,16 +150,15 @@ bool ServeCluster::TrySend(PendingMsg* msg, double frontier_s) {
   Status gate = injector()->Check(kSiteFill);
   if (!gate.ok()) {
     ++msg->attempts;
-    const bool budget_left =
-        msg->attempts < std::max(1, options_.replication_retry.max_attempts);
+    const bool budget_left = msg->attempts < net::kRetryMaxAttempts;
     if (!gate.IsTransient() || !budget_left) return false;
     ++stats_.fill_retries;
     counter(msg->invalidate ? "cluster.invalidate.retried"
                             : "cluster.fill.retried")
         ->Add();
-    double backoff = options_.replication_retry.base_backoff_s *
-                     std::pow(2.0, msg->attempts - 1);
-    backoff = std::min(backoff, options_.replication_retry.max_backoff_s);
+    double backoff =
+        net::kRetryBaseBackoffS * std::pow(2.0, msg->attempts - 1);
+    backoff = std::min(backoff, net::kRetryMaxBackoffS);
     msg->ready_s = std::max(frontier_s, msg->ready_s) + backoff;
     return true;
   }
@@ -211,13 +211,11 @@ bool ServeCluster::TrySend(PendingMsg* msg, double frontier_s) {
       // The transport exhausted its own retries; treat it like a transient
       // channel fault under our replication budget.
       ++msg->attempts;
-      if (msg->attempts >= std::max(1, options_.replication_retry.max_attempts)) {
-        return false;
-      }
+      if (msg->attempts >= net::kRetryMaxAttempts) return false;
       ++stats_.fill_retries;
       counter("cluster.fill.retried")->Add();
-      msg->ready_s = std::max(frontier_s, msg->ready_s) +
-                     options_.replication_retry.base_backoff_s;
+      msg->ready_s =
+          std::max(frontier_s, msg->ready_s) + net::kRetryBaseBackoffS;
       return true;
     }
     const net::CollectiveResult& res = mc.ValueOrDie();
@@ -226,7 +224,7 @@ bool ServeCluster::TrySend(PendingMsg* msg, double frontier_s) {
       // Compress once on the origin, decompress once per receiving replica
       // (modeled; replicas decode in parallel so one decode is charged).
       seconds += 2.0 * static_cast<double>(plain) * options_.data_scale /
-                 (options_.codec_gbps * 1e9);
+                 (kCodecGbps * 1e9);
     }
     ++stats_.fills_sent;
     stats_.fill_bytes_plain +=
@@ -663,11 +661,6 @@ std::vector<NodeLoad> ServeCluster::node_loads() const {
     load.cache_hits += remote_hit_count_[static_cast<size_t>(n)];
     load.hit_service_s += remote_hit_service_s_[static_cast<size_t>(n)];
     load.fill_egress_s = fill_egress_s_[static_cast<size_t>(n)];
-  }
-  for (const ShedCandidate& c : last_shed_) {
-    if (c.node >= 0 && c.node < options_.num_nodes) {
-      ++loads[static_cast<size_t>(c.node)].shed;
-    }
   }
   return loads;
 }

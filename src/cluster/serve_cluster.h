@@ -85,15 +85,10 @@ struct ClusterOptions {
   /// Compress replicated fills on the wire (format::Encode codecs); the
   /// multicast is priced on compressed bytes plus modeled codec time.
   bool compress_fills = true;
-  /// Modeled (de)compression throughput for fill payloads, GB/s per side.
-  double codec_gbps = 25.0;
   /// Inter-node fabric carrying fills, invalidations and remote hits.
   sim::Link fabric = sim::Infiniband400();
   /// Scales modeled wire bytes (benches run small SFs and scale up).
   double data_scale = 1.0;
-  /// Retry schedule for pending fill/invalidate deliveries gated by the
-  /// "cluster.fill" site (max_attempts bounds delivery attempts).
-  net::RetryPolicy replication_retry;
   /// Fault injector for the "cluster.route" / "cluster.fill" /
   /// "cluster.node.lost" sites; nullptr uses the (disarmed) global one.
   fault::FaultInjector* injector = nullptr;
@@ -126,7 +121,6 @@ struct ClusterStats {
 struct NodeLoad {
   uint64_t dispatched = 0;   ///< queries executed on the node (cache misses)
   uint64_t cache_hits = 0;   ///< hits served by this node's replica
-  uint64_t shed = 0;         ///< admission refusals charged to this node
   double busy_s = 0;         ///< stream-occupancy seconds of executed queries
   double hit_service_s = 0;  ///< hit service incl. remote-hit egress
   double fill_egress_s = 0;  ///< multicast time for fills this node originated

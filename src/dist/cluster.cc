@@ -280,18 +280,13 @@ class DistExecutor {
                               nodes_[r]->catalog.GetTable(node.table_name));
       obs::Span op_span(trace_, TrackFor(r), "op:TableScan", "fragment",
                         ctx.sim.TraceClock());
-      if (nodes_[r]->buffer != nullptr) {
-        // Scan through the node's buffer manager: the projected columns are
-        // served from (or loaded into) the device cache, charging decode
-        // plus any cold host-link transfer, and hit/miss counters.
-        SIRIUS_ASSIGN_OR_RETURN(
-            state.parts[r],
-            nodes_[r]->buffer->GetOrCacheColumns(node.table_name, base,
-                                                 node.scan_columns, ctx.sim));
-      } else {
-        SIRIUS_ASSIGN_OR_RETURN(state.parts[r],
-                                host::ApplyNode(node, {base}, ctx));
-      }
+      // Scan through the node's buffer manager: the projected columns are
+      // served from (or loaded into) the device cache, charging decode plus
+      // any cold host-link transfer, and hit/miss counters.
+      SIRIUS_ASSIGN_OR_RETURN(
+          state.parts[r],
+          nodes_[r]->buffer->GetOrCacheColumns(node.table_name, base,
+                                               node.scan_columns, ctx.sim));
     }
     Advance(node_times);
     return state;
@@ -510,7 +505,7 @@ Result<DistQueryResult> DorisCluster::RunAttempt(const DistributedPlan& dplan,
   std::vector<NodeState*> active_nodes;
   for (int r : actives) active_nodes.push_back(nodes_[r].get());
   net::Communicator comm(static_cast<int>(actives.size()), options_.network,
-                         injector(), options_.collective_retry);
+                         injector());
 
   DistQueryResult result;
   result.timeline.Charge(sim::OpCategory::kOther, options_.coordinator_overhead_s);

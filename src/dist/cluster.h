@@ -83,8 +83,9 @@ class TempTableGuard {
 struct NodeState {
   int rank = 0;
   host::Catalog catalog;       ///< this node's partitions
-  /// Device-side column cache for this node's scans. Invalidated whenever
-  /// the coordinator re-partitions data onto a changed membership.
+  /// Device-side column cache for this node's scans; every node has one
+  /// from construction. Invalidated whenever the coordinator re-partitions
+  /// data onto a changed membership.
   std::unique_ptr<engine::BufferManager> buffer;
 };
 
@@ -139,8 +140,6 @@ class DorisCluster {
     /// Fault injector consulted by the exchange layer and the per-fragment
     /// execution sites; nullptr uses the (disarmed) global injector.
     fault::FaultInjector* injector = nullptr;
-    /// Retry schedule for transient collective failures.
-    net::RetryPolicy collective_retry;
     /// Full query re-runs allowed after a node dies mid-query.
     int query_retry_budget = 1;
     /// Minimum alive nodes required to serve queries; below this Query()

@@ -44,13 +44,6 @@ Status Capabilities::Check(const plan::PlanNode& node) const {
       }
       return Status::OK();
     case plan::PlanKind::kJoin:
-      if (!left_join && node.join_type == plan::JoinType::kLeft) {
-        return Status::UnsupportedOnDevice("left join not supported on device");
-      }
-      if (!residual_join && node.residual != nullptr) {
-        return Status::UnsupportedOnDevice(
-            "non-equi join condition not supported on device");
-      }
       if (node.residual != nullptr) return CheckExpr(*this, *node.residual);
       return Status::OK();
     case plan::PlanKind::kAggregate:
@@ -58,14 +51,7 @@ Status Capabilities::Check(const plan::PlanNode& node) const {
         if (!avg && a.func == plan::AggFunc::kAvg) {
           return Status::UnsupportedOnDevice("avg not supported on device");
         }
-        if (!count_distinct && a.func == plan::AggFunc::kCountDistinct) {
-          return Status::UnsupportedOnDevice(
-              "count(distinct) not supported on device");
-        }
       }
-      return Status::OK();
-    case plan::PlanKind::kSort:
-      if (!sort) return Status::UnsupportedOnDevice("sort not supported on device");
       return Status::OK();
     default:
       return Status::OK();

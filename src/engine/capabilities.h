@@ -15,14 +15,10 @@ namespace sirius::engine {
 /// has narrower SQL coverage, §3.4) turn individual features off.
 struct Capabilities {
   bool strings = true;
-  bool count_distinct = true;
-  bool left_join = true;
-  bool residual_join = true;
   bool like = true;
   /// avg is unsupported in distributed Sirius (§3.4 "it does not support
   /// functions such as avg").
   bool avg = true;
-  bool sort = true;
   /// Scalar UDFs run on the host CPU only until device-side UDFs land
   /// (§3.4), so plans containing them fall back by default.
   bool udf = false;

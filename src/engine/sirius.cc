@@ -13,7 +13,6 @@
 #include "gdf/groupby.h"
 #include "gdf/join.h"
 #include "gdf/selection.h"
-#include "gdf/sort.h"
 #include "host/cpu_executor.h"
 #include "plan/substrait.h"
 
@@ -75,9 +74,9 @@ void Bump(obs::MetricsRegistry* metrics, uint64_t Stats::*field,
 SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
     : host_db_(host_db),
       options_(options),
-      tiers_(options.tier, options.injector != nullptr
-                               ? options.injector
-                               : fault::FaultInjector::Global()),
+      tiers_(options.tier, options.host_link,
+             options.injector != nullptr ? options.injector
+                                         : fault::FaultInjector::Global()),
       buffer_manager_([&] {
         BufferManager::Options bm;
         bm.device_capacity_bytes = static_cast<uint64_t>(
@@ -91,12 +90,6 @@ SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
       task_pool_(static_cast<size_t>(options.num_task_threads)) {
   // Registered up front so every counter shows in metrics() from the start.
   for (const auto& [field, name] : kStatCounters) metrics_.GetCounter(name);
-  if (options_.use_custom_kernels) {
-    // Hand-tuned kernel variants: modestly better join/group-by efficiency
-    // than the stock libcudf-class implementations.
-    options_.profile.join_eff *= 1.15;
-    options_.profile.groupby_eff *= 1.2;
-  }
 }
 
 SiriusEngine::~SiriusEngine() = default;
@@ -535,21 +528,6 @@ class PipelineRunner {
     return Status::Internal("unknown step kind");
   }
 
-  /// Hash-join type of an equi-join (cross and ASOF joins have their own
-  /// kernels and never reach the hash join).
-  static gdf::JoinType GdfJoinType(plan::JoinType type) {
-    switch (type) {
-      case plan::JoinType::kLeft:
-        return gdf::JoinType::kLeft;
-      case plan::JoinType::kSemi:
-        return gdf::JoinType::kSemi;
-      case plan::JoinType::kAnti:
-        return gdf::JoinType::kAnti;
-      default:
-        return gdf::JoinType::kInner;
-    }
-  }
-
   /// Join step against the materialized build side. Probe keys gather
   /// through the view, and ApplyJoinToView applies the pair lists: inside a
   /// fused pass the probe side refines and the build side appends as a new
@@ -607,7 +585,7 @@ class PipelineRunner {
                                lkeys, rkeys));
     } else {
       gdf::JoinOptions joptions;
-      joptions.type = GdfJoinType(node.join_type);
+      joptions.type = host::ToGdfJoin(node.join_type);
       if (node.residual != nullptr) {
         joptions.residual = node.residual.get();
         joptions.left_table = view->dense();
@@ -622,14 +600,9 @@ class PipelineRunner {
     SIRIUS_ASSIGN_OR_RETURN(pairs.left_indices,
                             BufferManager::ToGdfIndices(engine_left, ctx.sim));
 
-    const bool emits_right = node.join_type == plan::JoinType::kInner ||
-                             node.join_type == plan::JoinType::kLeft ||
-                             node.join_type == plan::JoinType::kCross ||
-                             node.join_type == plan::JoinType::kAsof;
-    const bool nullable_right = node.join_type == plan::JoinType::kLeft ||
-                                node.join_type == plan::JoinType::kAsof;
     return gdf::ApplyJoinToView(ctx, view, pairs, build, node.output_schema,
-                                emits_right, nullable_right,
+                                host::JoinEmitsRight(node.join_type),
+                                host::JoinNullableRight(node.join_type),
                                 sim::OpCategory::kJoin);
   }
 
@@ -676,16 +649,8 @@ class PipelineRunner {
         for (size_t k = 0; k < node->group_by.size(); ++k) {
           key_names.push_back(node->output_schema.field(k).name);
         }
-        std::vector<gdf::AggRequest> aggs;
-        for (size_t a = 0; a < node->aggregates.size(); ++a) {
-          gdf::AggRequest req;
-          req.kind = host::ToGdfAgg(node->aggregates[a].func);
-          req.column = node->aggregates[a].arg_column;
-          req.name = node->output_schema.field(node->group_by.size() + a).name;
-          aggs.push_back(std::move(req));
-        }
         return gdf::GroupByAggregateView(ctx, view, node->group_by, key_names,
-                                         aggs);
+                                         host::AggRequests(*node));
       }
       case SinkKind::kLimit: {
         const size_t start =
@@ -707,21 +672,10 @@ class PipelineRunner {
     }
     SIRIUS_ASSIGN_OR_RETURN(TablePtr t, GatherView(p, view, ctx));
     switch (p.sink) {
-      case SinkKind::kSort: {
-        std::vector<int> cols;
-        std::vector<bool> desc;
-        for (const auto& k : node->sort_keys) {
-          cols.push_back(k.column);
-          desc.push_back(k.descending);
-        }
-        return gdf::SortTable(ctx, t, cols, desc);
-      }
-      case SinkKind::kDistinct: {
-        if (t->num_columns() == 0) return t;
-        SIRIUS_ASSIGN_OR_RETURN(std::vector<gdf::index_t> indices,
-                                gdf::DistinctIndices(ctx, t->columns()));
-        return gdf::GatherTable(ctx, t, indices, sim::OpCategory::kGroupBy);
-      }
+      case SinkKind::kSort:
+      case SinkKind::kDistinct:
+        // The host executor's operator over the gathered table.
+        return host::ApplyNode(*node, {t}, ctx);
       default:
         // kMaterialize, and kExchange: single-node deployments bypass the
         // exchange layer (§3.2.4).

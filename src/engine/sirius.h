@@ -64,23 +64,21 @@ class SiriusEngine : public host::Accelerator {
     double data_scale = 1.0;
     /// Caching-region fraction of device memory (§4.1 uses 50/50).
     double cache_fraction = 0.5;
-    /// Host<->device link (NVLink-C2C on GH200, PCIe4 on the A100 cluster).
+    /// Host<->device link (NVLink-C2C on GH200, PCIe4 on the A100 cluster):
+    /// prices cold loads, out-of-core batches and every spill's
+    /// device<->host leg.
     sim::Link host_link = sim::NvlinkC2c();
     /// §3.4 out-of-core extension: stream over-capacity inputs in batches
     /// instead of failing with OutOfMemory.
     bool out_of_core = false;
-    /// Spill-tier hierarchy below HBM (pinned host, then simulated NVMe):
-    /// capacities and links for the out-of-core overflow path. Spilled
-    /// bytes live in governed tiers instead of growing the host unboundedly;
-    /// exhaustion is a diagnosable ResourceExhausted.
+    /// Spill-tier capacities below HBM (pinned host, then simulated NVMe)
+    /// for the out-of-core overflow path. Spilled bytes live in governed
+    /// tiers instead of growing the host unboundedly; exhaustion is a
+    /// diagnosable ResourceExhausted.
     mem::TierManager::Options tier;
     /// Worker threads pulling pipeline tasks from the global queue.
     int num_task_threads = 4;
     Capabilities capabilities;
-    /// Ablation: "custom CUDA kernels" operator implementations — modeled as
-    /// hand-tuned variants with slightly better efficiency than the
-    /// libcudf-class defaults (§3.2.2 modular operator design).
-    bool use_custom_kernels = false;
     /// §3.4 "predicate transfer" optimization [29, 30]: build a Bloom filter
     /// on each inner-join build side and pre-filter the probe input with it
     /// when the build side is selective.

@@ -16,6 +16,8 @@ using plan::PlanKind;
 using plan::PlanNode;
 using plan::PlanPtr;
 
+namespace {
+
 gdf::AggKind ToGdfAgg(plan::AggFunc f) {
   switch (f) {
     case plan::AggFunc::kSum:
@@ -34,25 +36,6 @@ gdf::AggKind ToGdfAgg(plan::AggFunc f) {
       return gdf::AggKind::kCountDistinct;
   }
   return gdf::AggKind::kCountStar;
-}
-
-namespace {
-
-gdf::JoinType ToGdfJoin(plan::JoinType t) {
-  switch (t) {
-    case plan::JoinType::kInner:
-      return gdf::JoinType::kInner;
-    case plan::JoinType::kLeft:
-      return gdf::JoinType::kLeft;
-    case plan::JoinType::kSemi:
-      return gdf::JoinType::kSemi;
-    case plan::JoinType::kAnti:
-      return gdf::JoinType::kAnti;
-    case plan::JoinType::kCross:
-    case plan::JoinType::kAsof:
-      return gdf::JoinType::kInner;  // handled separately
-  }
-  return gdf::JoinType::kInner;
 }
 
 Result<TablePtr> ExecScan(const PlanNode& node, const TablePtr& base,
@@ -112,21 +95,16 @@ Result<TablePtr> ExecJoin(const PlanNode& node, const TablePtr& left,
     SIRIUS_ASSIGN_OR_RETURN(pairs, gdf::HashJoin(ctx, lkeys, rkeys, options));
   }
 
-  const bool emits_right = node.join_type == plan::JoinType::kInner ||
-                           node.join_type == plan::JoinType::kLeft ||
-                           node.join_type == plan::JoinType::kCross ||
-                           node.join_type == plan::JoinType::kAsof;
   SIRIUS_ASSIGN_OR_RETURN(
       TablePtr lg,
       gdf::GatherTable(ctx, left, pairs.left_indices, sim::OpCategory::kJoin));
   std::vector<ColumnPtr> cols = lg->columns();
-  if (emits_right) {
+  if (JoinEmitsRight(node.join_type)) {
     SIRIUS_ASSIGN_OR_RETURN(
         TablePtr rg,
-        gdf::GatherTable(ctx, right, pairs.right_indices, sim::OpCategory::kJoin,
-                         /*nulls_for_negative=*/node.join_type ==
-                                 plan::JoinType::kLeft ||
-                             node.join_type == plan::JoinType::kAsof));
+        gdf::GatherTable(
+            ctx, right, pairs.right_indices, sim::OpCategory::kJoin,
+            /*nulls_for_negative=*/JoinNullableRight(node.join_type)));
     for (const auto& c : rg->columns()) cols.push_back(c);
   }
   return format::Table::Make(node.output_schema, std::move(cols));
@@ -140,15 +118,7 @@ Result<TablePtr> ExecAggregate(const PlanNode& node, const TablePtr& input,
     keys.push_back(input->column(node.group_by[k]));
     key_names.push_back(node.output_schema.field(k).name);
   }
-  std::vector<gdf::AggRequest> aggs;
-  for (size_t a = 0; a < node.aggregates.size(); ++a) {
-    gdf::AggRequest req;
-    req.kind = ToGdfAgg(node.aggregates[a].func);
-    req.column = node.aggregates[a].arg_column;
-    req.name = node.output_schema.field(node.group_by.size() + a).name;
-    aggs.push_back(std::move(req));
-  }
-  return gdf::GroupByAggregate(ctx, keys, key_names, input, aggs);
+  return gdf::GroupByAggregate(ctx, keys, key_names, input, AggRequests(node));
 }
 
 Result<TablePtr> ExecSort(const PlanNode& node, const TablePtr& input,
@@ -178,6 +148,44 @@ Result<TablePtr> ExecDistinct(const TablePtr& input, const gdf::Context& ctx) {
 }
 
 }  // namespace
+
+gdf::JoinType ToGdfJoin(plan::JoinType type) {
+  switch (type) {
+    case plan::JoinType::kInner:
+      return gdf::JoinType::kInner;
+    case plan::JoinType::kLeft:
+      return gdf::JoinType::kLeft;
+    case plan::JoinType::kSemi:
+      return gdf::JoinType::kSemi;
+    case plan::JoinType::kAnti:
+      return gdf::JoinType::kAnti;
+    case plan::JoinType::kCross:
+    case plan::JoinType::kAsof:
+      return gdf::JoinType::kInner;  // handled separately
+  }
+  return gdf::JoinType::kInner;
+}
+
+bool JoinEmitsRight(plan::JoinType type) {
+  return type == plan::JoinType::kInner || type == plan::JoinType::kLeft ||
+         type == plan::JoinType::kCross || type == plan::JoinType::kAsof;
+}
+
+bool JoinNullableRight(plan::JoinType type) {
+  return type == plan::JoinType::kLeft || type == plan::JoinType::kAsof;
+}
+
+std::vector<gdf::AggRequest> AggRequests(const PlanNode& node) {
+  std::vector<gdf::AggRequest> aggs;
+  for (size_t a = 0; a < node.aggregates.size(); ++a) {
+    gdf::AggRequest req;
+    req.kind = ToGdfAgg(node.aggregates[a].func);
+    req.column = node.aggregates[a].arg_column;
+    req.name = node.output_schema.field(node.group_by.size() + a).name;
+    aggs.push_back(std::move(req));
+  }
+  return aggs;
+}
 
 Result<TablePtr> ApplyNode(const PlanNode& node,
                            const std::vector<TablePtr>& children,

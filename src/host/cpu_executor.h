@@ -8,11 +8,13 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "common/result.h"
 #include "format/table.h"
 #include "gdf/context.h"
 #include "gdf/groupby.h"
+#include "gdf/join.h"
 #include "plan/plan.h"
 
 namespace sirius::host {
@@ -38,7 +40,18 @@ Result<format::TablePtr> ApplyNode(const plan::PlanNode& node,
                                    const std::vector<format::TablePtr>& children,
                                    const gdf::Context& ctx);
 
-/// Maps a plan aggregate function to the kernel-level enum.
-gdf::AggKind ToGdfAgg(plan::AggFunc f);
+/// \name Plan-node translation shared with the device engine (src/engine).
+/// @{
+
+/// Hash-join type of an equi-join (cross and ASOF joins have their own
+/// kernels and never reach the hash join).
+gdf::JoinType ToGdfJoin(plan::JoinType type);
+/// True when a join of `type` outputs the build (right) side's columns.
+bool JoinEmitsRight(plan::JoinType type);
+/// True when those right-side columns are NULL for unmatched rows.
+bool JoinNullableRight(plan::JoinType type);
+/// The kernel requests of an aggregate node, named after its output schema.
+std::vector<gdf::AggRequest> AggRequests(const plan::PlanNode& node);
+/// @}
 
 }  // namespace sirius::host

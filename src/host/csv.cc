@@ -16,10 +16,14 @@ using format::TypeId;
 
 namespace {
 
+constexpr char kDelimiter = ',';
+/// Rows examined for type inference (schema-less reads).
+constexpr size_t kInferenceRows = 100;
+
 /// Splits one CSV record (RFC-4180 quoting: "" escapes a quote inside a
 /// quoted cell). Returns cell texts plus per-cell "was quoted" flags.
-Status SplitRecord(const std::string& line, char delimiter,
-                   std::vector<std::string>* cells, std::vector<bool>* quoted) {
+Status SplitRecord(const std::string& line, std::vector<std::string>* cells,
+                   std::vector<bool>* quoted) {
   cells->clear();
   quoted->clear();
   std::string cell;
@@ -40,7 +44,7 @@ Status SplitRecord(const std::string& line, char delimiter,
     } else if (c == '"' && cell.empty()) {
       in_quotes = true;
       cell_quoted = true;
-    } else if (c == delimiter) {
+    } else if (c == kDelimiter) {
       cells->push_back(std::move(cell));
       quoted->push_back(cell_quoted);
       cell.clear();
@@ -78,8 +82,8 @@ bool LooksLikeDate(const std::string& s) {
 }
 
 Status AppendCell(ColumnBuilder* b, const DataType& type, const std::string& cell,
-                  bool was_quoted, const CsvOptions& options, size_t line_no) {
-  if (!was_quoted && cell == options.null_token) {
+                  bool was_quoted, size_t line_no) {
+  if (!was_quoted && cell.empty()) {
     b->AppendNull();
     return Status::OK();
   }
@@ -138,14 +142,14 @@ Result<std::vector<std::string>> ReadLines(std::istream& in) {
   return lines;
 }
 
+/// Parses every line after the header against `schema`.
 Result<TablePtr> ParseLines(const std::vector<std::string>& lines,
-                            const Schema& schema, bool skip_header,
-                            const CsvOptions& options) {
+                            const Schema& schema) {
   format::TableBuilder builder(schema);
   std::vector<std::string> cells;
   std::vector<bool> quoted;
-  for (size_t i = skip_header ? 1 : 0; i < lines.size(); ++i) {
-    SIRIUS_RETURN_NOT_OK(SplitRecord(lines[i], options.delimiter, &cells, &quoted));
+  for (size_t i = 1; i < lines.size(); ++i) {
+    SIRIUS_RETURN_NOT_OK(SplitRecord(lines[i], &cells, &quoted));
     if (cells.size() != schema.num_fields()) {
       return Status::ParseError(
           "CSV line " + std::to_string(i + 1) + ": expected " +
@@ -154,36 +158,32 @@ Result<TablePtr> ParseLines(const std::vector<std::string>& lines,
     }
     for (size_t c = 0; c < cells.size(); ++c) {
       SIRIUS_RETURN_NOT_OK(AppendCell(&builder.column(c), schema.field(c).type,
-                                      cells[c], quoted[c], options, i + 1));
+                                      cells[c], quoted[c], i + 1));
     }
   }
   return builder.Finish();
 }
 
-Result<Schema> InferSchema(const std::vector<std::string>& lines,
-                           const CsvOptions& options) {
+Result<Schema> InferSchema(const std::vector<std::string>& lines) {
   if (lines.empty()) return Status::ParseError("CSV: empty input");
-  if (!options.has_header) {
-    return Status::Invalid("CSV type inference requires a header line");
-  }
   std::vector<std::string> names;
   std::vector<bool> quoted;
-  SIRIUS_RETURN_NOT_OK(SplitRecord(lines[0], options.delimiter, &names, &quoted));
+  SIRIUS_RETURN_NOT_OK(SplitRecord(lines[0], &names, &quoted));
 
   const size_t cols = names.size();
   // Per-column candidate lattice: int -> double -> date -> string.
   std::vector<bool> can_int(cols, true), can_double(cols, true),
       can_date(cols, true), saw_value(cols, false);
   std::vector<std::string> cells;
-  const size_t limit = std::min(lines.size(), options.inference_rows + 1);
+  const size_t limit = std::min(lines.size(), kInferenceRows + 1);
   for (size_t i = 1; i < limit; ++i) {
-    SIRIUS_RETURN_NOT_OK(SplitRecord(lines[i], options.delimiter, &cells, &quoted));
+    SIRIUS_RETURN_NOT_OK(SplitRecord(lines[i], &cells, &quoted));
     if (cells.size() != cols) {
       return Status::ParseError("CSV line " + std::to_string(i + 1) +
                                 ": ragged row during inference");
     }
     for (size_t c = 0; c < cols; ++c) {
-      if (!quoted[c] && cells[c] == options.null_token) continue;
+      if (!quoted[c] && cells[c].empty()) continue;  // NULL
       saw_value[c] = true;
       if (quoted[c]) {  // quoted cells are strings by intent
         can_int[c] = can_double[c] = can_date[c] = false;
@@ -211,8 +211,8 @@ Result<Schema> InferSchema(const std::vector<std::string>& lines,
   return schema;
 }
 
-bool NeedsQuoting(const std::string& s, char delimiter) {
-  return s.find(delimiter) != std::string::npos ||
+bool NeedsQuoting(const std::string& s) {
+  return s.find(kDelimiter) != std::string::npos ||
          s.find('"') != std::string::npos || s.find('\n') != std::string::npos;
 }
 
@@ -228,58 +228,49 @@ std::string QuoteCell(const std::string& s) {
 
 }  // namespace
 
-Result<TablePtr> ParseCsv(const std::string& text, const Schema& schema,
-                          const CsvOptions& options) {
+Result<TablePtr> ParseCsv(const std::string& text, const Schema& schema) {
   std::istringstream in(text);
   SIRIUS_ASSIGN_OR_RETURN(std::vector<std::string> lines, ReadLines(in));
-  return ParseLines(lines, schema, options.has_header, options);
+  return ParseLines(lines, schema);
 }
 
-Result<TablePtr> ParseCsvInferSchema(const std::string& text,
-                                     const CsvOptions& options) {
+Result<TablePtr> ParseCsvInferSchema(const std::string& text) {
   std::istringstream in(text);
   SIRIUS_ASSIGN_OR_RETURN(std::vector<std::string> lines, ReadLines(in));
-  SIRIUS_ASSIGN_OR_RETURN(Schema schema, InferSchema(lines, options));
-  return ParseLines(lines, schema, /*skip_header=*/true, options);
+  SIRIUS_ASSIGN_OR_RETURN(Schema schema, InferSchema(lines));
+  return ParseLines(lines, schema);
 }
 
-Result<TablePtr> ReadCsv(const std::string& path, const Schema& schema,
-                         const CsvOptions& options) {
+Result<TablePtr> ReadCsv(const std::string& path, const Schema& schema) {
   std::ifstream in(path);
   if (!in.is_open()) return Status::IOError("cannot open '" + path + "'");
   SIRIUS_ASSIGN_OR_RETURN(std::vector<std::string> lines, ReadLines(in));
-  return ParseLines(lines, schema, options.has_header, options);
+  return ParseLines(lines, schema);
 }
 
-Result<TablePtr> ReadCsvInferSchema(const std::string& path,
-                                    const CsvOptions& options) {
+Result<TablePtr> ReadCsvInferSchema(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) return Status::IOError("cannot open '" + path + "'");
   SIRIUS_ASSIGN_OR_RETURN(std::vector<std::string> lines, ReadLines(in));
-  SIRIUS_ASSIGN_OR_RETURN(Schema schema, InferSchema(lines, options));
-  return ParseLines(lines, schema, /*skip_header=*/true, options);
+  SIRIUS_ASSIGN_OR_RETURN(Schema schema, InferSchema(lines));
+  return ParseLines(lines, schema);
 }
 
-Result<std::string> FormatCsv(const TablePtr& table, const CsvOptions& options) {
+Result<std::string> FormatCsv(const TablePtr& table) {
   std::ostringstream out;
-  if (options.has_header) {
-    for (size_t c = 0; c < table->num_columns(); ++c) {
-      if (c > 0) out << options.delimiter;
-      out << table->schema().field(c).name;
-    }
-    out << "\n";
+  for (size_t c = 0; c < table->num_columns(); ++c) {
+    if (c > 0) out << kDelimiter;
+    out << table->schema().field(c).name;
   }
+  out << "\n";
   for (size_t r = 0; r < table->num_rows(); ++r) {
     for (size_t c = 0; c < table->num_columns(); ++c) {
-      if (c > 0) out << options.delimiter;
+      if (c > 0) out << kDelimiter;
       const auto& col = table->column(c);
-      if (col->IsNull(r)) {
-        out << options.null_token;
-        continue;
-      }
+      if (col->IsNull(r)) continue;  // NULL is an empty unquoted cell
       if (col->type().is_string()) {
         std::string cell(col->StringAt(r));
-        out << (NeedsQuoting(cell, options.delimiter) ? QuoteCell(cell) : cell);
+        out << (NeedsQuoting(cell) ? QuoteCell(cell) : cell);
       } else {
         format::Scalar s = col->GetScalar(r);
         std::string rendered = s.ToString();
@@ -292,9 +283,8 @@ Result<std::string> FormatCsv(const TablePtr& table, const CsvOptions& options) 
   return out.str();
 }
 
-Status WriteCsv(const TablePtr& table, const std::string& path,
-                const CsvOptions& options) {
-  SIRIUS_ASSIGN_OR_RETURN(std::string text, FormatCsv(table, options));
+Status WriteCsv(const TablePtr& table, const std::string& path) {
+  SIRIUS_ASSIGN_OR_RETURN(std::string text, FormatCsv(table));
   std::ofstream out(path);
   if (!out.is_open()) return Status::IOError("cannot open '" + path + "'");
   out << text;

@@ -1,8 +1,10 @@
 // CSV import/export for the host database.
 //
 // The paper (§3.2.3): "Sirius relies on the host database to read data from
-// disk" — this is that disk path. Supports RFC-4180-style quoting, headers,
-// NULL tokens, explicit schemas and type inference.
+// disk" — this is that disk path. One format: comma-separated, RFC-4180-style
+// quoting, a header line of column names, and an empty unquoted cell for
+// NULL (a quoted empty cell is the empty string). Reads take an explicit
+// schema or infer one.
 
 #pragma once
 
@@ -13,41 +15,24 @@
 
 namespace sirius::host {
 
-struct CsvOptions {
-  char delimiter = ',';
-  /// First line holds column names.
-  bool has_header = true;
-  /// Unquoted cells equal to this parse as NULL.
-  std::string null_token = "";
-  /// Rows examined for type inference (schema-less reads).
-  size_t inference_rows = 100;
-};
-
 /// Reads a CSV file against an explicit schema (column count must match;
-/// names come from the schema, the header line is skipped if present).
+/// names come from the schema, the header line is skipped).
 Result<format::TablePtr> ReadCsv(const std::string& path,
-                                 const format::Schema& schema,
-                                 const CsvOptions& options = {});
+                                 const format::Schema& schema);
 
 /// Reads a CSV file, inferring column types (INT64 -> FLOAT64 -> DATE32 ->
-/// STRING) from the first `inference_rows` rows. Requires a header for
-/// column names.
-Result<format::TablePtr> ReadCsvInferSchema(const std::string& path,
-                                            const CsvOptions& options = {});
+/// STRING) from the first 100 rows; the header names the columns.
+Result<format::TablePtr> ReadCsvInferSchema(const std::string& path);
 
 /// Writes a table as CSV (header + quoted strings where needed).
-Status WriteCsv(const format::TablePtr& table, const std::string& path,
-                const CsvOptions& options = {});
+Status WriteCsv(const format::TablePtr& table, const std::string& path);
 
 /// \name In-memory variants (testing and embedding).
 /// @{
 Result<format::TablePtr> ParseCsv(const std::string& text,
-                                  const format::Schema& schema,
-                                  const CsvOptions& options = {});
-Result<format::TablePtr> ParseCsvInferSchema(const std::string& text,
-                                             const CsvOptions& options = {});
-Result<std::string> FormatCsv(const format::TablePtr& table,
-                              const CsvOptions& options = {});
+                                  const format::Schema& schema);
+Result<format::TablePtr> ParseCsvInferSchema(const std::string& text);
+Result<std::string> FormatCsv(const format::TablePtr& table);
 /// @}
 
 }  // namespace sirius::host

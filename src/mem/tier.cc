@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
 
 #include "mem/buffer.h"
 
@@ -45,8 +44,10 @@ uint64_t PinnedHostInUse() {
   return g_pinned_host_in_use.load(std::memory_order_relaxed);
 }
 
-TierManager::TierManager(Options options, fault::FaultInjector* injector)
-    : options_(std::move(options)),
+TierManager::TierManager(Options options, sim::Link host_link,
+                         fault::FaultInjector* injector)
+    : options_(options),
+      host_link_(host_link),
       injector_(injector != nullptr ? injector
                                     : fault::FaultInjector::Global()) {}
 
@@ -56,8 +57,8 @@ uint64_t TierManager::capacity(Tier t) const {
 }
 
 double TierManager::WriteSeconds(Tier t, uint64_t bytes) const {
-  double s = options_.host_link.TransferSeconds(bytes);
-  if (t == Tier::kNvme) s += options_.nvme_link.TransferSeconds(bytes);
+  double s = host_link_.TransferSeconds(bytes);
+  if (t == Tier::kNvme) s += sim::NvmeGen4().TransferSeconds(bytes);
   return s;
 }
 

@@ -75,11 +75,6 @@ class TierManager {
     uint64_t host_capacity_bytes = 64ull << 30;
     /// Simulated NVMe capacity; 0 disables the tier.
     uint64_t nvme_capacity_bytes = 512ull << 30;
-    /// Device <-> pinned host link.
-    sim::Link host_link = sim::NvlinkC2c();
-    /// Pinned host <-> NVMe link (NVMe extents bounce through host staging,
-    /// so they pay both links).
-    sim::Link nvme_link = sim::NvmeGen4();
   };
 
   struct TierStats {
@@ -95,10 +90,12 @@ class TierManager {
     bool lost = false;            ///< currently lost (until ReviveLostTiers)
   };
 
-  TierManager() : TierManager(Options(), nullptr) {}
-  /// `injector` == nullptr uses the process-global injector.
-  explicit TierManager(Options options,
-                       fault::FaultInjector* injector = nullptr);
+  /// `host_link` is the owning engine's device <-> host link: every spill
+  /// crosses it. NVMe extents bounce through pinned-host staging, so they
+  /// also pay sim::NvmeGen4(). `injector` == nullptr uses the process-global
+  /// injector.
+  TierManager(Options options, sim::Link host_link,
+              fault::FaultInjector* injector = nullptr);
 
   const Options& options() const { return options_; }
   uint64_t capacity(Tier t) const;
@@ -164,6 +161,7 @@ class TierManager {
   void ReleaseBytesLocked(Tier t, uint64_t bytes);
 
   const Options options_;
+  const sim::Link host_link_;
   fault::FaultInjector* const injector_;
   mutable std::mutex mu_;
   TierState tiers_[kTierCount];

@@ -13,15 +13,21 @@ SIRIUS_FAULT_DEFINE_SITE(kSiteBroadcast, "sccl.broadcast");
 SIRIUS_FAULT_DEFINE_SITE(kSiteGather, "sccl.gather");
 SIRIUS_FAULT_DEFINE_SITE(kSiteMulticast, "sccl.multicast");
 
+namespace {
+
+/// Fraction of each collective backoff randomized, drawn from the
+/// injector's seeded RNG so a fault sweep replays exactly.
+constexpr double kBackoffJitter = 0.5;
+
+}  // namespace
+
 double Communicator::BackoffSeconds(int attempt) const {
-  double delay = retry_.base_backoff_s;
-  for (int i = 0; i < attempt && delay < retry_.max_backoff_s; ++i) delay *= 2;
-  delay = std::min(delay, retry_.max_backoff_s);
-  if (retry_.jitter > 0) {
-    // Center the jitter so the expected delay stays on the schedule.
-    const double u = injector_->Uniform();
-    delay *= 1.0 + retry_.jitter * (u - 0.5);
-  }
+  double delay = kRetryBaseBackoffS;
+  for (int i = 0; i < attempt && delay < kRetryMaxBackoffS; ++i) delay *= 2;
+  delay = std::min(delay, kRetryMaxBackoffS);
+  // Center the jitter so the expected delay stays on the schedule.
+  const double u = injector_->Uniform();
+  delay *= 1.0 + kBackoffJitter * (u - 0.5);
   return delay;
 }
 
@@ -31,8 +37,7 @@ Result<CollectiveResult> Communicator::RunWithRetry(const char* site,
   int retries = 0;
   double backoff = 0;
   Status last = Status::OK();
-  const int attempts = std::max(1, retry_.max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kRetryMaxAttempts; ++attempt) {
     Status injected = injector_->Check(site);
     if (injected.ok()) {
       SIRIUS_ASSIGN_OR_RETURN(CollectiveResult result, body());
@@ -58,7 +63,7 @@ Result<CollectiveResult> Communicator::RunWithRetry(const char* site,
     }
     if (!injected.IsTransient()) return injected;  // hard fault: no retry
     last = injected;
-    if (attempt + 1 < attempts) {
+    if (attempt + 1 < kRetryMaxAttempts) {
       const double delay = BackoffSeconds(attempt);
       if (trace_ != nullptr) {
         // One span per healed transient attempt, covering its backoff: the
@@ -73,7 +78,7 @@ Result<CollectiveResult> Communicator::RunWithRetry(const char* site,
     }
   }
   return last.WithContext("collective '" + std::string(site) + "' failed after " +
-                          std::to_string(attempts) + " attempts");
+                          std::to_string(kRetryMaxAttempts) + " attempts");
 }
 
 Result<CollectiveResult> Communicator::AllToAll(

@@ -26,18 +26,15 @@
 
 namespace sirius::net {
 
-/// \brief Retry schedule for transient collective failures.
-struct RetryPolicy {
-  /// Total attempts per collective (1 = no retries).
-  int max_attempts = 4;
-  /// First backoff; doubles per retry (NCCL-style transport re-establish).
-  double base_backoff_s = 0.0005;
-  /// Backoff cap.
-  double max_backoff_s = 0.050;
-  /// Fraction of each backoff randomized (0 = deterministic, 1 = full
-  /// jitter). Jitter draws from the injector's seeded RNG.
-  double jitter = 0.5;
-};
+/// \name Retry schedule for transient link failures
+/// The one schedule for every sender on a fabric: the collectives below and
+/// the serving cluster's replication channel. The first backoff doubles per
+/// retry (NCCL-style transport re-establish) up to the cap.
+/// @{
+inline constexpr int kRetryMaxAttempts = 4;  ///< total attempts per send
+inline constexpr double kRetryBaseBackoffS = 0.0005;
+inline constexpr double kRetryMaxBackoffS = 0.050;
+/// @}
 
 /// \brief Result of one collective: the received data plus its modeled cost.
 struct CollectiveResult {
@@ -64,21 +61,18 @@ class Communicator {
  public:
   /// `injector` == nullptr uses the global injector (disarmed by default).
   Communicator(int world_size, sim::Link link,
-               fault::FaultInjector* injector = nullptr,
-               RetryPolicy retry = RetryPolicy{})
+               fault::FaultInjector* injector = nullptr)
       : world_size_(world_size),
         link_(link),
         injector_(injector != nullptr ? injector
-                                      : fault::FaultInjector::Global()),
-        retry_(retry) {}
+                                      : fault::FaultInjector::Global()) {}
 
   int world_size() const { return world_size_; }
   const sim::Link& link() const { return link_; }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   /// Attaches a trace sink: every collective emits one "collective" span on
   /// `track` (with link/bytes/retries attrs) and one "retry" span per
-  /// transient attempt the retry policy healed.
+  /// transient attempt the retry schedule healed.
   void set_trace(obs::TraceRecorder* recorder, obs::TrackId track) {
     trace_ = recorder;
     trace_track_ = track;
@@ -111,7 +105,7 @@ class Communicator {
                                      double data_scale) const;
 
  private:
-  /// Runs `body` under the retry policy: before each attempt the fault site
+  /// Runs `body` under the retry schedule: before each attempt the fault site
   /// is consulted; transient injected failures back off and retry, anything
   /// else (including body errors) propagates unchanged.
   template <typename Fn>
@@ -135,7 +129,6 @@ class Communicator {
   int world_size_;
   sim::Link link_;
   fault::FaultInjector* injector_;
-  RetryPolicy retry_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::TrackId trace_track_ = 0;
   double trace_start_s_ = 0.0;

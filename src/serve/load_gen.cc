@@ -197,11 +197,11 @@ Result<LoadReport> LoadGenerator::Run() {
 
   if (!options_.open_loop) {
     // Closed loop: one outstanding query per client; the next submit waits
-    // for the previous completion plus think time. Submits and dispatch
-    // decisions interleave in global simulated-time order — a submit due
-    // before the server's next dispatch must land first, so the fair
-    // scheduler arbitrates over everything actually queued at each decision
-    // point (and real executions genuinely overlap on the worker pool).
+    // for the previous completion. Submits and dispatch decisions interleave
+    // in global simulated-time order — a submit due before the server's next
+    // dispatch must land first, so the fair scheduler arbitrates over
+    // everything actually queued at each decision point (and real
+    // executions genuinely overlap on the worker pool).
     // Collects finished in-flight queries and schedules their clients.
     auto harvest = [&]() -> Status {
       for (auto& c : clients) {
@@ -213,7 +213,7 @@ Result<LoadReport> LoadGenerator::Run() {
         c.outstanding = false;
         --c.remaining;
         c.retries_left = options_.max_retries;
-        c.next_s = out.finish_s + options_.think_time_s;
+        c.next_s = out.finish_s;
       }
       return Status::OK();
     };

@@ -5,8 +5,8 @@
 // (queries-per-simulated-second), so numbers are deterministic for a fixed
 // seed and warm caches.
 //
-//  * Closed loop: each client keeps exactly one query outstanding, submits
-//    the next `think_time_s` after the previous completes (the paper's
+//  * Closed loop: each client keeps exactly one query outstanding and
+//    submits the next as soon as the previous completes (the paper's
 //    interactive-analytics setting). Offered load adapts to service rate.
 //  * Open loop: arrivals follow a seeded exponential process at
 //    `arrival_rate_qps` regardless of completions, so overload actually
@@ -43,7 +43,6 @@ struct LoadOptions {
   int num_clients = 16;
   /// Closed loop: queries each client completes (or abandons).
   int queries_per_client = 4;
-  double think_time_s = 0;
 
   bool open_loop = false;
   /// Open loop: mean arrivals per simulated second across all clients.

@@ -63,7 +63,7 @@ QueryCache::Entry* QueryCache::Touch(const std::string& key,
     lru_.push_front(key);
     it = entries_.emplace(key, Entry{}).first;
     it->second.lru_it = lru_.begin();
-    while (entries_.size() > options_.max_entries && !lru_.empty()) {
+    while (entries_.size() > kMaxEntries && !lru_.empty()) {
       entries_.erase(lru_.back());
       lru_.pop_back();
       ++stats_.evictions;
@@ -95,7 +95,7 @@ void QueryCache::InsertPlan(const std::string& normalized_sql,
 
 bool QueryCache::LookupResult(const std::string& normalized_sql,
                               uint64_t catalog_version, CachedResult* out) {
-  if (!options_.cache_results) return false;
+  if (!cache_results_) return false;
   std::lock_guard<std::mutex> lock(mu_);
   Entry* e = FindLive(normalized_sql, catalog_version);
   if (e == nullptr || !e->has_result) {
@@ -109,7 +109,7 @@ bool QueryCache::LookupResult(const std::string& normalized_sql,
 
 void QueryCache::InsertResult(const std::string& normalized_sql,
                               uint64_t catalog_version, CachedResult result) {
-  if (!options_.cache_results) return;
+  if (!cache_results_) return;
   std::lock_guard<std::mutex> lock(mu_);
   Entry* e = Touch(normalized_sql, catalog_version);
   e->has_result = true;

@@ -33,11 +33,6 @@ std::string NormalizeSql(const std::string& sql);
 /// against the catalog. Thread-safe.
 class QueryCache {
  public:
-  struct Options {
-    size_t max_entries = 256;
-    bool cache_results = true;
-  };
-
   struct Stats {
     uint64_t plan_hits = 0;
     uint64_t plan_misses = 0;
@@ -54,7 +49,9 @@ class QueryCache {
     double exec_seconds = 0;
   };
 
-  explicit QueryCache(Options options) : options_(options) {}
+  /// `cache_results` false caches plans only: result lookups find nothing
+  /// and result inserts are dropped.
+  explicit QueryCache(bool cache_results) : cache_results_(cache_results) {}
 
   /// Plan for `normalized_sql` built under `catalog_version`, or null on
   /// miss. A version mismatch discards the entry (counted as invalidation).
@@ -102,7 +99,10 @@ class QueryCache {
   /// front and evicting from the tail past capacity. Caller holds mu_.
   Entry* Touch(const std::string& key, uint64_t version);
 
-  const Options options_;
+  /// LRU capacity in entries (plans and results together).
+  static constexpr size_t kMaxEntries = 256;
+
+  const bool cache_results_;
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
   std::list<std::string> lru_;  ///< front = most recent

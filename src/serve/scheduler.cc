@@ -115,8 +115,12 @@ PlacementPolicy::Decision PlacementPolicy::Place(
   }
   const double warm_backlog = backlog_s[static_cast<size_t>(warm)];
   const double least_backlog = backlog_s[static_cast<size_t>(d.device)];
-  if (warm_backlog <=
-      options_.imbalance_ratio * least_backlog + options_.imbalance_slack_s) {
+  // Spill away only when the warm device's backlog exceeds twice the
+  // least-loaded one's; the slack keeps sub-millisecond noise from
+  // abandoning a warm device.
+  constexpr double kImbalanceRatio = 2.0;
+  constexpr double kImbalanceSlackS = 1e-3;
+  if (warm_backlog <= kImbalanceRatio * least_backlog + kImbalanceSlackS) {
     return Decision{warm, true, "warm"};
   }
   d.reason = "spill";

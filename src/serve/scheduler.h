@@ -92,29 +92,17 @@ class FairScheduler {
 /// produced. Placement keeps a tenant on its warm device while (a) the
 /// query's inputs are actually resident (the caller consults BufferManager
 /// residency and result-cache entry stamps) and (b) the warm device's
-/// backlog stays within `imbalance_ratio` of the least-loaded alive
-/// device's. Otherwise the query spills to the least-loaded device (ties to
+/// backlog stays within twice the least-loaded alive device's, plus 1 ms of
+/// slack. Otherwise the query spills to the least-loaded device (ties to
 /// the lowest index, so decisions replay deterministically).
 class PlacementPolicy {
  public:
-  struct Options {
-    /// Spill away from the warm device when its backlog exceeds the
-    /// least-loaded alive device's by more than this factor.
-    double imbalance_ratio = 2.0;
-    /// Backlog slack (seconds) ignored by the imbalance test, so a warm
-    /// device is not abandoned over sub-millisecond noise.
-    double imbalance_slack_s = 1e-3;
-  };
-
   /// Why a device was chosen (stable strings for metrics/trace labels).
   struct Decision {
     int device = -1;          ///< -1: no device alive
     bool warm = false;        ///< kept on the tenant's warm device
     const char* reason = "cold";  ///< "warm" | "cold" | "spill" | "forced"
   };
-
-  PlacementPolicy() = default;
-  explicit PlacementPolicy(Options options) : options_(options) {}
 
   /// Picks a device for `tenant`. `backlog_s[d]` is the projected backlog of
   /// device d in simulated seconds (+inf for lost devices); `alive[d]` its
@@ -134,7 +122,6 @@ class PlacementPolicy {
   int warm_device(const std::string& tenant) const;
 
  private:
-  Options options_;
   std::map<std::string, int> warm_;
 };
 

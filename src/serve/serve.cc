@@ -59,9 +59,7 @@ QueryServer::QueryServer(host::Database* db, engine::SiriusEngine* engine,
           sim::StreamSet::Options{options.num_streams,
                                   options.solo_utilization},
           options.fabric}),
-      placer_(PlacementPolicy::Options{options.placement_imbalance_ratio,
-                                       1e-3}),
-      cache_(QueryCache::Options{options.cache_entries, options.result_cache}),
+      cache_(options.result_cache),
       exec_pool_(static_cast<size_t>(std::max(1, options.execution_threads))),
       trace_(obs::TraceRecorder::Options{options.tracing, 8192,
                                          /*unbounded=*/true}) {
@@ -132,10 +130,8 @@ mem::ReservationPool& QueryServer::reservations(int device) {
 mem::ReservationPool* QueryServer::SpillPoolFor(const std::string& tenant) {
   auto it = spill_pools_.find(tenant);
   if (it != spill_pools_.end()) return it->second.get();
-  auto oit = spill_quota_overrides_.find(tenant);
-  const uint64_t quota = oit != spill_quota_overrides_.end()
-                             ? oit->second
-                             : options_.tenant_spill_quota_bytes;
+  auto qit = spill_quotas_.find(tenant);
+  const uint64_t quota = qit != spill_quotas_.end() ? qit->second : 0;
   const uint64_t capacity =
       quota > 0 ? quota : std::numeric_limits<uint64_t>::max();
   auto pool = std::make_unique<mem::ReservationPool>(capacity,
@@ -148,7 +144,7 @@ mem::ReservationPool* QueryServer::SpillPoolFor(const std::string& tenant) {
 void QueryServer::SetTenantSpillQuota(const std::string& tenant,
                                       uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  spill_quota_overrides_[tenant] = bytes;
+  spill_quotas_[tenant] = bytes;
   auto it = spill_pools_.find(tenant);
   if (it != spill_pools_.end()) {
     // Replacing a pool with outstanding charges would orphan them: the

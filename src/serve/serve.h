@@ -156,9 +156,6 @@ struct ServeOptions {
   double solo_utilization = 0.45;
   /// Device-to-device link pricing warm-input migration on a spill.
   sim::Link fabric = sim::NvlinkC2c();
-  /// Spill away from a tenant's warm device when its backlog exceeds the
-  /// least-loaded device's by more than this factor.
-  double placement_imbalance_ratio = 2.0;
   /// Host worker threads running admitted queries for real.
   int execution_threads = 8;
   /// Admitted-but-undispatched queries allowed before shedding, per device.
@@ -170,17 +167,9 @@ struct ServeOptions {
   uint64_t admission_budget_bytes = 0;
   /// Reservation for submits that do not specify one.
   uint64_t default_reservation_bytes = 256ull << 20;
-  /// Per-tenant spill quota: how many host/NVMe bytes one tenant's running
-  /// queries may stage concurrently through the engine's tier hierarchy
-  /// (out-of-core mode). 0 = unlimited. Override per tenant with
-  /// SetTenantSpillQuota *before* that tenant submits. A query that
-  /// exhausts its tenant's quota mid-run is shed with ResourceExhausted and
-  /// a retry-after hint — it does not take the host down with it.
-  uint64_t tenant_spill_quota_bytes = 0;
   /// Deadline applied when a submit does not specify one; 0 = none.
   double default_timeout_s = 0;
   bool result_cache = true;
-  size_t cache_entries = 256;
   /// Simulated cost of serving a result-cache hit.
   double cache_hit_cost_s = 50e-6;
   /// Server-lifetime trace (per-stream query spans, shed/timeout instants);
@@ -240,10 +229,13 @@ class QueryServer : public QueryService {
   /// Registers `tenant` with a fair-share `weight` (> 0, relative).
   void RegisterTenant(const std::string& tenant, double weight) override;
 
-  /// Sets `tenant`'s spill quota (overrides
-  /// ServeOptions::tenant_spill_quota_bytes; 0 = unlimited). Call before
-  /// the tenant submits: the quota pool is created lazily on first use and
-  /// replaced here only while it has no outstanding charges.
+  /// Sets `tenant`'s spill quota: how many host/NVMe bytes its running
+  /// queries may stage concurrently through the engine's tier hierarchy
+  /// (out-of-core mode). 0, or a tenant never set, is unlimited. A query
+  /// that exhausts its tenant's quota mid-run is shed with
+  /// ResourceExhausted and a retry-after hint. Call before the tenant
+  /// submits: the quota pool is created lazily on first use and replaced
+  /// here only while it has no outstanding charges.
   void SetTenantSpillQuota(const std::string& tenant, uint64_t bytes);
 
   /// The spill-quota pool of `tenant` (created on first use; tests assert
@@ -446,9 +438,9 @@ class QueryServer : public QueryService {
   PlacementPolicy placer_;
   std::vector<std::unique_ptr<mem::ReservationPool>> owned_pools_;
   std::vector<mem::ReservationPool*> pools_;  ///< one admission pool per device
-  /// Per-tenant spill-quota pools (lazily created) and explicit overrides.
+  /// Per-tenant spill-quota pools (lazily created) and the quotas set.
   std::map<std::string, std::unique_ptr<mem::ReservationPool>> spill_pools_;
-  std::map<std::string, uint64_t> spill_quota_overrides_;
+  std::map<std::string, uint64_t> spill_quotas_;
   QueryCache cache_;
   ThreadPool exec_pool_;
 

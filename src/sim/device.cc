@@ -109,13 +109,4 @@ bool RaceCheckRequestedByEnv() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-HazardTracker& DeviceHazardTracker() {
-  static HazardTracker* tracker = [] {
-    auto* t = new HazardTracker();  // sirius-lint: allow(raw-new-delete): leaked singleton
-    t->set_enabled(RaceCheckRequestedByEnv());
-    return t;
-  }();
-  return *tracker;
-}
-
 }  // namespace sirius::sim

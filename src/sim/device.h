@@ -69,19 +69,9 @@ DeviceProfile C6aMetal();
 /// Returns GH200 for unknown names.
 DeviceProfile ProfileByName(const std::string& name);
 
-/// \name Device-model race checking.
-///
-/// The simulated device executes kernels on the host thread pool; these hooks
-/// give every component one shared happens-before checker for the streams and
-/// events of that device model (engine pipelines, out-of-core batches, ...).
-/// @{
-
-/// Process-wide hazard tracker for the simulated device. Created on first
-/// use; enabled automatically when SIRIUS_RACE_CHECK=1 is in the environment.
-HazardTracker& DeviceHazardTracker();
-
-/// True when the SIRIUS_RACE_CHECK environment variable requests checking.
+/// True when the SIRIUS_RACE_CHECK environment variable requests the
+/// device-model race checking (engine pipelines and out-of-core batches
+/// verified by a sim::HazardTracker).
 bool RaceCheckRequestedByEnv();
-/// @}
 
 }  // namespace sirius::sim

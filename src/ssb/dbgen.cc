@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "format/builder.h"
+#include "tpch/vocab.h"
 
 namespace sirius::ssb {
 
@@ -13,41 +14,22 @@ using format::ColumnBuilder;
 using format::DataType;
 using format::Schema;
 using format::TablePtr;
+using tpch::Container1;
+using tpch::Container2;
+using tpch::NationDef;
+using tpch::Nations;
+using tpch::PadKeyName;
+using tpch::Phone;
+using tpch::Priorities;
+using tpch::Regions;
+using tpch::Rng;
+using tpch::Segments;
+using tpch::ShipModes;
+using tpch::TypeSyllable1;
+using tpch::TypeSyllable2;
+using tpch::TypeSyllable3;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Deterministic RNG (splitmix64-based, seeded per table; same construction
-// as src/tpch/dbgen.cc so both families share one portability story)
-// ---------------------------------------------------------------------------
-
-class Rng {
- public:
-  explicit Rng(uint64_t seed) : state_(seed * 0x9e3779b97f4a7c15ULL + 1) {}
-
-  uint64_t Next() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  /// Uniform in [lo, hi] inclusive.
-  int64_t Range(int64_t lo, int64_t hi) {
-    return lo + static_cast<int64_t>(Next() % static_cast<uint64_t>(hi - lo + 1));
-  }
-
-  /// Uniform in [0, 1) from the 53 high bits (bit-exact across platforms).
-  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
-
-  template <typename T>
-  const T& Pick(const std::vector<T>& list) {
-    return list[Next() % list.size()];
-  }
-
- private:
-  uint64_t state_;
-};
 
 /// Draws ranks 1..n with probability proportional to 1/rank^s (s = 0 is
 /// uniform). The CDF is precomputed once per column; a draw is one uniform
@@ -75,50 +57,10 @@ class ZipfPicker {
 };
 
 // ---------------------------------------------------------------------------
-// Value domains
+// SSB-only value domains (the spec vocabulary it shares with TPC-H is in
+// tpch/vocab.h)
 // ---------------------------------------------------------------------------
 
-const std::vector<std::string>& Regions() {
-  static const std::vector<std::string> v = {"AFRICA", "AMERICA", "ASIA",
-                                             "EUROPE", "MIDDLE EAST"};
-  return v;
-}
-
-struct NationDef {
-  const char* name;
-  int region;
-};
-
-const std::vector<NationDef>& Nations() {
-  static const std::vector<NationDef> v = {
-      {"ALGERIA", 0},        {"ARGENTINA", 1},  {"BRAZIL", 1},
-      {"CANADA", 1},         {"EGYPT", 4},      {"ETHIOPIA", 0},
-      {"FRANCE", 3},         {"GERMANY", 3},    {"INDIA", 2},
-      {"INDONESIA", 2},      {"IRAN", 4},       {"IRAQ", 4},
-      {"JAPAN", 2},          {"JORDAN", 4},     {"KENYA", 0},
-      {"MOROCCO", 0},        {"MOZAMBIQUE", 0}, {"PERU", 1},
-      {"CHINA", 2},          {"ROMANIA", 3},    {"SAUDI ARABIA", 4},
-      {"VIETNAM", 2},        {"RUSSIA", 3},     {"UNITED KINGDOM", 3},
-      {"UNITED STATES", 1}};
-  return v;
-}
-
-const std::vector<std::string>& Segments() {
-  static const std::vector<std::string> v = {"AUTOMOBILE", "BUILDING",
-                                             "FURNITURE", "MACHINERY",
-                                             "HOUSEHOLD"};
-  return v;
-}
-const std::vector<std::string>& Priorities() {
-  static const std::vector<std::string> v = {"1-URGENT", "2-HIGH", "3-MEDIUM",
-                                             "4-NOT SPECIFIED", "5-LOW"};
-  return v;
-}
-const std::vector<std::string>& ShipModes() {
-  static const std::vector<std::string> v = {"REG AIR", "AIR", "RAIL", "SHIP",
-                                             "TRUCK", "MAIL", "FOB"};
-  return v;
-}
 const std::vector<std::string>& Colors() {
   static const std::vector<std::string> v = {
       "almond", "antique", "aquamarine", "azure",  "beige",   "bisque",
@@ -138,31 +80,6 @@ const std::vector<std::string>& Colors() {
       "yellow"};
   return v;
 }
-const std::vector<std::string>& TypeSyllable1() {
-  static const std::vector<std::string> v = {"STANDARD", "SMALL", "MEDIUM",
-                                             "LARGE", "ECONOMY", "PROMO"};
-  return v;
-}
-const std::vector<std::string>& TypeSyllable2() {
-  static const std::vector<std::string> v = {"ANODIZED", "BURNISHED", "PLATED",
-                                             "POLISHED", "BRUSHED"};
-  return v;
-}
-const std::vector<std::string>& TypeSyllable3() {
-  static const std::vector<std::string> v = {"TIN", "NICKEL", "BRASS", "STEEL",
-                                             "COPPER"};
-  return v;
-}
-const std::vector<std::string>& Container1() {
-  static const std::vector<std::string> v = {"SM", "LG", "MED", "JUMBO",
-                                             "WRAP"};
-  return v;
-}
-const std::vector<std::string>& Container2() {
-  static const std::vector<std::string> v = {"CASE", "BOX", "BAG", "JAR",
-                                             "PKG", "PACK", "CAN", "DRUM"};
-  return v;
-}
 const std::vector<std::string>& Seasons() {
   static const std::vector<std::string> v = {"Winter", "Spring", "Summer",
                                              "Fall", "Christmas"};
@@ -179,23 +96,6 @@ const char* const kMonthNames[12] = {"Jan", "Feb", "Mar", "Apr", "May", "Jun",
                                      "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
 const char* const kDayNames[7] = {"Sunday",   "Monday", "Tuesday", "Wednesday",
                                   "Thursday", "Friday", "Saturday"};
-
-std::string PadKeyName(const char* prefix, int64_t key) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%s#%09lld", prefix,
-                static_cast<long long>(key));
-  return buf;
-}
-
-std::string Phone(Rng& rng, int64_t nationkey) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%02d-%03d-%03d-%04d",
-                static_cast<int>(nationkey + 10),
-                static_cast<int>(rng.Range(100, 999)),
-                static_cast<int>(rng.Range(100, 999)),
-                static_cast<int>(rng.Range(1000, 9999)));
-  return buf;
-}
 
 std::string Address(Rng& rng) {
   std::string out = std::to_string(rng.Range(1, 9999));

@@ -21,6 +21,7 @@
 #include "cluster/serve_cluster.h"
 #include "common/hash.h"
 #include "engine/sirius.h"
+#include "obs/trace.h"
 #include "serve/load_gen.h"
 #include "serve/serve.h"
 #include "tpch/queries.h"
@@ -176,6 +177,69 @@ TEST(ServeClusterTest, ReplicatedCacheServesHitAnywhere) {
   EXPECT_EQ(rout.ValueOrDie().state, QueryState::kCompleted);
   EXPECT_TRUE(rout.ValueOrDie().cache_hit) << "peer replica missed the fill";
   EXPECT_EQ(rout.ValueOrDie().node, 3);
+}
+
+TEST(ServeClusterTest, TraceRecordsRoutesFillsAndNodeLoss) {
+  ClusterOptions options = BaseOptions();
+  options.cache_mode = CacheMode::kReplicated;
+  options.tracing = true;
+  ServeCluster cl(SharedDb(), NodeEngines(), options);
+
+  // A fill from node 0 reaches its three peers; after node 2 dies, the next
+  // fill reaches the two survivors.
+  const std::string filler = TenantOn(cl.router(), 0);
+  const auto session = cl.OpenSession(filler);
+  std::vector<QueryOutcome> outs;
+  double lost_at_s = -1;
+  for (int q : {6, 1}) {
+    auto id = cl.Submit(session, tpch::Query(q), SubmitOptions{});
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ASSERT_TRUE(cl.DrainAll().ok());
+    outs.push_back(cl.Peek(id.ValueOrDie()).ValueOrDie());
+    ASSERT_EQ(outs.back().state, QueryState::kCompleted);
+    ASSERT_FALSE(outs.back().cache_hit);
+    if (q == 6) {
+      lost_at_s = cl.now_s();
+      cl.LoseNode(2);
+    }
+  }
+
+  const obs::QueryProfile profile = cl.Profile();
+  auto track = [&](const obs::SpanRecord* span) {
+    return profile.tracks[span->track];
+  };
+
+  const auto routes = profile.SpansNamed("route:" + filler);
+  ASSERT_EQ(routes.size(), 2u);
+  for (size_t i = 0; i < routes.size(); ++i) {
+    EXPECT_TRUE(routes[i]->instant);
+    EXPECT_EQ(routes[i]->category, "route");
+    EXPECT_EQ(track(routes[i]), "node-0");
+    EXPECT_EQ(routes[i]->start_s, outs[i].arrival_s);
+  }
+
+  // Each fill is one fabric span from the origin's completion to delivery,
+  // multicast to the peers alive when it was sent.
+  const auto fills = profile.SpansNamed("fill:node0");
+  ASSERT_EQ(fills.size(), 2u);
+  for (size_t i = 0; i < outs.size(); ++i) {
+    const auto fill = std::find_if(
+        fills.begin(), fills.end(), [&](const obs::SpanRecord* span) {
+          return span->start_s == outs[i].finish_s;
+        });
+    ASSERT_NE(fill, fills.end()) << "no fill span for query " << i;
+    EXPECT_EQ((*fill)->category, "fill");
+    EXPECT_EQ(track(*fill), "fabric");
+    EXPECT_GT((*fill)->end_s, (*fill)->start_s);
+    EXPECT_EQ((*fill)->Attr("destinations"), i == 0 ? 3.0 : 2.0);
+  }
+
+  const auto lost = profile.SpansNamed("node-lost");
+  ASSERT_EQ(lost.size(), 1u);
+  EXPECT_TRUE(lost[0]->instant);
+  EXPECT_EQ(lost[0]->category, "recovery");
+  EXPECT_EQ(track(lost[0]), "node-2");
+  EXPECT_EQ(lost[0]->start_s, lost_at_s);
 }
 
 TEST(ServeClusterTest, CompressedFillsShrinkWireBytes) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "host/database.h"
 #include "ssb/dbgen.h"
@@ -183,11 +184,23 @@ TEST(DbgenDeterminism, GoldenChecksums) {
   EXPECT_EQ(TableChecksum(
                 *ssb::GenerateTable("lineorder", SmallSsb()).ValueOrDie()),
             UINT64_C(7562793488440556148));
-  EXPECT_EQ(
-      TableChecksum(*tpch::GenerateTable("lineitem", 0.002).ValueOrDie()),
-      UINT64_C(11081869473986265742));
-  EXPECT_EQ(TableChecksum(*tpch::GenerateTable("orders", 0.002).ValueOrDie()),
-            UINT64_C(6831168717521428588));
+  // Every TPC-H table: the vocabulary and RNG that SSB shares feed region,
+  // nation, part, supplier and customer.
+  const std::pair<const char*, uint64_t> kTpch[] = {
+      {"region", UINT64_C(7954062297722311022)},
+      {"nation", UINT64_C(18082049275677388251)},
+      {"part", UINT64_C(15517583188637252212)},
+      {"supplier", UINT64_C(675673436309108612)},
+      {"partsupp", UINT64_C(12958202827263282715)},
+      {"customer", UINT64_C(11447631791360849442)},
+      {"orders", UINT64_C(6831168717521428588)},
+      {"lineitem", UINT64_C(11081869473986265742)},
+  };
+  for (const auto& [name, checksum] : kTpch) {
+    EXPECT_EQ(TableChecksum(*tpch::GenerateTable(name, 0.002).ValueOrDie()),
+              checksum)
+        << name;
+  }
 }
 
 }  // namespace

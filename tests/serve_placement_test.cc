@@ -81,7 +81,7 @@ TEST(PlacementPolicyTest, ColdPlacementPicksLeastLoaded) {
 }
 
 TEST(PlacementPolicyTest, WarmAffinityHoldsUntilImbalance) {
-  PlacementPolicy policy(PlacementPolicy::Options{2.0, 1e-3});
+  PlacementPolicy policy;
   policy.RecordPlacement("t", 1);
   // Warm backlog within 2x of the least-loaded: stay warm.
   auto d = policy.Place("t", true, {1.0, 1.9, 5.0}, {true, true, true});

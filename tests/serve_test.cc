@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "engine/sirius.h"
+#include "obs/trace.h"
 #include "serve/load_gen.h"
 #include "serve/query_cache.h"
 #include "serve/scheduler.h"
@@ -221,6 +222,76 @@ TEST(ServeTimeoutTest, QueueWaitCountsAgainstDeadline) {
   ASSERT_TRUE(out_a.ok());
   EXPECT_EQ(out_a.ValueOrDie().state, QueryState::kCompleted);
   EXPECT_EQ(server.reservations().reserved(), 0u);
+}
+
+TEST(ServeTraceTest, RecordsQuerySpansShedsTimeoutsAndPlacements) {
+  WarmEngine({1, 6});
+  ServeOptions options;
+  options.num_streams = 1;
+  options.max_queue_depth = 2;
+  options.result_cache = false;
+  options.tracing = true;
+  QueryServer server(SharedDb(), SharedEngine(), options);
+  auto session = server.OpenSession("acme");
+
+  // Q1 takes the only stream; a tight-deadline Q6 and a plain Q6 fill the
+  // queue, so a fourth submit is shed for queue depth.
+  SubmitOptions sub;
+  sub.arrival_s = 0;
+  SubmitOptions tight = sub;
+  tight.timeout_s = 1e-6;
+  auto a = server.Submit(session, tpch::Query(1), sub);
+  auto b = server.Submit(session, tpch::Query(6), tight);
+  auto c = server.Submit(session, tpch::Query(6), sub);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  auto d = server.Submit(session, tpch::Query(6), sub);
+  ASSERT_TRUE(d.status().IsResourceExhausted()) << d.status().ToString();
+  ASSERT_TRUE(server.DrainAll().ok());
+
+  const obs::QueryProfile profile = server.Profile();
+  auto track = [&](const obs::SpanRecord* span) {
+    return profile.tracks[span->track];
+  };
+
+  // Each executed query is one span on its stream over its dispatch-to-finish
+  // window.
+  for (serve::QueryId id : {a.ValueOrDie(), c.ValueOrDie()}) {
+    const QueryOutcome out = server.Resolve(id).ValueOrDie();
+    ASSERT_EQ(out.state, QueryState::kCompleted);
+    const auto spans = profile.SpansNamed("q" + std::to_string(id) + " acme");
+    ASSERT_EQ(spans.size(), 1u) << "q" << id;
+    EXPECT_EQ(track(spans[0]), "stream-0");
+    EXPECT_EQ(spans[0]->category, "query");
+    EXPECT_EQ(spans[0]->start_s, out.dispatch_s);
+    EXPECT_EQ(spans[0]->end_s, out.finish_s);
+    EXPECT_EQ(spans[0]->Attr("queue_wait_s", -1), out.queue_wait_s());
+  }
+
+  // The query that expired in the queue never reached a stream: it is one
+  // admission instant at its deadline.
+  const QueryOutcome expired = server.Resolve(b.ValueOrDie()).ValueOrDie();
+  ASSERT_EQ(expired.state, QueryState::kTimedOut);
+  const auto timeouts =
+      profile.SpansNamed("queue-timeout q" + std::to_string(expired.id));
+  ASSERT_EQ(timeouts.size(), 1u);
+  EXPECT_TRUE(timeouts[0]->instant);
+  EXPECT_EQ(track(timeouts[0]), "admission");
+  EXPECT_EQ(timeouts[0]->start_s, expired.finish_s);
+  EXPECT_EQ(profile.CountCategory("timeout"), 1u);
+
+  const auto sheds = profile.SpansNamed("shed(queue) acme");
+  ASSERT_EQ(sheds.size(), 1u);
+  EXPECT_TRUE(sheds[0]->instant);
+  EXPECT_EQ(track(sheds[0]), "admission");
+
+  // One placement per admitted query; the shed submit was never placed.
+  const auto places = profile.SpansInCategory("serve.place");
+  EXPECT_EQ(places.size(), 3u);
+  for (const obs::SpanRecord* place : places) {
+    EXPECT_EQ(track(place), "placement");
+    EXPECT_EQ(place->name.rfind("place acme dev0", 0), 0u) << place->name;
+    EXPECT_EQ(place->Attr("device", -1), 0.0);
+  }
 }
 
 TEST(ServeCacheTest, ResultCacheHitSkipsExecution) {

@@ -47,7 +47,7 @@ TierManager::Options SmallTiers(uint64_t host_bytes, uint64_t nvme_bytes) {
 // ---------------------------------------------------------------------------
 
 TEST(TierManagerTest, PlacesOnHostThenFallsToNvme) {
-  TierManager tiers(SmallTiers(kMiB, 4 * kMiB));
+  TierManager tiers(SmallTiers(kMiB, 4 * kMiB), sim::NvlinkC2c());
   SpillSession session(&tiers);
   const uint64_t pinned_before = mem::PinnedHostInUse();
 
@@ -74,7 +74,7 @@ TEST(TierManagerTest, PlacesOnHostThenFallsToNvme) {
 }
 
 TEST(TierManagerTest, ExhaustingEveryTierIsDiagnosable) {
-  TierManager tiers(SmallTiers(kKiB, kKiB));
+  TierManager tiers(SmallTiers(kKiB, kKiB), sim::NvlinkC2c());
   SpillSession session(&tiers);
   auto r = session.RoundTrip(0, 4 * kKiB, 0.0);
   ASSERT_FALSE(r.ok());
@@ -87,7 +87,7 @@ TEST(TierManagerTest, ExhaustingEveryTierIsDiagnosable) {
 TEST(TierManagerTest, DisabledNvmeBoundsSpillToHostCapacity) {
   // nvme_capacity_bytes == 0 disables the tier: host is the only sink, and
   // overflowing it is a clean ResourceExhausted instead of unbounded growth.
-  TierManager tiers(SmallTiers(kMiB, 0));
+  TierManager tiers(SmallTiers(kMiB, 0), sim::NvlinkC2c());
   SpillSession session(&tiers);
   ASSERT_TRUE(session.RoundTrip(0, 768 * kKiB, 0.0).ok());
   auto r = session.RoundTrip(0, 768 * kKiB, 0.0);
@@ -99,7 +99,7 @@ TEST(TierManagerTest, DisabledNvmeBoundsSpillToHostCapacity) {
 }
 
 TEST(TierManagerTest, AbandonedSessionLeaksNoCapacityOrPinnedMemory) {
-  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB));
+  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), sim::NvlinkC2c());
   const uint64_t pinned_before = mem::PinnedHostInUse();
   {
     SpillSession session(&tiers);
@@ -118,7 +118,7 @@ TEST(TierManagerTest, AbandonedSessionLeaksNoCapacityOrPinnedMemory) {
 // ---------------------------------------------------------------------------
 
 TEST(TierManagerTest, QuotaChargesCumulativelyAndShedsWithRetryAfter) {
-  TierManager tiers;
+  TierManager tiers({}, sim::NvlinkC2c());
   SpillSession session(&tiers);
   ReservationPool pool(2 * kKiB, "spill-quota:test");
   Reservation quota = Reservation::Take(&pool, 0).ValueOrDie();
@@ -149,7 +149,7 @@ TEST(TierManagerTest, QuotaChargesCumulativelyAndShedsWithRetryAfter) {
 // ---------------------------------------------------------------------------
 
 TEST(TierManagerTest, LaneOverlapsTransfersAndChargesOnlyBackpressure) {
-  TierManager tiers;
+  TierManager tiers({}, sim::NvlinkC2c());
   SpillSession session(&tiers);
   const uint64_t bytes = 64 * kMiB;
   const double w = tiers.WriteSeconds(Tier::kHost, bytes);
@@ -182,7 +182,7 @@ TEST(TierManagerTest, LaneOverlapsTransfersAndChargesOnlyBackpressure) {
 }
 
 TEST(TierManagerTest, NvmeExtentsPayBothLinks) {
-  TierManager tiers;
+  TierManager tiers({}, sim::NvlinkC2c());
   const double host_w = tiers.WriteSeconds(Tier::kHost, kMiB);
   const double nvme_w = tiers.WriteSeconds(Tier::kNvme, kMiB);
   // NVMe extents bounce through pinned-host staging: strictly more
@@ -202,7 +202,7 @@ TEST(TierManagerTest, WritebackPrefetchOrderingIsVisibleToHazardTracker) {
   hazards.set_abort_on_violation(false);
   const sim::StreamId compute = hazards.CreateStream("compute");
 
-  TierManager tiers;
+  TierManager tiers({}, sim::NvlinkC2c());
   SpillSession session(&tiers);
   auto rt =
       session.RoundTrip(0, kMiB, 0.0, nullptr, &hazards, compute).ValueOrDie();
@@ -228,7 +228,7 @@ TEST(TierManagerTest, WritebackPrefetchOrderingIsVisibleToHazardTracker) {
 
 TEST(TierManagerTest, TransientWriteFaultRetriesInPlace) {
   FaultInjector inj;
-  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), &inj);
+  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), sim::NvlinkC2c(), &inj);
   FaultSpec spec;
   spec.max_triggers = 1;
   inj.Arm("mem.spill.write", spec);
@@ -243,7 +243,7 @@ TEST(TierManagerTest, TransientWriteFaultRetriesInPlace) {
 
 TEST(TierManagerTest, PersistentWriteFaultFallsToNextTier) {
   FaultInjector inj;
-  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), &inj);
+  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), sim::NvlinkC2c(), &inj);
   FaultSpec spec;
   spec.max_triggers = 2;  // both host attempts fail; NVMe survives
   inj.Arm("mem.spill.write", spec);
@@ -257,7 +257,7 @@ TEST(TierManagerTest, PersistentWriteFaultFallsToNextTier) {
 
 TEST(TierManagerTest, NonTransientWriteFaultPropagatesImmediately) {
   FaultInjector inj;
-  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), &inj);
+  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), sim::NvlinkC2c(), &inj);
   FaultSpec spec;
   spec.code = StatusCode::kInternal;
   inj.Arm("mem.spill.write", spec);
@@ -273,7 +273,7 @@ TEST(TierManagerTest, NonTransientWriteFaultPropagatesImmediately) {
 
 TEST(TierManagerTest, TransientReadFaultRetriesAndChargesExtraPasses) {
   FaultInjector inj;
-  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), &inj);
+  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), sim::NvlinkC2c(), &inj);
   SpillSession session(&tiers);
   auto rt = session.RoundTrip(0, kMiB, 0.0).ValueOrDie();
   FaultSpec spec;
@@ -287,7 +287,7 @@ TEST(TierManagerTest, TransientReadFaultRetriesAndChargesExtraPasses) {
 
 TEST(TierManagerTest, PersistentReadFaultExhaustsItsBudgetCleanly) {
   FaultInjector inj;
-  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), &inj);
+  TierManager tiers(SmallTiers(8 * kMiB, 8 * kMiB), sim::NvlinkC2c(), &inj);
   SpillSession session(&tiers);
   auto rt = session.RoundTrip(0, kMiB, 0.0).ValueOrDie();
   inj.Arm("mem.spill.read", FaultSpec{});  // unlimited
@@ -310,7 +310,7 @@ TEST(TierManagerTest, TierLossVoidsExtentsAndFlagsKernelHeldOnes) {
   tracker.set_abort_on_violation(false);
 
   {
-    TierManager tiers(SmallTiers(8 * kMiB, 0));
+    TierManager tiers(SmallTiers(8 * kMiB, 0), sim::NvlinkC2c());
     SpillSession session(&tiers);
     auto a = session.RoundTrip(0, kMiB, 0.0).ValueOrDie();
     ASSERT_TRUE(session.RoundTrip(0, kMiB, 0.0).ok());
@@ -350,7 +350,7 @@ TEST(TierManagerTest, JoinReportsTierLossOverALaterReadFault) {
   // read-back exhausts its retries: the lane still lost data to a dead
   // tier, so Join reports the loss (which revives tiers), not the read.
   FaultInjector inj;
-  TierManager tiers(SmallTiers(kMiB, 8 * kMiB), &inj);
+  TierManager tiers(SmallTiers(kMiB, 8 * kMiB), sim::NvlinkC2c(), &inj);
   SpillSession session(&tiers);
   ASSERT_EQ(session.RoundTrip(0, kMiB, 0.0).ValueOrDie().tier, Tier::kHost);
   ASSERT_EQ(session.RoundTrip(0, kMiB, 0.0).ValueOrDie().tier, Tier::kNvme);
@@ -449,6 +449,21 @@ TEST(TierEngineTest, SpillIoFaultIsNotATierLoss) {
     EXPECT_EQ(stats.evictions_under_pressure, 0u) << site;
     EXPECT_EQ(engine.tiers().stats(Tier::kHost).used_bytes, 0u) << site;
     EXPECT_EQ(engine.tiers().stats(Tier::kNvme).used_bytes, 0u) << site;
+  }
+}
+
+TEST(TierEngineTest, SpillsPriceOverTheEnginesHostLink) {
+  // Pinned-host staging crosses the engine's device <-> host link; an NVMe
+  // extent bounces through that staging and then pays the NVMe link.
+  engine::SiriusEngine::Options options;
+  options.host_link = sim::Pcie3x16();
+  engine::SiriusEngine engine(SpillDb(), options);
+  for (uint64_t bytes : {kKiB, 64 * kMiB}) {
+    const double host = sim::Pcie3x16().TransferSeconds(bytes);
+    EXPECT_EQ(engine.tiers().WriteSeconds(Tier::kHost, bytes), host);
+    EXPECT_EQ(engine.tiers().ReadSeconds(Tier::kHost, bytes), host);
+    EXPECT_EQ(engine.tiers().WriteSeconds(Tier::kNvme, bytes),
+              host + sim::NvmeGen4().TransferSeconds(bytes));
   }
 }
 
