@@ -38,7 +38,7 @@ stage_desc() {
     spill)        echo "tiered memory: spill governance + fault recovery (ctest -L spill)" ;;
     race)         echo "race-checked device runs (SIRIUS_RACE_CHECK=1, ctest -L race)" ;;
     tsan)         echo "ThreadSanitizer build + serving-layer, codec, spill and cluster suites" ;;
-    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr/keys/kernels/parse suites" ;;
+    asan)         echo "AddressSanitizer+UBSan build + chaos/race/fusion/codec/expr/keys/kernels/parse/cluster suites" ;;
     bench-gate)   echo "deterministic benches vs committed bench/BENCH_*.json snapshots + Fig 4 scale invariance (loaded SF 0.01 vs 0.1)" ;;
     *)            echo "unknown" ;;
   esac
@@ -169,9 +169,12 @@ stage_asan() {
   # ranges and rebased offsets over raw buffers, a list's child ranges
   # included, so an off-by-one is a heap overflow; "parse" runs the CSV
   # suite and the fuzzers of the SQL, plan-JSON, CSV and Substrait parsers,
-  # because those parsers index bytes that come from outside the program.
+  # because those parsers index bytes that come from outside the program;
+  # "cluster" runs the federated serving suite (the chaos half already runs
+  # under "fault"), because its stats view, per-node loads and replication
+  # queue index per-node vectors and erase pending messages mid-walk.
   SIRIUS_RACE_CHECK=1 \
-    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr|keys|kernels|parse' --output-on-failure --no-tests=error -j "$JOBS"
+    ctest --test-dir "$ASAN_BUILD" -L 'fault|race|fusion|codec|expr|keys|kernels|parse|cluster' --output-on-failure --no-tests=error -j "$JOBS"
 }
 
 stage_bench_gate() {

@@ -1,10 +1,10 @@
 #include "cluster/serve_cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "format/encoding.h"
+#include "net/sccl.h"
 #include "serve/query_cache.h"
 
 namespace sirius::cluster {
@@ -12,8 +12,9 @@ namespace sirius::cluster {
 // The federation's fault sites: a routing decision failing (transient codes
 // skip the candidate, anything else surfaces), the replication channel
 // dropping a fill or invalidation multicast (retried on later flushes under
-// the replication retry budget), and a whole node dying (its tenants
-// re-route to survivors; only its own replica is forgotten).
+// net's retry schedule, the channel's only retry level), and a whole node
+// dying (its tenants re-route to survivors; only its own replica is
+// forgotten).
 SIRIUS_FAULT_DEFINE_SITE(kSiteRoute, "cluster.route");
 SIRIUS_FAULT_DEFINE_SITE(kSiteFill, "cluster.fill");
 SIRIUS_FAULT_DEFINE_SITE(kSiteNodeLost, "cluster.node.lost");
@@ -26,7 +27,40 @@ constexpr uint64_t kInvalidationBytes = 64;
 /// Modeled (de)compression throughput for fill payloads, GB/s per side.
 constexpr double kCodecGbps = 25.0;
 
+/// The registry counter behind each ClusterStats field: stats() reads the
+/// registry snapshot through it. A field that covers two events reads both.
+constexpr std::pair<uint64_t ClusterStats::*, const char*> kStatCounters[] = {
+    {&ClusterStats::routed, "cluster.routed"},
+    {&ClusterStats::route_retried, "cluster.route.retried"},
+    {&ClusterStats::rerouted, "cluster.rerouted"},
+    {&ClusterStats::shed_all_replicas, "cluster.shed"},
+    {&ClusterStats::remote_hits, "cluster.remote_hit"},
+    {&ClusterStats::fills_sent, "cluster.fill.sent"},
+    {&ClusterStats::fills_delivered, "cluster.fill.delivered"},
+    {&ClusterStats::fill_retries, "cluster.fill.retried"},
+    {&ClusterStats::fill_retries, "cluster.invalidate.retried"},
+    {&ClusterStats::fills_dropped, "cluster.fill.dropped"},
+    {&ClusterStats::fills_dropped, "cluster.fill.origin_lost"},
+    {&ClusterStats::invalidations_sent, "cluster.invalidate.sent"},
+    {&ClusterStats::invalidations_delivered, "cluster.invalidate.delivered"},
+    {&ClusterStats::nodes_lost, "cluster.node.lost"},
+    {&ClusterStats::requeued, "cluster.requeued"},
+    {&ClusterStats::requeue_shed, "cluster.requeue_shed"},
+    {&ClusterStats::fill_bytes_plain, "cluster.fill.bytes_plain"},
+    {&ClusterStats::fill_bytes_wire, "cluster.fill.bytes_wire"},
+};
+
 std::string NodeTag(int node) { return "node" + std::to_string(node); }
+
+/// The soonest retry-after hint across `sheds`, floored at
+/// serve::kMinRetryAfterS; the floor itself when nothing was consulted.
+double MinRetryAfterS(const std::vector<ShedCandidate>& sheds) {
+  double soonest = sheds.empty() ? serve::kMinRetryAfterS : kInf;
+  for (const ShedCandidate& c : sheds) {
+    soonest = std::min(soonest, c.retry_after_s);
+  }
+  return std::max(soonest, serve::kMinRetryAfterS);
+}
 
 }  // namespace
 
@@ -37,11 +71,8 @@ ServeCluster::ServeCluster(host::Database* db,
       db_(db),
       router_(options.num_nodes),
       membership_(options.num_nodes),
-      comm_(options.num_nodes, options.fabric, options.injector),
       node_sessions_(static_cast<size_t>(options.num_nodes)),
-      remote_hit_service_s_(static_cast<size_t>(options.num_nodes), 0.0),
       fill_egress_s_(static_cast<size_t>(options.num_nodes), 0.0),
-      remote_hit_count_(static_cast<size_t>(options.num_nodes), 0),
       last_catalog_version_(db->catalog().version()),
       trace_([&] {
         obs::TraceRecorder::Options t;
@@ -76,8 +107,6 @@ ServeCluster::ServeCluster(host::Database* db,
         m.normalized_sql = e.normalized_sql;
         m.version = e.catalog_version;
         m.result = e.result;
-        m.tenant = e.tenant;
-        m.completed_s = e.completed_at_s;
         m.ready_s = e.completed_at_s;
         pending_.push_back(std::move(m));
       };
@@ -133,7 +162,6 @@ void ServeCluster::MaybeEnqueueInvalidation() {
   PendingMsg m;
   m.invalidate = true;
   m.version = v;
-  m.completed_s = frontier_s_;
   m.ready_s = frontier_s_;
   pending_.push_back(std::move(m));
 }
@@ -152,14 +180,11 @@ bool ServeCluster::TrySend(PendingMsg* msg, double frontier_s) {
     ++msg->attempts;
     const bool budget_left = msg->attempts < net::kRetryMaxAttempts;
     if (!gate.IsTransient() || !budget_left) return false;
-    ++stats_.fill_retries;
     counter(msg->invalidate ? "cluster.invalidate.retried"
                             : "cluster.fill.retried")
         ->Add();
-    double backoff =
-        net::kRetryBaseBackoffS * std::pow(2.0, msg->attempts - 1);
-    backoff = std::min(backoff, net::kRetryMaxBackoffS);
-    msg->ready_s = std::max(frontier_s, msg->ready_s) + backoff;
+    msg->ready_s = std::max(frontier_s, msg->ready_s) +
+                   net::RetryBackoffS(msg->attempts - 1);
     return true;
   }
 
@@ -175,7 +200,7 @@ bool ServeCluster::TrySend(PendingMsg* msg, double frontier_s) {
   }
   if (dests.empty()) {
     msg->sent = true;
-    msg->deliver_s = msg->completed_s;
+    msg->deliver_s = msg->ready_s;
     msg->destinations.clear();
     return true;
   }
@@ -183,7 +208,6 @@ bool ServeCluster::TrySend(PendingMsg* msg, double frontier_s) {
   double seconds = 0;
   if (msg->invalidate) {
     seconds = options_.fabric.TransferSeconds(kInvalidationBytes, 1.0);
-    ++stats_.invalidations_sent;
     counter("cluster.invalidate.sent")->Add();
   } else {
     const uint64_t plain =
@@ -205,39 +229,27 @@ bool ServeCluster::TrySend(PendingMsg* msg, double frontier_s) {
     const double ratio =
         plain > 0 ? static_cast<double>(wire) / static_cast<double>(plain)
                   : 1.0;
-    auto mc = comm_.Multicast(msg->result.table, msg->origin, dests,
-                              options_.data_scale * ratio);
-    if (!mc.ok()) {
-      // The transport exhausted its own retries; treat it like a transient
-      // channel fault under our replication budget.
-      ++msg->attempts;
-      if (msg->attempts >= net::kRetryMaxAttempts) return false;
-      ++stats_.fill_retries;
-      counter("cluster.fill.retried")->Add();
-      msg->ready_s =
-          std::max(frontier_s, msg->ready_s) + net::kRetryBaseBackoffS;
-      return true;
-    }
-    const net::CollectiveResult& res = mc.ValueOrDie();
-    seconds = res.seconds;
+    // One copy of the payload crosses the fabric per destination.
+    seconds = options_.fabric.TransferSeconds(plain * dests.size(),
+                                              options_.data_scale * ratio);
     if (options_.compress_fills && plain > 0) {
       // Compress once on the origin, decompress once per receiving replica
       // (modeled; replicas decode in parallel so one decode is charged).
       seconds += 2.0 * static_cast<double>(plain) * options_.data_scale /
                  (kCodecGbps * 1e9);
     }
-    ++stats_.fills_sent;
-    stats_.fill_bytes_plain +=
-        static_cast<uint64_t>(static_cast<double>(plain) * options_.data_scale);
-    stats_.fill_bytes_wire +=
-        static_cast<uint64_t>(static_cast<double>(wire) * options_.data_scale);
-    stats_.fill_seconds += seconds;
     fill_egress_s_[static_cast<size_t>(msg->origin)] += seconds;
     counter("cluster.fill.sent")->Add();
+    counter("cluster.fill.bytes_plain")
+        ->Add(static_cast<uint64_t>(static_cast<double>(plain) *
+                                    options_.data_scale));
+    counter("cluster.fill.bytes_wire")
+        ->Add(static_cast<uint64_t>(static_cast<double>(wire) *
+                                    options_.data_scale));
     counter("cluster." + NodeTag(msg->origin) + ".fill_sent")->Add();
   }
   msg->sent = true;
-  msg->deliver_s = msg->completed_s + seconds;
+  msg->deliver_s = msg->ready_s + seconds;
   msg->destinations = std::move(dests);
   if (options_.tracing) {
     trace_.AddComplete(fabric_track_,
@@ -245,7 +257,7 @@ bool ServeCluster::TrySend(PendingMsg* msg, double frontier_s) {
                            ? "invalidate@v" + std::to_string(msg->version)
                            : "fill:" + NodeTag(msg->origin),
                        msg->invalidate ? "invalidate" : "fill",
-                       msg->completed_s, msg->deliver_s,
+                       msg->ready_s, msg->deliver_s,
                        {{"destinations", static_cast<double>(
                                              msg->destinations.size())}});
   }
@@ -257,12 +269,10 @@ void ServeCluster::Deliver(const PendingMsg& msg) {
     if (!membership_.IsAlive(n)) continue;  // died between send and delivery
     if (msg.invalidate) {
       nodes_[static_cast<size_t>(n)]->EvictStaleCache(msg.version);
-      ++stats_.invalidations_delivered;
       counter("cluster.invalidate.delivered")->Add();
     } else {
       nodes_[static_cast<size_t>(n)]->InstallCachedResult(
           msg.normalized_sql, msg.version, msg.result);
-      ++stats_.fills_delivered;
       counter("cluster.fill.delivered")->Add();
       counter("cluster." + NodeTag(n) + ".fill_installed")->Add();
     }
@@ -283,7 +293,6 @@ void ServeCluster::FlushReplication(double frontier_s, bool force) {
         if (!m.invalidate && !membership_.IsAlive(m.origin)) {
           // Node lost mid-fill: the fill dies with its origin. Survivors
           // keep everything already installed; nothing is invalidated.
-          ++stats_.fills_dropped;
           counter("cluster.fill.origin_lost")->Add();
           it = pending_.erase(it);
           progress = true;
@@ -293,7 +302,6 @@ void ServeCluster::FlushReplication(double frontier_s, bool force) {
           if (m.invalidate) {
             counter("cluster.invalidate.dropped")->Add();
           } else {
-            ++stats_.fills_dropped;
             counter("cluster.fill.dropped")->Add();
           }
           it = pending_.erase(it);
@@ -345,7 +353,6 @@ Result<serve::QueryId> ServeCluster::Submit(
     if (!route.ok()) {
       if (route.IsTransient()) {
         // Transient route fault: skip this candidate, walk the list.
-        ++stats_.route_retried;
         counter("cluster.route.retried")->Add();
         continue;
       }
@@ -388,9 +395,7 @@ Result<serve::QueryId> ServeCluster::Submit(
         if (hit.table != nullptr) b.local.result_rows = hit.table->num_rows();
         if (options.keep_result) b.local.table = hit.table;
         bindings_.emplace(id, std::move(b));
-        remote_hit_service_s_[0] += service_s;
-        ++remote_hit_count_[0];
-        ++stats_.remote_hits;
+        remote_hit_service_s_ += service_s;
         counter("cluster.remote_hit")->Add();
         return id;
       }
@@ -411,11 +416,9 @@ Result<serve::QueryId> ServeCluster::Submit(
       b.sub = options;
       reverse_[{nd, b.local_id}] = id;
       bindings_.emplace(id, std::move(b));
-      ++stats_.routed;
       counter("cluster.routed")->Add();
       counter("cluster." + NodeTag(nd) + ".routed")->Add();
       if (!last_shed_.empty()) {
-        ++stats_.rerouted;
         counter("cluster.rerouted")->Add();
       }
       if (options_.tracing) {
@@ -437,17 +440,12 @@ Result<serve::QueryId> ServeCluster::Submit(
   // Every candidate replica shed: surface the *minimum* retry-after across
   // them — the client should come back when the soonest replica frees up,
   // not when the first node consulted does.
-  double min_hint = kInf;
-  for (const ShedCandidate& c : last_shed_) {
-    min_hint = std::min(min_hint, std::max(c.retry_after_s, 1e-3));
-  }
-  ++stats_.shed_all_replicas;
   counter("cluster.shed")->Add();
   return Status::ResourceExhausted("all " +
                                    std::to_string(last_shed_.size()) +
                                    " candidate replica(s) shed tenant '" +
                                    tenant + "'")
-      .WithRetryAfter(min_hint);
+      .WithRetryAfter(MinRetryAfterS(last_shed_));
 }
 
 serve::QueryOutcome ServeCluster::Translate(const serve::QueryOutcome& out,
@@ -539,7 +537,6 @@ Status ServeCluster::DrainAll() {
 
 void ServeCluster::RequeueBinding(serve::QueryId id, Binding* binding,
                                   double at_s) {
-  ++stats_.requeued;
   counter("cluster.requeued")->Add();
   reverse_.erase({binding->node, binding->local_id});
   std::vector<ShedCandidate> sheds;
@@ -552,7 +549,6 @@ void ServeCluster::RequeueBinding(serve::QueryId id, Binding* binding,
     if (submitted.ok()) {
       binding->node = nd;
       binding->local_id = submitted.ValueOrDie();
-      ++binding->requeues;
       reverse_[{nd, binding->local_id}] = id;
       counter("cluster." + NodeTag(nd) + ".requeue_admitted")->Add();
       return;
@@ -572,14 +568,6 @@ void ServeCluster::RequeueBinding(serve::QueryId id, Binding* binding,
   // Every survivor refused the re-admission: the query was admitted once,
   // so this is a terminal shed (LoadReport counts it as requeue_shed),
   // carrying the minimum retry-after across the survivors.
-  double min_hint = 1e-3;
-  if (!sheds.empty()) {
-    min_hint = kInf;
-    for (const ShedCandidate& c : sheds) {
-      min_hint = std::min(min_hint, std::max(c.retry_after_s, 1e-3));
-    }
-  }
-  ++stats_.requeue_shed;
   counter("cluster.requeue_shed")->Add();
   binding->cluster_terminal = true;
   binding->local.id = id;
@@ -588,7 +576,7 @@ void ServeCluster::RequeueBinding(serve::QueryId id, Binding* binding,
   const std::string why =
       "node loss requeue: every survivor shed tenant '" + binding->tenant + "'";
   binding->local.status =
-      Status::ResourceExhausted(why).WithRetryAfter(min_hint);
+      Status::ResourceExhausted(why).WithRetryAfter(MinRetryAfterS(sheds));
   binding->local.arrival_s = at_s;
   binding->local.finish_s = at_s;
 }
@@ -598,7 +586,6 @@ void ServeCluster::LoseNode(int node) {
   if (!membership_.MarkDead(node)) return;
   in_node_loss_ = true;
   const double at_s = Frontier();
-  ++stats_.nodes_lost;
   counter("cluster.node.lost")->Add();
   if (options_.tracing) {
     trace_.AddInstant(node_tracks_[static_cast<size_t>(node)], "node-lost",
@@ -610,7 +597,6 @@ void ServeCluster::LoseNode(int node) {
   // never issues a shared invalidation.
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (!it->invalidate && it->origin == node && !it->sent) {
-      ++stats_.fills_dropped;
       counter("cluster.fill.origin_lost")->Add();
       it = pending_.erase(it);
     } else {
@@ -658,11 +644,22 @@ std::vector<NodeLoad> ServeCluster::node_loads() const {
         load.busy_s += std::max(out.finish_s - out.dispatch_s, 0.0);
       }
     }
-    load.cache_hits += remote_hit_count_[static_cast<size_t>(n)];
-    load.hit_service_s += remote_hit_service_s_[static_cast<size_t>(n)];
     load.fill_egress_s = fill_egress_s_[static_cast<size_t>(n)];
   }
+  // Remote hits are served by the coordinator (node 0) over the fabric.
+  loads[0].cache_hits += stats().remote_hits;
+  loads[0].hit_service_s += remote_hit_service_s_;
   return loads;
+}
+
+ClusterStats ServeCluster::stats() const {
+  const auto snap = metrics_.Snapshot();
+  ClusterStats s;
+  for (const auto& [field, name] : kStatCounters) {
+    auto it = snap.find(name);
+    if (it != snap.end()) s.*field += it->second;
+  }
+  return s;
 }
 
 obs::QueryProfile ServeCluster::Profile() const { return trace_.Finish(); }

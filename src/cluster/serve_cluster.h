@@ -15,8 +15,8 @@
 //
 //  * Replicated, hit-anywhere result-cache region — each node server's
 //    result cache is one replica. A fill completed on any node is
-//    propagated to its peers over SCCL multicast (optionally compressed on
-//    the wire; bytes, codec time and latency charged to the fabric) and
+//    multicast to its peers over the fabric (optionally compressed on the
+//    wire; bytes, codec time and latency charged to the fabric) and
 //    becomes visible at completion + transfer time, so any replica serves a
 //    hit another replica filled. Catalog write-version stamps make
 //    invalidation exact: an eager invalidation multicast drops stale
@@ -59,7 +59,6 @@
 #include "engine/sirius.h"
 #include "fault/fault_injector.h"
 #include "host/database.h"
-#include "net/sccl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/load_gen.h"
@@ -96,7 +95,8 @@ struct ClusterOptions {
   bool tracing = false;
 };
 
-/// Cluster-lifetime counters (mirrored as `cluster.*` metrics).
+/// Cluster counters since the last metrics().Reset(): a view over the
+/// `cluster.*` registry counters (see stats()).
 struct ClusterStats {
   uint64_t routed = 0;          ///< submits admitted on some node
   uint64_t route_retried = 0;   ///< candidates skipped by cluster.route faults
@@ -105,7 +105,7 @@ struct ClusterStats {
   uint64_t remote_hits = 0;     ///< coordinator-mode hits served over the wire
   uint64_t fills_sent = 0;      ///< fill multicasts priced onto the fabric
   uint64_t fills_delivered = 0; ///< per-peer cache installs
-  uint64_t fill_retries = 0;    ///< cluster.fill transient retries
+  uint64_t fill_retries = 0;    ///< cluster.fill retries, fills + invalidations
   uint64_t fills_dropped = 0;   ///< fills lost (budget exhausted / origin died)
   uint64_t invalidations_sent = 0;
   uint64_t invalidations_delivered = 0;  ///< per-peer stale-entry evictions
@@ -114,7 +114,6 @@ struct ClusterStats {
   uint64_t requeue_shed = 0;    ///< re-routed entries every survivor refused
   uint64_t fill_bytes_plain = 0;  ///< fill payload bytes before compression
   uint64_t fill_bytes_wire = 0;   ///< bytes actually multicast
-  double fill_seconds = 0;      ///< fabric + codec time charged to fills
 };
 
 /// Per-node serving load, for hotspot assertions and the bench gate.
@@ -181,7 +180,8 @@ class ServeCluster : public serve::QueryService {
   serve::QueryServer& node(int i) { return *nodes_[static_cast<size_t>(i)]; }
   int num_nodes() const { return options_.num_nodes; }
   const ClusterOptions& options() const { return options_; }
-  const ClusterStats& stats() const { return stats_; }
+  /// Reads the `cluster.*` counters of metrics(), so a Reset() rebases it.
+  ClusterStats stats() const;
   /// Per-node serving load so far (terminal outcomes + wire charges).
   std::vector<NodeLoad> node_loads() const;
   /// Undelivered replication messages (tests drive retry/drop behavior).
@@ -198,9 +198,10 @@ class ServeCluster : public serve::QueryService {
     std::string normalized_sql;
     uint64_t version = 0;
     serve::QueryCache::CachedResult result;  ///< fill payload
-    std::string tenant;
-    double completed_s = 0;  ///< when the fill finished on the origin
-    double ready_s = 0;      ///< earliest next send attempt
+    /// Earliest next send attempt: the fill's completion (or the catalog
+    /// write), pushed back by each dropped attempt's backoff. The attempt
+    /// that gets through is timed here.
+    double ready_s = 0;
     int attempts = 0;
     bool sent = false;       ///< priced onto the fabric, awaiting delivery
     double deliver_s = 0;    ///< visibility time once sent
@@ -214,7 +215,6 @@ class ServeCluster : public serve::QueryService {
     std::string tenant;
     std::string sql;
     serve::SubmitOptions sub;
-    int requeues = 0;
     bool cluster_terminal = false;  ///< outcome held locally (not on a node)
     serve::QueryOutcome local;
   };
@@ -222,8 +222,9 @@ class ServeCluster : public serve::QueryService {
   /// Sends due unsent messages and installs due sent ones. `force` drains
   /// everything regardless of the frontier (DrainAll).
   void FlushReplication(double frontier_s, bool force);
-  /// One send attempt for `msg` (fault gate + multicast pricing). Returns
-  /// false when the message must be dropped.
+  /// One send attempt for `msg` (fault gate + fabric pricing): the
+  /// replication channel's only retry level. Returns false when the message
+  /// must be dropped.
   bool TrySend(PendingMsg* msg, double frontier_s);
   /// Installs `msg` on its (still-alive) destinations.
   void Deliver(const PendingMsg& msg);
@@ -254,7 +255,6 @@ class ServeCluster : public serve::QueryService {
   std::vector<std::unique_ptr<serve::QueryServer>> nodes_;
   RendezvousRouter router_;
   dist::Membership membership_;
-  net::Communicator comm_;
 
   std::map<serve::QueryId, Binding> bindings_;
   std::map<std::pair<int, serve::QueryId>, serve::QueryId> reverse_;
@@ -263,11 +263,11 @@ class ServeCluster : public serve::QueryService {
   std::vector<std::map<std::string, serve::SessionId>> node_sessions_;
   std::vector<PendingMsg> pending_;
   std::vector<ShedCandidate> last_shed_;
-  /// Remote-hit service + egress seconds charged to each node beyond what
-  /// its own outcomes show (coordinator mode), and fill egress per origin.
-  std::vector<double> remote_hit_service_s_;
+  /// Remote-hit service + egress seconds charged to the coordinator beyond
+  /// what its own outcomes show (coordinator mode), and fill egress per
+  /// origin.
+  double remote_hit_service_s_ = 0;
   std::vector<double> fill_egress_s_;
-  std::vector<uint64_t> remote_hit_count_;
 
   serve::QueryId next_query_id_ = 1;
   serve::SessionId next_session_id_ = 1;
@@ -275,7 +275,6 @@ class ServeCluster : public serve::QueryService {
   uint64_t last_catalog_version_ = 0;
   bool in_node_loss_ = false;  ///< re-entrancy guard for loss handling
 
-  ClusterStats stats_;
   obs::MetricsRegistry metrics_;
   obs::TraceRecorder trace_;
   std::vector<obs::TrackId> node_tracks_;

@@ -55,7 +55,6 @@ DorisCluster::DorisCluster(Options options)
         db.data_scale = options.data_scale;
         return db;
       }()),
-      comm_(options.num_nodes, options.network),
       membership_(options.num_nodes) {
   for (int r = 0; r < options_.num_nodes; ++r) {
     auto node = std::make_unique<NodeState>();

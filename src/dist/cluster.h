@@ -199,7 +199,6 @@ class DorisCluster {
   Options options_;
   host::Database coordinator_;  ///< global metadata + planning
   std::vector<std::unique_ptr<NodeState>> nodes_;
-  net::Communicator comm_;
   TempTableRegistry temp_registry_;
   /// Guards cluster membership (the heartbeat tracker) and the partition
   /// layout. Queries may run concurrently (the serving layer submits from

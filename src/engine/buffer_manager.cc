@@ -59,13 +59,7 @@ bool BufferManager::EvictUntilFits(uint64_t needed,
       if (it == lru_.begin()) break;
     }
     if (victim == lru_.end()) return false;
-    auto entry = cache_.find(*victim);
-    // In a tiered system a pressure eviction is a writeback (the column
-    // re-loads from the tier below); account it for the per-tier gauges.
-    if (options_.tiers != nullptr) {
-      options_.tiers->NoteEvictionWriteback(entry->second.modeled_bytes);
-    }
-    DropEntry(entry, hazards);
+    DropEntry(cache_.find(*victim), hazards);
     ++evictions_;
   }
   return true;

@@ -29,7 +29,6 @@
 #include "mem/buffer.h"
 #include "mem/memory_resource.h"
 #include "mem/reservation.h"
-#include "mem/tier.h"
 #include "sim/cost_model.h"
 #include "sim/interconnect.h"
 
@@ -49,10 +48,6 @@ class BufferManager {
     /// pool — the hook for injecting allocation pressure (fault tests) or an
     /// instrumented allocator. Not owned.
     mem::MemoryResource* processing_override = nullptr;
-    /// Spill-tier hierarchy (not owned; may be null). Evictions under
-    /// pressure are writebacks in a tiered system, so the manager reports
-    /// them here for the per-tier gauges.
-    mem::TierManager* tiers = nullptr;
   };
 
   explicit BufferManager(Options options);

@@ -84,7 +84,6 @@ SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
         bm.cache_fraction = options.cache_fraction;
         bm.host_link = options.host_link;
         bm.processing_override = options.processing_override;
-        bm.tiers = &tiers_;
         return bm;
       }()),
       task_pool_(static_cast<size_t>(options.num_task_threads)) {

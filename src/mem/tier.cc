@@ -46,14 +46,13 @@ uint64_t PinnedHostInUse() {
 
 TierManager::TierManager(Options options, sim::Link host_link,
                          fault::FaultInjector* injector)
-    : options_(options),
-      host_link_(host_link),
+    : host_link_(host_link),
       injector_(injector != nullptr ? injector
-                                    : fault::FaultInjector::Global()) {}
-
-uint64_t TierManager::capacity(Tier t) const {
-  return t == Tier::kHost ? options_.host_capacity_bytes
-                          : options_.nvme_capacity_bytes;
+                                    : fault::FaultInjector::Global()) {
+  tiers_[static_cast<int>(Tier::kHost)].capacity_bytes =
+      options.host_capacity_bytes;
+  tiers_[static_cast<int>(Tier::kNvme)].capacity_bytes =
+      options.nvme_capacity_bytes;
 }
 
 double TierManager::WriteSeconds(Tier t, uint64_t bytes) const {
@@ -72,7 +71,7 @@ void TierManager::MarkLost(Tier tier) {
 }
 
 void TierManager::MarkLostLocked(Tier tier) {
-  TierState& ts = tiers_[static_cast<int>(tier)];
+  TierStats& ts = tiers_[static_cast<int>(tier)];
   if (ts.lost) return;
   ts.lost = true;
   ++ts.losses;
@@ -99,57 +98,31 @@ bool TierManager::lost(Tier t) const {
 
 void TierManager::ReviveLostTiers() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (TierState& ts : tiers_) ts.lost = false;
+  for (TierStats& ts : tiers_) ts.lost = false;
 }
 
 TierManager::TierStats TierManager::stats(Tier t) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const TierState& ts = tiers_[static_cast<int>(t)];
-  TierStats out;
-  out.capacity_bytes = capacity(t);
-  out.used_bytes = ts.used;
-  out.high_water_bytes = ts.high_water;
-  out.spill_writes = ts.spill_writes;
-  out.spill_reads = ts.spill_reads;
-  out.spilled_bytes = ts.spilled_bytes;
-  out.write_retries = ts.write_retries;
-  out.read_retries = ts.read_retries;
-  out.losses = ts.losses;
-  out.lost = ts.lost;
-  return out;
-}
-
-void TierManager::NoteEvictionWriteback(uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++eviction_writebacks_;
-  eviction_writeback_bytes_ += bytes;
-}
-
-uint64_t TierManager::eviction_writebacks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return eviction_writebacks_;
+  return tiers_[static_cast<int>(t)];
 }
 
 void TierManager::PublishGauges(obs::MetricsRegistry* metrics) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (int i = 0; i < kTierCount; ++i) {
     const Tier t = static_cast<Tier>(i);
-    const TierState& ts = tiers_[i];
+    const TierStats& ts = tiers_[i];
     const std::string p = std::string("mem.tier.") + TierName(t) + ".";
-    metrics->SetGauge(p + "capacity_bytes", static_cast<double>(capacity(t)));
-    metrics->SetGauge(p + "used_bytes", static_cast<double>(ts.used));
+    metrics->SetGauge(p + "capacity_bytes",
+                      static_cast<double>(ts.capacity_bytes));
+    metrics->SetGauge(p + "used_bytes", static_cast<double>(ts.used_bytes));
     metrics->SetGauge(p + "high_water_bytes",
-                      static_cast<double>(ts.high_water));
+                      static_cast<double>(ts.high_water_bytes));
     metrics->SetGauge(p + "spill_writes", static_cast<double>(ts.spill_writes));
     metrics->SetGauge(p + "spill_reads", static_cast<double>(ts.spill_reads));
     metrics->SetGauge(p + "spilled_bytes",
                       static_cast<double>(ts.spilled_bytes));
     metrics->SetGauge(p + "lost", ts.lost ? 1.0 : 0.0);
   }
-  metrics->SetGauge("mem.tier.eviction_writebacks",
-                    static_cast<double>(eviction_writebacks_));
-  metrics->SetGauge("mem.tier.eviction_writeback_bytes",
-                    static_cast<double>(eviction_writeback_bytes_));
   metrics->SetGauge("mem.pinned_host.in_use_bytes",
                     static_cast<double>(PinnedHostInUse()));
 }
@@ -163,9 +136,9 @@ Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t generation,
   std::string why;
   for (int i = 0; i < kTierCount; ++i) {
     const Tier t = static_cast<Tier>(i);
-    TierState& ts = tiers_[i];
+    TierStats& ts = tiers_[i];
     const std::string name = TierName(t);
-    if (capacity(t) == 0) {
+    if (ts.capacity_bytes == 0) {
       why += (why.empty() ? "" : ", ") + name + ": disabled";
       continue;
     }
@@ -196,14 +169,14 @@ Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t generation,
       why += (why.empty() ? "" : ", ") + name + ": write fault";
       continue;
     }
-    if (ts.used + bytes > capacity(t)) {
+    if (ts.used_bytes + bytes > ts.capacity_bytes) {
       why += (why.empty() ? "" : ", ") + name + ": full (" +
-             std::to_string(ts.used) + " of " + std::to_string(capacity(t)) +
-             " used)";
+             std::to_string(ts.used_bytes) + " of " +
+             std::to_string(ts.capacity_bytes) + " used)";
       continue;
     }
-    ts.used += bytes;
-    ts.high_water = std::max(ts.high_water, ts.used);
+    ts.used_bytes += bytes;
+    ts.high_water_bytes = std::max(ts.high_water_bytes, ts.used_bytes);
     ++ts.spill_writes;
     ts.spilled_bytes += bytes;
     if (t == Tier::kHost) PinnedHostAlloc(bytes);
@@ -238,7 +211,7 @@ Result<int> TierManager::CompleteReadBack(uint64_t generation) {
         StatusCause::kSpillTierLost);
   }
   const Tier t = it->second.tier;
-  TierState& ts = tiers_[static_cast<int>(t)];
+  TierStats& ts = tiers_[static_cast<int>(t)];
   int retries = 0;
   Status st = Status::OK();
   for (int attempt = 0; attempt < kMaxReadAttempts; ++attempt) {
@@ -274,9 +247,9 @@ void TierManager::AbandonExtent(uint64_t generation) {
 }
 
 void TierManager::ReleaseBytesLocked(Tier t, uint64_t bytes) {
-  TierState& ts = tiers_[static_cast<int>(t)];
-  SIRIUS_CHECK(bytes <= ts.used);
-  ts.used -= bytes;
+  TierStats& ts = tiers_[static_cast<int>(t)];
+  SIRIUS_CHECK(bytes <= ts.used_bytes);
+  ts.used_bytes -= bytes;
   if (t == Tier::kHost) PinnedHostFree(bytes);
 }
 

@@ -77,6 +77,8 @@ class TierManager {
     uint64_t nvme_capacity_bytes = 512ull << 30;
   };
 
+  /// The one record of a tier: its capacity (fixed at construction),
+  /// occupancy and failure state.
   struct TierStats {
     uint64_t capacity_bytes = 0;
     uint64_t used_bytes = 0;
@@ -97,8 +99,6 @@ class TierManager {
   TierManager(Options options, sim::Link host_link,
               fault::FaultInjector* injector = nullptr);
 
-  const Options& options() const { return options_; }
-  uint64_t capacity(Tier t) const;
   /// Seconds to write / read one `bytes` extent through `t`.
   double WriteSeconds(Tier t, uint64_t bytes) const;
   double ReadSeconds(Tier t, uint64_t bytes) const;
@@ -114,11 +114,8 @@ class TierManager {
   /// retry so a healed fault can succeed on the second run.
   void ReviveLostTiers();
 
+  /// A copy of `t`'s record.
   TierStats stats(Tier t) const;
-  /// Columns the buffer manager evicted under pressure; in a tiered system
-  /// these are writebacks, so the manager keeps the tally.
-  void NoteEvictionWriteback(uint64_t bytes);
-  uint64_t eviction_writebacks() const;
 
   /// Publishes mem.tier.<name>.* and mem.pinned_host.in_use_bytes gauges.
   void PublishGauges(obs::MetricsRegistry* metrics) const;
@@ -126,17 +123,6 @@ class TierManager {
  private:
   friend class SpillSession;
 
-  struct TierState {
-    uint64_t used = 0;
-    uint64_t high_water = 0;
-    uint64_t spill_writes = 0;
-    uint64_t spill_reads = 0;
-    uint64_t spilled_bytes = 0;
-    uint64_t write_retries = 0;
-    uint64_t read_retries = 0;
-    uint64_t losses = 0;
-    bool lost = false;
-  };
   struct Extent {
     Tier tier = Tier::kHost;
     uint64_t bytes = 0;
@@ -160,14 +146,11 @@ class TierManager {
   void MarkLostLocked(Tier tier);
   void ReleaseBytesLocked(Tier t, uint64_t bytes);
 
-  const Options options_;
   const sim::Link host_link_;
   fault::FaultInjector* const injector_;
   mutable std::mutex mu_;
-  TierState tiers_[kTierCount];
+  TierStats tiers_[kTierCount];
   std::map<uint64_t, Extent> extents_;  ///< lifetime generation -> extent
-  uint64_t eviction_writebacks_ = 0;
-  uint64_t eviction_writeback_bytes_ = 0;
 };
 
 /// \brief One query's spill state: per-pipeline DMA lanes over a shared

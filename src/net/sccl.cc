@@ -21,14 +21,16 @@ constexpr double kBackoffJitter = 0.5;
 
 }  // namespace
 
-double Communicator::BackoffSeconds(int attempt) const {
+double RetryBackoffS(int retry) {
   double delay = kRetryBaseBackoffS;
-  for (int i = 0; i < attempt && delay < kRetryMaxBackoffS; ++i) delay *= 2;
-  delay = std::min(delay, kRetryMaxBackoffS);
+  for (int i = 0; i < retry && delay < kRetryMaxBackoffS; ++i) delay *= 2;
+  return std::min(delay, kRetryMaxBackoffS);
+}
+
+double Communicator::BackoffSeconds(int attempt) const {
   // Center the jitter so the expected delay stays on the schedule.
   const double u = injector_->Uniform();
-  delay *= 1.0 + kBackoffJitter * (u - 0.5);
-  return delay;
+  return RetryBackoffS(attempt) * (1.0 + kBackoffJitter * (u - 0.5));
 }
 
 template <typename Fn>

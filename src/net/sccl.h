@@ -34,6 +34,9 @@ namespace sirius::net {
 inline constexpr int kRetryMaxAttempts = 4;  ///< total attempts per send
 inline constexpr double kRetryBaseBackoffS = 0.0005;
 inline constexpr double kRetryMaxBackoffS = 0.050;
+/// Backoff before retry number `retry` (0-based): kRetryBaseBackoffS doubled
+/// per retry, capped at kRetryMaxBackoffS. The collectives add jitter.
+double RetryBackoffS(int retry);
 /// @}
 
 /// \brief Result of one collective: the received data plus its modeled cost.

@@ -202,7 +202,7 @@ double QueryServer::Backlog(int device) const {
 }
 
 double QueryServer::ComputeRetryAfter(int device) const {
-  return std::max(1e-3, Backlog(device));
+  return std::max(kMinRetryAfterS, Backlog(device));
 }
 
 Status QueryServer::Overloaded(int device, const std::string& why) const {
@@ -299,7 +299,6 @@ void QueryServer::LoseDevice(int device, double at_s) {
       continue;
     }
     entry->requeue_reservation = std::move(reservation).ValueOrDie();
-    entry->device = dec.device;
     entry->outcome.device = dec.device;
     entry->outcome.warm_placed = false;
     // Survivors re-fetch the query's resident inputs over the fabric/host
@@ -462,7 +461,6 @@ Result<QueryId> QueryServer::Submit(SessionId session, const std::string& sql,
       sub.timeout_s < 0 ? options_.default_timeout_s : sub.timeout_s;
   entry->bypass_cache = sub.bypass_cache;
   entry->catalog_version = version;
-  entry->device = dec.device;
   entry->migrate_s = migrate_s;
   entry->inputs_resident = resident;
   entry->reservation_bytes = bytes;
@@ -598,7 +596,7 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
   now_s_ = std::max(now_s_, ready_s);
   const double deadline =
       entry->timeout_s > 0 ? out.arrival_s + entry->timeout_s : kInf;
-  sim::StreamSet& streams = devices_.streams(entry->device);
+  sim::StreamSet& streams = devices_.streams(out.device);
 
   if (ready_s >= deadline) {
     // The deadline passed while the query sat in the queue: cancel the real
@@ -625,18 +623,18 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
       entry->plan != nullptr && !entry->tier_requeued) {
     entry->tier_requeued = true;
     auto reservation = mem::Reservation::Take(
-        pools_[static_cast<size_t>(entry->device)], entry->reservation_bytes);
+        pools_[static_cast<size_t>(out.device)], entry->reservation_bytes);
     if (!reservation.ok()) {
       // Admission cannot cover the relaunch right now: shed with a hint —
       // the loss was the system's fault, not the query's.
       FinishUnplaced(entry, QueryState::kShed,
-                     Overloaded(entry->device, reservation.status().message()),
+                     Overloaded(out.device, reservation.status().message()),
                      ready_s);
       return;
     }
     out.state = QueryState::kQueued;
     LaunchExecution(entry, std::move(reservation).ValueOrDie());
-    scheds_[static_cast<size_t>(entry->device)].Enqueue(
+    scheds_[static_cast<size_t>(out.device)].Enqueue(
         QueuedEntry{out.id, out.tenant, out.priority, ready_s});
     BumpTenantCounter(out.tenant, "tier_requeued");
     if (options_.tracing) {
@@ -657,7 +655,7 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
                    r.status.retry_after_s() > 0
                        ? r.status
                        : r.status.WithRetryAfter(
-                             ComputeRetryAfter(entry->device)),
+                             ComputeRetryAfter(out.device)),
                    ready_s);
     return;
   }
@@ -683,7 +681,6 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
   sim::StreamSet::Placement p = streams.Place(ready_s, occupancy);
   out.dispatch_s = p.start_s;
   out.stream = p.stream;
-  out.device = entry->device;
   out.slowdown = p.slowdown;
   out.exec_solo_s = solo;
   out.migrate_s = entry->migrate_s;
@@ -699,7 +696,7 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
                      : Status::Timeout(
                            "deadline exceeded mid-flight (needed until " +
                            std::to_string(p.end_s) + "s)");
-    scheds_[static_cast<size_t>(entry->device)].Charge(
+    scheds_[static_cast<size_t>(out.device)].Charge(
         out.tenant, std::max(deadline - p.start_s, 0.0));
   } else {
     out.state = QueryState::kCompleted;
@@ -718,13 +715,12 @@ void QueryServer::DispatchEntry(Entry* entry, double ready_s) {
         fill.normalized_sql = entry->normalized_sql;
         fill.catalog_version = entry->catalog_version;
         fill.result = QueryCache::CachedResult{r.table, solo};
-        fill.tenant = out.tenant;
         fill.completed_at_s = out.finish_s;
         options_.on_result_fill(fill);
       }
     }
-    scheds_[static_cast<size_t>(entry->device)].Charge(out.tenant,
-                                                       p.end_s - p.start_s);
+    scheds_[static_cast<size_t>(out.device)].Charge(out.tenant,
+                                                     p.end_s - p.start_s);
     mean_exec_s_ =
         (mean_exec_s_ * static_cast<double>(exec_samples_) + solo) /
         static_cast<double>(exec_samples_ + 1);
@@ -752,11 +748,12 @@ void QueryServer::Finalize(Entry* entry) {
       break;
   }
   if (options_.tracing) {
-    const size_t track =
-        static_cast<size_t>(entry->device) *
-            static_cast<size_t>(options_.num_streams) +
-        static_cast<size_t>(out.stream >= 0 ? out.stream : 0);
-    if (out.stream >= 0 && track < stream_tracks_.size()) {
+    if (out.stream >= 0) {
+      // Only a placed query has a stream, so its device is set.
+      const size_t track = static_cast<size_t>(out.device) *
+                               static_cast<size_t>(options_.num_streams) +
+                           static_cast<size_t>(out.stream);
+      SIRIUS_CHECK(track < stream_tracks_.size());
       trace_.AddComplete(
           stream_tracks_[track],
           "q" + std::to_string(out.id) + " " + out.tenant,

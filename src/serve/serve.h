@@ -70,6 +70,10 @@ namespace sirius::serve {
 using QueryId = uint64_t;
 using SessionId = uint64_t;
 
+/// Floor, in simulated seconds, of the retry-after hints the server and the
+/// cluster compute and of every back-off the load generator takes.
+inline constexpr double kMinRetryAfterS = 1e-3;
+
 /// Terminal state of one submitted query.
 enum class QueryState {
   kQueued,     ///< admitted, waiting for a stream (non-terminal)
@@ -141,7 +145,6 @@ struct ResultFillEvent {
   std::string normalized_sql;
   uint64_t catalog_version = 0;  ///< stamp the result was built under
   QueryCache::CachedResult result;
-  std::string tenant;
   double completed_at_s = 0;  ///< simulated completion time of the fill
 };
 
@@ -345,7 +348,6 @@ class QueryServer : public QueryService {
     bool keep_result = false;
     bool bypass_cache = false;
     uint64_t catalog_version = 0;
-    int device = 0;            ///< device this entry is queued/placed on
     double migrate_s = 0;      ///< fabric transfer owed before execution
     bool inputs_resident = false;  ///< residency consult taken at admission
     uint64_t reservation_bytes = 0;  ///< admission-time reservation size

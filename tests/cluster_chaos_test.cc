@@ -5,7 +5,8 @@
 //                         walk the preference list; queries still complete.
 //   "cluster.fill"      — dropped replication multicasts (fills AND eager
 //                         invalidations) are retried with backoff under the
-//                         replication budget, then delivered.
+//                         replication budget, then delivered one backoff
+//                         later; an exhausted budget drops the fill once.
 //   "cluster.node.lost" — a node dies mid-run (and mid-fill): its tenants
 //                         re-route to survivors within the clients' retry
 //                         budget, its undelivered fills die with it, and NO
@@ -23,6 +24,8 @@
 #include "cluster/serve_cluster.h"
 #include "engine/sirius.h"
 #include "fault/fault_injector.h"
+#include "net/sccl.h"
+#include "obs/trace.h"
 #include "serve/load_gen.h"
 #include "serve/serve.h"
 #include "tpch/queries.h"
@@ -146,6 +149,75 @@ TEST(ClusterChaosTest, DroppedFillMulticastsAreRetriedThenDelivered) {
   auto out = cl.Resolve(rid.ValueOrDie());
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out.ValueOrDie().cache_hit);
+}
+
+TEST(ClusterChaosTest, RetriedFillIsDeliveredAfterTheAttemptThatGotThrough) {
+  FaultInjector injector(0xf112);
+  FaultSpec spec;
+  spec.code = StatusCode::kUnavailable;
+  spec.every_nth = 1;
+  spec.max_triggers = 1;  // drop the first attempt only
+  fault::ScopedFault armed(&injector, "cluster.fill", spec);
+
+  ClusterOptions options = BaseOptions(&injector);
+  options.cache_mode = CacheMode::kReplicated;
+  options.tracing = true;
+  ServeCluster cl(SharedDb(), NodeEngines(), options);
+
+  auto id = cl.Submit(cl.OpenSession(TenantOn(cl.router(), 1)),
+                      tpch::Query(6), SubmitOptions{});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(cl.DrainAll().ok());
+  auto out = cl.Peek(id.ValueOrDie());
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out.ValueOrDie().state, QueryState::kCompleted);
+  ASSERT_EQ(cl.stats().fill_retries, 1u);
+
+  // The dropped attempt's backoff is simulated time: the attempt that got
+  // through leaves no earlier than one base backoff after the completion.
+  const obs::QueryProfile profile = cl.Profile();
+  const auto fills = profile.SpansNamed("fill:node1");
+  ASSERT_EQ(fills.size(), 1u);
+  EXPECT_GE(fills[0]->start_s,
+            out.ValueOrDie().finish_s + net::kRetryBaseBackoffS);
+  EXPECT_GT(fills[0]->end_s, fills[0]->start_s);
+}
+
+TEST(ClusterChaosTest, ChannelBudgetExhaustionDropsTheFillOnce) {
+  FaultInjector injector(0xf113);
+  FaultSpec spec;
+  spec.code = StatusCode::kUnavailable;
+  spec.every_nth = 1;  // an outage that never heals
+  fault::ScopedFault armed(&injector, "cluster.fill", spec);
+
+  ClusterOptions options = BaseOptions(&injector);
+  options.cache_mode = CacheMode::kReplicated;
+  ServeCluster cl(SharedDb(), NodeEngines(), options);
+
+  const std::string sql = tpch::Query(6);
+  auto id = cl.Submit(cl.OpenSession(TenantOn(cl.router(), 1)), sql,
+                      SubmitOptions{});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(cl.DrainAll().ok());
+
+  // One retry level: the channel spends its whole budget, then drops the
+  // fill exactly once.
+  EXPECT_EQ(injector.stats("cluster.fill").hits,
+            static_cast<uint64_t>(net::kRetryMaxAttempts));
+  EXPECT_EQ(cl.stats().fill_retries,
+            static_cast<uint64_t>(net::kRetryMaxAttempts - 1));
+  EXPECT_EQ(cl.stats().fills_dropped, 1u);
+  EXPECT_EQ(cl.stats().fills_delivered, 0u);
+  EXPECT_EQ(cl.pending_replication(), 0u);
+
+  // No peer replica got the result.
+  auto rid = cl.Submit(cl.OpenSession(TenantOn(cl.router(), 2)), sql,
+                       SubmitOptions{});
+  ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+  auto rout = cl.Resolve(rid.ValueOrDie());
+  ASSERT_TRUE(rout.ok()) << rout.status().ToString();
+  EXPECT_EQ(rout.ValueOrDie().state, QueryState::kCompleted);
+  EXPECT_FALSE(rout.ValueOrDie().cache_hit);
 }
 
 TEST(ClusterChaosTest, DroppedInvalidationMulticastIsRetried) {

@@ -4,8 +4,9 @@
 // the coordinator-only baseline pays the wire and concentrates load on node
 // 0; backpressure re-routes shed tenants down the preference list and an
 // all-replicas shed surfaces the *minimum* retry-after hint; catalog writes
-// invalidate every replica exactly; and the open-loop arrival schedule
-// (including per-tenant rate overrides) is pinned by golden checks.
+// invalidate every replica exactly; ClusterStats reads the cluster's
+// metrics registry; and the open-loop arrival schedule (including
+// per-tenant rate overrides) is pinned by golden checks.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/serve_cluster.h"
@@ -31,6 +33,7 @@ namespace {
 
 using cluster::CacheMode;
 using cluster::ClusterOptions;
+using cluster::ClusterStats;
 using cluster::NodeLoad;
 using cluster::RendezvousRouter;
 using cluster::ServeCluster;
@@ -165,7 +168,7 @@ TEST(ServeClusterTest, ReplicatedCacheServesHitAnywhere) {
   EXPECT_GE(cl.stats().fills_sent, 1u);
   // The multicast reached every peer replica (3 of them) and cost wire time.
   EXPECT_GE(cl.stats().fills_delivered, 3u);
-  EXPECT_GT(cl.stats().fill_seconds, 0.0);
+  EXPECT_GT(cl.node_loads()[0].fill_egress_s, 0.0);
   EXPECT_GT(cl.stats().fill_bytes_wire, 0u);
 
   // A different tenant, sharded to a different node, hits the entry the
@@ -240,6 +243,64 @@ TEST(ServeClusterTest, TraceRecordsRoutesFillsAndNodeLoss) {
   EXPECT_EQ(lost[0]->category, "recovery");
   EXPECT_EQ(track(lost[0]), "node-2");
   EXPECT_EQ(lost[0]->start_s, lost_at_s);
+}
+
+TEST(ServeClusterTest, StatsReadTheRegistry) {
+  ClusterOptions options = BaseOptions();
+  options.cache_mode = CacheMode::kReplicated;
+  ServeCluster cl(SharedDb(), NodeEngines(), options);
+  auto id = cl.Submit(cl.OpenSession(TenantOn(cl.router(), 1)),
+                      tpch::Query(6), SubmitOptions{});
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(cl.DrainAll().ok());
+
+  // Every ClusterStats field, with the registry counters it sums.
+  static_assert(sizeof(ClusterStats) == 16 * sizeof(uint64_t),
+                "a new ClusterStats field needs a row below");
+  const std::vector<std::pair<uint64_t ClusterStats::*,
+                              std::vector<std::string>>>
+      fields = {
+          {&ClusterStats::routed, {"cluster.routed"}},
+          {&ClusterStats::route_retried, {"cluster.route.retried"}},
+          {&ClusterStats::rerouted, {"cluster.rerouted"}},
+          {&ClusterStats::shed_all_replicas, {"cluster.shed"}},
+          {&ClusterStats::remote_hits, {"cluster.remote_hit"}},
+          {&ClusterStats::fills_sent, {"cluster.fill.sent"}},
+          {&ClusterStats::fills_delivered, {"cluster.fill.delivered"}},
+          {&ClusterStats::fill_retries,
+           {"cluster.fill.retried", "cluster.invalidate.retried"}},
+          {&ClusterStats::fills_dropped,
+           {"cluster.fill.dropped", "cluster.fill.origin_lost"}},
+          {&ClusterStats::invalidations_sent, {"cluster.invalidate.sent"}},
+          {&ClusterStats::invalidations_delivered,
+           {"cluster.invalidate.delivered"}},
+          {&ClusterStats::nodes_lost, {"cluster.node.lost"}},
+          {&ClusterStats::requeued, {"cluster.requeued"}},
+          {&ClusterStats::requeue_shed, {"cluster.requeue_shed"}},
+          {&ClusterStats::fill_bytes_plain, {"cluster.fill.bytes_plain"}},
+          {&ClusterStats::fill_bytes_wire, {"cluster.fill.bytes_wire"}},
+      };
+  const ClusterStats stats = cl.stats();
+  ASSERT_EQ(stats.routed, 1u);
+  ASSERT_EQ(stats.fills_sent, 1u);
+  ASSERT_EQ(stats.fills_delivered, 3u);
+  ASSERT_GT(stats.fill_bytes_wire, 0u);
+  const auto snap = cl.metrics().Snapshot();
+  for (const auto& [field, names] : fields) {
+    uint64_t sum = 0;
+    for (const std::string& name : names) {
+      auto it = snap.find(name);
+      if (it != snap.end()) sum += it->second;
+    }
+    EXPECT_EQ(stats.*field, sum) << names[0];
+  }
+
+  // A registry reset rebases the view with it.
+  cl.metrics().Reset();
+  const ClusterStats reset = cl.stats();
+  for (const auto& [field, names] : fields) {
+    EXPECT_EQ(reset.*field, 0u) << names[0];
+  }
 }
 
 TEST(ServeClusterTest, CompressedFillsShrinkWireBytes) {
