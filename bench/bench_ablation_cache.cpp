@@ -1,5 +1,9 @@
 // Ablation: hot vs cold runs (paper §4.1 reports hot runs; §3.2.3's caching
 // region is what makes them possible).
+//
+// The engine runs one task thread, as the out-of-core pin does: with
+// several, a cold query's modeled time depends on which pipeline loads a
+// shared column first, so the snapshot would not repeat.
 
 #include <cstdio>
 
@@ -14,6 +18,7 @@ int main() {
   auto duck = bench::MakeTpchDb(sim::M7i16xlarge(), sim::DuckDbProfile());
   engine::SiriusEngine::Options options;
   options.data_scale = bench::DataScale();
+  options.num_task_threads = 1;
   engine::SiriusEngine eng(duck.get(), options);
   duck->SetAccelerator(&eng);
 

@@ -2,16 +2,20 @@
 //
 // These measure the GDF kernel library itself — the substrate both engines
 // share — rather than modeled device time: filter, gather, hash join, hash
-// and sort group-by, sort, partition.
+// and sort group-by, sort, partition. The scan->filter path also gets one
+// benchmark per part, on columns of a lineitem's length at SF 0.02: decode
+// of the caching region's codecs, a comparison against a literal, the
+// mask-to-indices compaction and a '%'-only LIKE.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "bench_util.h"
-#include "format/builder.h"
-#include "gdf/copying.h"
 #include "expr/eval.h"
+#include "format/builder.h"
+#include "format/encoding.h"
+#include "gdf/copying.h"
 #include "gdf/filter.h"
 #include "gdf/groupby.h"
 #include "gdf/join.h"
@@ -87,6 +91,123 @@ void BM_Filter(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Filter)->Arg(1 << 14)->Arg(1 << 18);
+
+// ---------------------------------------------------------------------------
+// Scan->filter path
+// ---------------------------------------------------------------------------
+
+constexpr size_t kScanRows = 120000;
+
+/// Uniform values of exactly `width` bits: FOR-bitpacks at that width.
+format::ColumnPtr WidthInts(size_t n, int width, uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  const uint64_t mask = (uint64_t{1} << width) - 1;
+  std::vector<int64_t> v(n);
+  for (auto& x : v) x = static_cast<int64_t>(rng() & mask);
+  v[0] = 0;
+  v[1] = static_cast<int64_t>(mask);
+  return format::Column::FromInt64(v);
+}
+
+void BM_DecodeFor(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const auto encoded =
+      format::Encode(WidthInts(kScanRows, width, 17)).ValueOrDie();
+  SIRIUS_CHECK(encoded.bit_width_ == width);
+  for (auto _ : state) {
+    auto col = format::Decode(encoded).ValueOrDie();
+    benchmark::DoNotOptimize(col);
+  }
+  state.SetItemsProcessed(state.iterations() * kScanRows);
+}
+BENCHMARK(BM_DecodeFor)->Arg(3)->Arg(12)->Arg(17)->Arg(33);
+
+/// A dictionary of `size` strings: l_shipmode's seven, or longer made-up
+/// ones, drawn uniformly.
+void BM_DecodeDict(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  const char* const modes[] = {"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"};
+  std::mt19937_64 rng(18);
+  format::ColumnBuilder b(format::String());
+  b.Reserve(kScanRows);
+  for (size_t i = 0; i < kScanRows; ++i) {
+    const size_t code = rng() % size;
+    b.AppendString(size <= 7 ? std::string(modes[code])
+                             : "dictionary string " + std::to_string(code));
+  }
+  const auto encoded = format::Encode(b.Finish()).ValueOrDie();
+  SIRIUS_CHECK(encoded.codec() == format::Codec::kDict);
+  for (auto _ : state) {
+    auto col = format::Decode(encoded).ValueOrDie();
+    benchmark::DoNotOptimize(col);
+  }
+  state.SetItemsProcessed(state.iterations() * kScanRows);
+}
+BENCHMARK(BM_DecodeDict)->Arg(7)->Arg(4096);
+
+/// `column < literal` at ~50% selectivity: INT32 (0), INT64 (1) or
+/// DECIMAL(2) (2), the literal at the column's own scale.
+void BM_CompareLiteral(benchmark::State& state) {
+  const format::DataType types[] = {format::Int32(), format::Int64(),
+                                    format::Decimal(2)};
+  const format::DataType type = types[state.range(0)];
+  std::mt19937_64 rng(19);
+  format::ColumnBuilder b(type);
+  b.Reserve(kScanRows);
+  for (size_t i = 0; i < kScanRows; ++i) {
+    b.AppendInt(static_cast<int64_t>(rng() % 100000));
+  }
+  auto table = OneColumnTable(b.Finish(), "v");
+  const format::Scalar literal =
+      type.is_decimal() ? format::Scalar::FromDecimal(50000, 2)
+                        : (type.id == format::TypeId::kInt32
+                               ? format::Scalar::FromInt32(50000)
+                               : format::Scalar::FromInt64(50000));
+  auto e = expr::Lt(expr::ColIdx(0, type), expr::Lit(literal));
+  SIRIUS_CHECK_OK(expr::Bind(e, table->schema()));
+  state.SetLabel(type.ToString());
+  for (auto _ : state) {
+    auto mask = expr::Evaluate(*e, *table).ValueOrDie();
+    benchmark::DoNotOptimize(mask);
+  }
+  state.SetItemsProcessed(state.iterations() * kScanRows);
+}
+BENCHMARK(BM_CompareLiteral)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_MaskToIndices(benchmark::State& state) {
+  std::mt19937_64 rng(20);
+  std::vector<bool> bits(kScanRows);
+  for (size_t i = 0; i < kScanRows; ++i) bits[i] = rng() % 2 == 0;
+  auto mask = format::Column::FromBool(bits);
+  gdf::Context ctx = Ctx();
+  for (auto _ : state) {
+    auto sel = gdf::MaskToIndices(ctx, mask).ValueOrDie();
+    benchmark::DoNotOptimize(sel);
+  }
+  state.SetItemsProcessed(state.iterations() * kScanRows);
+}
+BENCHMARK(BM_MaskToIndices);
+
+/// `%a%b%` over words of 8 to 24 letters from a-j.
+void BM_LikeSegments(benchmark::State& state) {
+  std::mt19937_64 rng(21);
+  format::ColumnBuilder b(format::String());
+  b.Reserve(kScanRows);
+  for (size_t i = 0; i < kScanRows; ++i) {
+    std::string w(8 + rng() % 17, ' ');
+    for (char& c : w) c = static_cast<char>('a' + rng() % 10);
+    b.AppendString(w);
+  }
+  auto table = OneColumnTable(b.Finish(), "s");
+  auto e = expr::Like(expr::ColIdx(0, format::String()), "%a%b%");
+  SIRIUS_CHECK_OK(expr::Bind(e, table->schema()));
+  for (auto _ : state) {
+    auto mask = expr::Evaluate(*e, *table).ValueOrDie();
+    benchmark::DoNotOptimize(mask);
+  }
+  state.SetItemsProcessed(state.iterations() * kScanRows);
+}
+BENCHMARK(BM_LikeSegments);
 
 void BM_Gather(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

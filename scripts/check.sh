@@ -184,7 +184,7 @@ stage_bench_gate() {
   local b
   for b in bench_fig4_tpch_single_node bench_ablation_fusion bench_serve \
            bench_serve_multi_gpu bench_serve_cluster bench_spill_sweep \
-           bench_ssb; do
+           bench_ssb bench_ablation_cache; do
     cmake --build "$BUILD" -j "$JOBS" --target "$b" >/dev/null
     echo "--- $b"
     SIRIUS_BENCH_JSON_DIR="$out" "$BUILD/bench/$b"

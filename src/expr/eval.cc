@@ -188,7 +188,14 @@ struct ConstReader {
   T operator[](size_t) const { return v; }
 };
 
-/// An integer column lifted to a common decimal scale by `mult`.
+/// An integer column read as int64.
+template <typename T>
+struct WideReader {
+  const T* p;
+  int64_t operator[](size_t k) const { return static_cast<int64_t>(p[k]); }
+};
+
+/// An integer column lifted to a common decimal scale by `mult` (not 1).
 template <typename T>
 struct ScaledReader {
   const T* p;
@@ -229,7 +236,8 @@ void WithIntStorage(const Column& c, Fn&& fn) {
   }
 }
 
-/// Calls fn with a reader of `c`'s integer values times `mult`.
+/// Calls fn with a reader of `c`'s integer values times `mult`, as int64. A
+/// column already at the common scale (`mult` 1) is only widened.
 template <typename Fn>
 void WithIntReader(const Column& c, bool one_row, int64_t mult, Fn&& fn) {
   WithIntStorage(c, [&](auto tag) {
@@ -237,6 +245,8 @@ void WithIntReader(const Column& c, bool one_row, int64_t mult, Fn&& fn) {
     const T* p = c.data<T>();
     if (one_row) {
       fn(ConstReader<int64_t>{static_cast<int64_t>(p[0]) * mult});
+    } else if (mult == 1) {
+      fn(WideReader<T>{p});
     } else {
       fn(ScaledReader<T>{p, mult});
     }
@@ -365,39 +375,42 @@ Result<ColumnPtr> EvalArithmetic(const Expr& e, const Column& l, const Column& r
   return FixedColumn(e.type, std::move(data), m, std::move(nulls));
 }
 
-/// The result of a comparison for each sign of (left - right). Unordered
-/// doubles (NaN) compare as equal.
-struct CmpOutcome {
-  uint8_t lt, eq, gt;
-};
-
-CmpOutcome OutcomeOf(BinaryOp op) {
+/// out[k] = (a[k] op b[k]), one loop per comparison operator, each written
+/// with `<` and `>` only and no branch. An unordered pair (a NaN) is neither
+/// less nor greater, so it compares equal: = <= >= hold, <> < > do not.
+template <typename A, typename B>
+void CompareLoop(BinaryOp op, uint8_t* out, size_t m, A a, B b) {
   switch (op) {
     case BinaryOp::kEq:
-      return {0, 1, 0};
+      return Apply(out, m, a, b, [](auto x, auto y) -> uint8_t {
+        return !(x < y) & !(x > y);
+      });
     case BinaryOp::kNe:
-      return {1, 0, 1};
+      return Apply(out, m, a, b,
+                   [](auto x, auto y) -> uint8_t { return (x < y) | (x > y); });
     case BinaryOp::kLt:
-      return {1, 0, 0};
+      return Apply(out, m, a, b, [](auto x, auto y) -> uint8_t { return x < y; });
     case BinaryOp::kLe:
-      return {1, 1, 0};
+      return Apply(out, m, a, b, [](auto x, auto y) -> uint8_t { return !(x > y); });
     case BinaryOp::kGt:
-      return {0, 0, 1};
-    case BinaryOp::kGe:
-      return {0, 1, 1};
-    default:
-      return {0, 0, 0};
+      return Apply(out, m, a, b, [](auto x, auto y) -> uint8_t { return x > y; });
+    default:  // kGe
+      return Apply(out, m, a, b, [](auto x, auto y) -> uint8_t { return !(x < y); });
   }
 }
 
-template <typename A, typename B>
-void CompareLoop(uint8_t* out, size_t m, A a, B b, CmpOutcome o) {
-  for (size_t k = 0; k < m; ++k) {
-    const auto x = a[k];
-    const auto y = b[k];
-    out[k] = x < y ? o.lt : (x > y ? o.gt : o.eq);
+/// Row k of two string operands as one compare() of them, whose sign an
+/// ordering tests against 0; 0 at NULL rows.
+struct StringOrder {
+  const Column& l;
+  const Column& r;
+  bool l1, r1;
+  const Nulls& nulls;
+  int operator[](size_t k) const {
+    return nulls.IsNull(k) ? 0
+                           : l.StringAt(l1 ? 0 : k).compare(r.StringAt(r1 ? 0 : k));
   }
-}
+};
 
 Result<ColumnPtr> EvalComparison(const Expr& e, const Column& l, const Column& r) {
   const bool strings = l.type().is_string() || r.type().is_string();
@@ -410,29 +423,32 @@ Result<ColumnPtr> EvalComparison(const Expr& e, const Column& l, const Column& r
   }
   const size_t m = std::max(l.length(), r.length());
   const bool l1 = OneRow(l, m), r1 = OneRow(r, m);
-  const CmpOutcome o = OutcomeOf(e.bop);
   Nulls nulls = Propagate(m, {&l, &r});
   mem::Buffer data = Allocate(m);
   uint8_t* out = data.data();
 
   if (strings) {
-    for (size_t k = 0; k < m; ++k) {
-      if (nulls.IsNull(k)) {
-        out[k] = 0;
-        continue;
+    if (e.bop == BinaryOp::kEq || e.bop == BinaryOp::kNe) {
+      // string_view == compares the lengths first.
+      const bool when_equal = e.bop == BinaryOp::kEq;
+      for (size_t k = 0; k < m; ++k) {
+        out[k] = !nulls.IsNull(k) &&
+                 (l.StringAt(l1 ? 0 : k) == r.StringAt(r1 ? 0 : k)) == when_equal;
       }
-      const int c = l.StringAt(l1 ? 0 : k).compare(r.StringAt(r1 ? 0 : k));
-      out[k] = c < 0 ? o.lt : (c > 0 ? o.gt : o.eq);
+    } else {
+      CompareLoop(e.bop, out, m, StringOrder{l, r, l1, r1, nulls},
+                  ConstReader<int>{0});
     }
   } else if (l.type().id != TypeId::kFloat64 && r.type().id != TypeId::kFloat64) {
     const int s = std::max(Scale(l), Scale(r));
     WithIntReader(l, l1, DecimalPow10(s - Scale(l)), [&](auto a) {
       WithIntReader(r, r1, DecimalPow10(s - Scale(r)),
-                    [&](auto b) { CompareLoop(out, m, a, b, o); });
+                    [&](auto b) { CompareLoop(e.bop, out, m, a, b); });
     });
   } else {
     WithDoubleReader(l, l1, [&](auto a) {
-      WithDoubleReader(r, r1, [&](auto b) { CompareLoop(out, m, a, b, o); });
+      WithDoubleReader(r, r1,
+                       [&](auto b) { CompareLoop(e.bop, out, m, a, b); });
     });
   }
   return BoolColumn(std::move(data), m, std::move(nulls));
@@ -538,9 +554,12 @@ Result<ColumnPtr> EvalUnary(const Expr& e, ColumnPtr c, size_t n) {
   return Status::Internal("unknown unary op");
 }
 
-/// A LIKE pattern compiled once per call. Patterns whose only wildcards are
-/// leading or trailing '%' match with string_view operations; every other
-/// pattern goes through LikeMatch.
+/// A LIKE pattern compiled once per call. A pattern whose only wildcard is
+/// '%' matches with string_view operations: an exact, prefix, suffix or
+/// contains test when '%' only leads or trails, otherwise its segments
+/// between '%'s in order, the first and last anchored unless '%' leads or
+/// trails, each one between found by the leftmost `find` after the one
+/// before. A pattern with '_' goes through LikeMatch.
 class LikePattern {
  public:
   explicit LikePattern(std::string_view pattern) : pattern_(pattern) {
@@ -548,14 +567,22 @@ class LikePattern {
     while (begin < end && pattern[begin] == '%') ++begin;
     while (end > begin && pattern[end - 1] == '%') --end;
     core_ = pattern.substr(begin, end - begin);
-    const bool lead = begin > 0, trail = end < pattern.size();
-    if (core_.find_first_of("%_") != std::string_view::npos) {
+    lead_ = begin > 0;
+    trail_ = end < pattern.size();
+    if (core_.find('_') != std::string_view::npos) {
       shape_ = Shape::kGeneral;
-    } else if (lead && trail) {
+    } else if (core_.find('%') != std::string_view::npos) {
+      shape_ = Shape::kSegments;
+      for (size_t pos = 0; pos < core_.size();) {
+        const size_t next = std::min(core_.find('%', pos), core_.size());
+        if (next > pos) segments_.push_back(core_.substr(pos, next - pos));
+        pos = next + 1;
+      }
+    } else if (lead_ && trail_) {
       shape_ = Shape::kContains;
-    } else if (lead) {
+    } else if (lead_) {
       shape_ = Shape::kSuffix;
-    } else if (trail) {
+    } else if (trail_) {
       shape_ = Shape::kPrefix;
     } else {
       shape_ = Shape::kExact;
@@ -567,12 +594,13 @@ class LikePattern {
       case Shape::kExact:
         return v == core_;
       case Shape::kPrefix:
-        return v.substr(0, core_.size()) == core_;
+        return v.starts_with(core_);
       case Shape::kSuffix:
-        return v.size() >= core_.size() &&
-               v.substr(v.size() - core_.size()) == core_;
+        return v.ends_with(core_);
       case Shape::kContains:
         return v.find(core_) != std::string_view::npos;
+      case Shape::kSegments:
+        return MatchesSegments(v);
       case Shape::kGeneral:
         break;
     }
@@ -580,9 +608,36 @@ class LikePattern {
   }
 
  private:
-  enum class Shape { kExact, kPrefix, kSuffix, kContains, kGeneral };
+  enum class Shape { kExact, kPrefix, kSuffix, kContains, kSegments, kGeneral };
+
+  /// At least two segments. Leftmost placement is optimal: a later match
+  /// of one segment never leaves more room for the ones after it.
+  bool MatchesSegments(std::string_view v) const {
+    size_t first = 0, last = segments_.size();
+    size_t pos = 0;
+    if (!lead_) {
+      if (!v.starts_with(segments_.front())) return false;
+      pos = segments_.front().size();
+      ++first;
+    }
+    if (!trail_) {
+      const std::string_view tail = segments_.back();
+      if (v.size() - pos < tail.size() || !v.ends_with(tail)) return false;
+      v.remove_suffix(tail.size());
+      --last;
+    }
+    for (size_t i = first; i < last; ++i) {
+      const size_t at = v.find(segments_[i], pos);
+      if (at == std::string_view::npos) return false;
+      pos = at + segments_[i].size();
+    }
+    return true;
+  }
+
   std::string_view pattern_;
   std::string_view core_;
+  std::vector<std::string_view> segments_;
+  bool lead_ = false, trail_ = false;
   Shape shape_ = Shape::kGeneral;
 };
 
@@ -703,12 +758,9 @@ ColumnPtr EvalInList(const Expr& e, const Column& c) {
       out[k] = 0;
       if (nulls.IsNull(k)) continue;
       const std::string_view v = c.StringAt(k);
-      for (const std::string_view key : keys) {
-        if (v == key) {
-          out[k] = 1;
-          break;
-        }
-      }
+      uint8_t hit = 0;
+      for (const std::string_view key : keys) hit |= v == key;
+      out[k] = hit;
     }
   } else if (!boxed) {
     // Item j matches value v when v * mult == value, both at the larger of
@@ -732,12 +784,7 @@ ColumnPtr EvalInList(const Expr& e, const Column& c) {
         const int64_t v = std::is_same_v<T, uint8_t> ? int64_t{p[k] != 0}
                                                      : static_cast<int64_t>(p[k]);
         uint8_t hit = 0;
-        for (const Key& key : keys) {
-          if (v * key.mult == key.value) {
-            hit = 1;
-            break;
-          }
-        }
+        for (const Key& key : keys) hit |= v * key.mult == key.value;
         out[k] = hit;
       }
     });

@@ -1,11 +1,14 @@
 #include "format/encoding.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -60,43 +63,72 @@ void PackWords(size_t n, int bit_width, uint8_t* out, Get get) {
   if (filled > 0) std::memcpy(out, &acc, bit::BytesForBits(filled));
 }
 
-/// Calls fn(i, value) for the first n values of a `packed_bytes`-long
-/// stream, in order. Values whose 8-byte window lies inside the buffer take
-/// one unaligned load (plus one byte when the value straddles it); the rest
-/// go through BitpackRead, which stops at the value's last byte.
-template <typename Fn>
-void ForEachPacked(const uint8_t* packed, size_t packed_bytes, size_t n,
-                   int bit_width, Fn fn) {
-  size_t i = 0;
-  if (bit_width > 0 && packed_bytes >= sizeof(uint64_t)) {
-    const size_t w = static_cast<size_t>(bit_width);
-    const uint64_t mask = WidthMask(bit_width);
-    // Value i's window starts at byte i*w/8, which is at most
-    // packed_bytes - 8 exactly when i*w <= (packed_bytes - 8) * 8 + 7.
-    const size_t windowed =
-        std::min(n, ((packed_bytes - sizeof(uint64_t)) * 8 + 7) / w + 1);
-    size_t bit = 0;
-    uint64_t word = 0;
-    if (bit_width <= 57) {
-      // The in-byte shift is at most 7, so the window holds the whole value.
-      for (; i < windowed; ++i, bit += w) {
-        std::memcpy(&word, packed + (bit >> 3), sizeof(word));
-        fn(i, (word >> (bit & 7)) & mask);
-      }
-    } else {
-      for (; i < windowed; ++i, bit += w) {
-        const size_t byte = bit >> 3;
-        const unsigned shift = bit & 7;
-        std::memcpy(&word, packed + byte, sizeof(word));
-        uint64_t v = word >> shift;
-        // The value's top bits sit in the next byte, which the value's own
-        // extent keeps inside the buffer.
-        if (shift + w > 64) v |= uint64_t{packed[byte + 8]} << (64 - shift);
-        fn(i, v & mask);
-      }
+/// Value J (0..7) of the block of eight W-bit values that starts at
+/// `block`, which holds exactly W bytes. Every load stays inside the block:
+/// below 8 bits the block's W bytes form one word; wider values take the
+/// 8-byte window at their first byte, or the block's last 8 bytes when that
+/// window would cross the block's end, plus the window's next byte when a
+/// value of more than 56 bits straddles it. Offsets and shifts are
+/// constants.
+template <int W, int J>
+uint64_t BlockValue(const uint8_t* block) {
+  constexpr uint64_t kMask = W == 64 ? ~uint64_t{0} : (uint64_t{1} << W) - 1;
+  constexpr size_t kBit = static_cast<size_t>(J) * W;
+  constexpr size_t kByte = kBit / 8;
+  uint64_t word = 0;
+  if constexpr (W < 8) {
+    for (int k = 0; k < W; ++k) word |= uint64_t{block[k]} << (8 * k);
+    return (word >> kBit) & kMask;
+  } else if constexpr (kByte + 8 > W) {
+    std::memcpy(&word, block + W - 8, sizeof(word));
+    return (word >> (kBit - 8 * (W - 8))) & kMask;
+  } else {
+    constexpr size_t kShift = kBit % 8;
+    std::memcpy(&word, block + kByte, sizeof(word));
+    uint64_t v = word >> kShift;
+    if constexpr (kShift + W > 64) {
+      v |= uint64_t{block[kByte + 8]} << (64 - kShift);
     }
+    return v & kMask;
   }
-  for (; i < n; ++i) fn(i, BitpackRead(packed, i, bit_width));
+}
+
+/// out[i] = base + value i (wrapping) for the 8 * `blocks` values of a W-bit
+/// stream. Width 0 reads nothing: it fills `out` with base.
+template <typename T, int W>
+void UnpackBlocks(const uint8_t* packed, size_t blocks, uint64_t base, T* out) {
+  for (size_t b = 0; b < blocks; ++b, packed += W, out += 8) {
+    [&]<int... J>(std::integer_sequence<int, J...>) {
+      // All loads before any store: `out` may alias the bytes.
+      const uint64_t v[] = {BlockValue<W, J>(packed)...};
+      ((out[J] = static_cast<T>(base + v[J])), ...);
+    }(std::make_integer_sequence<int, 8>{});
+  }
+}
+
+template <typename T>
+using UnpackFn = void (*)(const uint8_t*, size_t, uint64_t, T*);
+
+template <typename T, int... W>
+constexpr std::array<UnpackFn<T>, sizeof...(W)> UnpackTable(
+    std::integer_sequence<int, W...>) {
+  return {&UnpackBlocks<T, W>...};
+}
+
+/// out[i] = base + value i (wrapping) for the first n values of a
+/// bit_width-wide stream: whole blocks through the width's kernel, the last
+/// partial block through BitpackRead, so no load passes the stream's
+/// BytesForBits(n * bit_width) bytes.
+template <typename T>
+void Unpack(const uint8_t* packed, size_t n, int bit_width, uint64_t base,
+            T* out) {
+  static constexpr auto kKernels =
+      UnpackTable<T>(std::make_integer_sequence<int, 65>{});
+  SIRIUS_CHECK(bit_width >= 0 && bit_width <= 64);
+  kKernels[static_cast<size_t>(bit_width)](packed, n / 8, base, out);
+  for (size_t i = n / 8 * 8; i < n; ++i) {
+    out[i] = static_cast<T>(base + BitpackRead(packed, i, bit_width));
+  }
 }
 
 }  // namespace
@@ -119,10 +151,9 @@ uint64_t BitpackRead(const uint8_t* packed, size_t i, int bit_width) {
   return v & WidthMask(bit_width);
 }
 
-void BitpackUnpack(const uint8_t* packed, size_t packed_bytes, size_t n,
-                   int bit_width, uint64_t* out) {
-  ForEachPacked(packed, packed_bytes, n, bit_width,
-                [out](size_t i, uint64_t v) { out[i] = v; });
+void BitpackUnpack(const uint8_t* packed, size_t n, int bit_width,
+                   uint64_t* out) {
+  Unpack(packed, n, bit_width, 0, out);
 }
 
 namespace {
@@ -284,11 +315,8 @@ Result<EncodedColumn> EncodeString(const ColumnPtr& col) {
 template <typename T>
 void DecodeFor(const EncodedColumn& e, T* out) {
   // Unsigned addition wraps exactly like the encoder's subtraction.
-  const uint64_t base = static_cast<uint64_t>(e.frame_of_reference_);
-  ForEachPacked(e.data_.data(), e.data_.size(), e.length_, e.bit_width_,
-                [out, base](size_t i, uint64_t delta) {
-                  out[i] = static_cast<T>(base + delta);
-                });
+  Unpack(e.data_.data(), e.length_, e.bit_width_,
+         static_cast<uint64_t>(e.frame_of_reference_), out);
 }
 
 /// Dictionary strings up to this long are copied as one fixed-size block.
@@ -302,26 +330,26 @@ Result<ColumnPtr> DecodeDict(const EncodedColumn& e) {
     return validity == nullptr || bit::GetBit(validity, i);
   };
 
+  // The codes are unpacked once; the offsets pass and the copy pass read
+  // them.
+  const auto codes = std::make_unique_for_overwrite<uint64_t[]>(n);
+  Unpack(e.data_.data(), n, e.bit_width_, 0, codes.get());
+
   // Offsets first, so the chars buffer is allocated once at its final size.
   mem::Buffer offsets_buf =
       mem::Buffer::Allocate((n + 1) * sizeof(int64_t)).ValueOrDie();
   int64_t* offsets = offsets_buf.data_as<int64_t>();
   offsets[0] = 0;
   int64_t end = 0;
-  bool in_range = true;
-  ForEachPacked(e.data_.data(), e.data_.size(), n, e.bit_width_,
-                [&](size_t i, uint64_t code) {
-                  if (is_valid(i)) {
-                    if (code < e.dict_size_) {
-                      end += dict_offsets[code + 1] - dict_offsets[code];
-                    } else {
-                      in_range = false;
-                    }
-                  }
-                  offsets[i + 1] = end;
-                });
-  if (!in_range) {
-    return Status::Internal("Decode: dictionary code out of range");
+  for (size_t i = 0; i < n; ++i) {
+    if (is_valid(i)) {
+      const uint64_t code = codes[i];
+      if (code >= e.dict_size_) {
+        return Status::Internal("Decode: dictionary code out of range");
+      }
+      end += dict_offsets[code + 1] - dict_offsets[code];
+    }
+    offsets[i + 1] = end;
   }
 
   // When no dictionary string is longer than kDictCopyBytes, a row copies
@@ -346,18 +374,16 @@ Result<ColumnPtr> DecodeDict(const EncodedColumn& e) {
   mem::Buffer chars =
       mem::Buffer::Allocate(static_cast<size_t>(end)).ValueOrDie();
   uint8_t* out = chars.data();
-  ForEachPacked(e.data_.data(), e.data_.size(), n, e.bit_width_,
-                [=](size_t i, uint64_t code) {
-                  if (!is_valid(i)) return;
-                  const char* src = dict_chars + dict_offsets[code];
-                  if (offsets[i] <= fixed_end) {
-                    std::memcpy(out + offsets[i], src, kDictCopyBytes);
-                  } else if (offsets[i + 1] > offsets[i]) {
-                    const auto len =
-                        static_cast<size_t>(offsets[i + 1] - offsets[i]);
-                    std::memcpy(out + offsets[i], src, len);
-                  }
-                });
+  for (size_t i = 0; i < n; ++i) {
+    if (!is_valid(i)) continue;
+    const char* src = dict_chars + dict_offsets[codes[i]];
+    if (offsets[i] <= fixed_end) {
+      std::memcpy(out + offsets[i], src, kDictCopyBytes);
+    } else if (offsets[i + 1] > offsets[i]) {
+      const auto len = static_cast<size_t>(offsets[i + 1] - offsets[i]);
+      std::memcpy(out + offsets[i], src, len);
+    }
+  }
   return Column::MakeString(std::move(offsets_buf), std::move(chars), n,
                             CopyValidity(e), e.null_count_);
 }

@@ -11,13 +11,15 @@
 // Packed values form one dense little-endian bit stream: value i occupies
 // bits [i*w, (i+1)*w), with no padding between values. Dictionary codes
 // number the distinct strings in first-appearance order. This is not
-// FastLanes' transposed layout; the codec's speed comes from word-at-a-time
-// loops over this stream. Encode packs through one 64-bit accumulator.
-// Decode reads each value with one unaligned 64-bit load (plus one byte
-// when a value straddles the word), and reads the values near the end of
-// the buffer through a guarded path that never loads past the last byte.
-// A dictionary column decodes its offsets first, so the chars buffer is
-// allocated once at its final size, then copies each row's string.
+// FastLanes' transposed layout. Encode packs through one 64-bit accumulator.
+// Decode works in blocks: eight w-bit values fill exactly w bytes, so a
+// table indexed by w picks a kernel that unpacks a whole block with
+// constant byte offsets and shifts, without a branch, every load inside the
+// block. Width 0 is a fill. The values of a last, partial block go through
+// BitpackRead, which never loads past the stream's last byte. A dictionary
+// column unpacks its codes once; it then computes every row's offset, so
+// the chars buffer is allocated once at its final size, and copies each
+// row's string.
 
 #pragma once
 
@@ -90,9 +92,10 @@ void BitpackInto(const uint64_t* values, size_t n, int bit_width, uint8_t* out);
 /// Reads the i-th `bit_width`-wide value from a dense bit stream, touching
 /// only the bytes that hold it.
 uint64_t BitpackRead(const uint8_t* packed, size_t i, int bit_width);
-/// Reads the first `n` values of a `packed_bytes`-long stream into `out`.
-void BitpackUnpack(const uint8_t* packed, size_t packed_bytes, size_t n,
-                   int bit_width, uint64_t* out);
+/// Reads the first `n` values of a stream into `out`, loading none of the
+/// stream past its BytesForBits(n * bit_width) bytes.
+void BitpackUnpack(const uint8_t* packed, size_t n, int bit_width,
+                   uint64_t* out);
 /// @}
 
 }  // namespace sirius::format

@@ -1,5 +1,6 @@
 #include "gdf/filter.h"
 
+#include "common/bitutil.h"
 #include "gdf/copying.h"
 
 namespace sirius::gdf {
@@ -11,12 +12,24 @@ Result<std::vector<index_t>> MaskToIndices(const Context& ctx,
                              mask->type().ToString());
   }
   const size_t n = mask->length();
-  std::vector<index_t> out;
-  out.reserve(n / 2);
+  std::vector<index_t> out(n);
   const uint8_t* vals = mask->data<uint8_t>();
-  for (size_t i = 0; i < n; ++i) {
-    if (vals[i] != 0 && !mask->IsNull(i)) out.push_back(static_cast<index_t>(i));
+  // Branch-free compaction: every row writes its index at the cursor, and
+  // the cursor moves past it only when the row is selected.
+  size_t count = 0;
+  if (mask->has_nulls()) {
+    const uint8_t* valid = mask->validity();
+    for (size_t i = 0; i < n; ++i) {
+      out[count] = static_cast<index_t>(i);
+      count += (vals[i] != 0) & bit::GetBit(valid, i);
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      out[count] = static_cast<index_t>(i);
+      count += vals[i] != 0;
+    }
   }
+  out.resize(count);
   sim::KernelCost cost;
   cost.seq_bytes = n + out.size() * sizeof(index_t);
   cost.rows = n;

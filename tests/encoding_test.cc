@@ -44,7 +44,7 @@ TEST(BitpackTest, PackUnpackWidths) {
       std::vector<uint8_t> packed(bytes, 0);
       BitpackInto(values.data(), n, width, packed.data());
       std::vector<uint64_t> unpacked(n, ~uint64_t{0});
-      BitpackUnpack(packed.data(), bytes, n, width, unpacked.data());
+      BitpackUnpack(packed.data(), n, width, unpacked.data());
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(BitpackRead(packed.data(), i, width), values[i])
             << "width " << width << " n " << n << " index " << i;
@@ -175,11 +175,13 @@ TEST(EncodingTest, RandomizedRoundTripSweep) {
 }
 
 TEST(EncodingTest, ForBitpackEveryWidthAndLength) {
-  // Decode reads whole words up to the last one that fits in the packed
-  // buffer, then finishes the tail value by value; cover every width at
-  // lengths on both sides of a word.
+  // Decode unpacks whole blocks of eight values, then the last partial block
+  // value by value; cover every width at lengths on both sides of a block
+  // and of a word. One value always packs at width 0.
   for (int width = 0; width <= 64; ++width) {
-    for (size_t n : {2, 7, 8, 63, 64, 65, 257}) {
+    for (size_t n : {1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 257,
+                     1000}) {
+      if (n == 1 && width > 0) continue;
       std::mt19937_64 rng(static_cast<uint64_t>(width) * 1000 + n);
       const uint64_t span =
           width == 64 ? UINT64_MAX : ((uint64_t{1} << width) - 1);
@@ -198,6 +200,28 @@ TEST(EncodingTest, ForBitpackEveryWidthAndLength) {
       EXPECT_TRUE(Decode(encoded).ValueOrDie()->Equals(*col))
           << "width " << width << " n " << n;
     }
+  }
+}
+
+TEST(EncodingTest, DictEveryCodeWidth) {
+  // Dictionaries of 2 to 4096 strings take code widths 1 to 12; every
+  // code appears in a valid row, and every seventh row is NULL. The lengths
+  // end mid-block.
+  for (int width = 1; width <= 12; ++width) {
+    const size_t size = size_t{1} << width;
+    const size_t n = 2 * size + 13;
+    std::vector<std::string> v(n);
+    std::vector<bool> valid(n);
+    for (size_t i = 0; i < n; ++i) {
+      v[i] = "s" + std::to_string(i % size) + std::string(i % size % 40, 'x');
+      valid[i] = i % 7 != 3;
+    }
+    auto col = Column::FromStrings(v, valid);
+    auto encoded = Encode(col).ValueOrDie();
+    ASSERT_EQ(encoded.codec(), Codec::kDict) << "width " << width;
+    ASSERT_EQ(encoded.bit_width_, width);
+    ASSERT_EQ(encoded.dict_size_, size);
+    EXPECT_TRUE(Decode(encoded).ValueOrDie()->Equals(*col)) << "width " << width;
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <random>
 
@@ -433,7 +435,8 @@ bool Chance(Rng& rng, int percent) { return static_cast<int>(rng() % 100) < perc
 const std::vector<std::string>& Words() {
   static const std::vector<std::string> words = {
       "",    "abc",   "xabc",  "abcx",  "xabcx", "ac",    "a_c",  "aXc",
-      "e",   "en",    "green", "seven", "ABC",   "abcabc", "%",   "abc%"};
+      "e",   "en",    "green", "seven", "ABC",   "abcabc", "%",   "abc%",
+      "aaa", "abab"};
   return words;
 }
 
@@ -470,6 +473,8 @@ TablePtr RandomTable(Rng& rng, size_t rows, bool nulls) {
         case 0: b.AppendBool(Chance(rng, 50)); break;
         case 1: b.AppendInt(Chance(rng, 15) ? 0 : sym(100)); break;
         case 2: b.AppendInt(Chance(rng, 15) ? 0 : sym(100)); break;
+        // Finite: the generator CASTs this column to INT64, which is
+        // undefined behaviour on a NaN or an infinity.
         case 3: b.AppendDouble(static_cast<double>(sym(200)) / 4.0); break;
         case 4: b.AppendInt(Chance(rng, 15) ? 0 : sym(10000)); break;
         case 5: b.AppendInt(sym(1000000)); break;
@@ -534,8 +539,11 @@ std::vector<Scalar> InItems(Rng& rng) {
   return items;
 }
 
-const char* const kLikePatterns[] = {"abc", "abc%", "%abc", "%abc%", "%",
-                                     "%%",  "",     "a_c",  "%e%n"};
+// Every pattern shape: exact, prefix, suffix, contains, '%'-only segments
+// (anchored or not, with an empty segment, overlapping), and '_'.
+const char* const kLikePatterns[] = {"abc", "abc%",   "%abc",    "%abc%", "%",
+                                     "%%",  "",       "a_c",     "%e%n",  "%a%b%",
+                                     "a%c", "ab%%cd", "%aa%aa%", "a%a"};
 
 Want AnyWant(Rng& rng) { return static_cast<Want>(Pick(rng, 4)); }
 
@@ -574,7 +582,7 @@ ExprPtr Gen(Rng& rng, Want want, int depth) {
           return Chance(rng, 50) ? IsNull(Gen(rng, AnyWant(rng), d))
                                  : IsNotNull(Gen(rng, AnyWant(rng), d));
         case 4: {
-          const char* pattern = kLikePatterns[Pick(rng, 9)];
+          const char* pattern = kLikePatterns[Pick(rng, std::size(kLikePatterns))];
           return Chance(rng, 50) ? Like(Gen(rng, Want::kString, d), pattern)
                                  : NotLike(Gen(rng, Want::kString, d), pattern);
         }
@@ -814,6 +822,143 @@ TEST(EvalPropertyTest, MatchesRowAtATimeReference) {
   EXPECT_GT(evaluated["case"], 0);
   EXPECT_GT(evaluated["in"], 0);
   EXPECT_GT(evaluated["udf"], 0);
+}
+
+// ---------------------------------------------------------------------------
+// Comparison sweep: every operator over column-column, column-literal and
+// literal-column operands, against the row-at-a-time reference. Each
+// operator is its own loop written with `<` and `>` only, so an unordered
+// double (NaN) or a scale mix-up shows up here.
+// ---------------------------------------------------------------------------
+
+// One operand type and eight values of it, as stored. The decimals hold the
+// same numbers at two scales, and the integers some of them unscaled, so
+// equal values meet across scales; the doubles hold NaN, both infinities and
+// both zeros.
+struct SweepType {
+  format::DataType type;
+  std::vector<int64_t> raw;     // integer storage
+  std::vector<double> doubles;  // FLOAT64 values
+
+  Scalar At(size_t i) const {
+    switch (type.id) {
+      case format::TypeId::kFloat64:
+        return Scalar::FromDouble(doubles[i]);
+      case format::TypeId::kInt32:
+        return Scalar::FromInt32(static_cast<int32_t>(raw[i]));
+      case format::TypeId::kDecimal64:
+        return Scalar::FromDecimal(raw[i], type.scale);
+      case format::TypeId::kDate32:
+        return Scalar::FromDate(static_cast<int32_t>(raw[i]));
+      default:
+        return Scalar::FromInt64(raw[i]);
+    }
+  }
+};
+
+constexpr size_t kSweepValues = 8;
+
+std::vector<SweepType> SweepTypes() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t big = int64_t{1} << 40;
+  return {
+      {format::Int32(), {-2, -1, 0, 1, 2, 100, INT32_MAX, INT32_MIN}, {}},
+      {format::Int64(), {-2, 0, 1, 2, 3, 100, big, -big}, {}},
+      {format::Decimal(2), {-200, -150, -1, 0, 100, 150, 10000, 1}, {}},
+      {format::Decimal(4), {-20000, -15000, -100, 0, 10000, 15000, 1000000, 1}, {}},
+      {format::Date32(), {-1, 0, 1, 8035, 9298, 10000, 8035, 1}, {}},
+      {format::Float64(), {}, {nan, -inf, inf, -0.0, 0.0, 1.5, -2.0, 100.0}},
+  };
+}
+
+// Row k pairs value k / 8 of each left column with value k % 8 of each
+// right column, so every value meets every value. Left rows are NULL at
+// k % 11 == 3 and right rows at k % 13 == 5.
+TablePtr SweepTable(const std::vector<SweepType>& types) {
+  const size_t rows = kSweepValues * kSweepValues;
+  std::vector<format::Field> fields;
+  std::vector<ColumnPtr> cols;
+  for (const bool left : {true, false}) {
+    for (size_t t = 0; t < types.size(); ++t) {
+      format::ColumnBuilder b(types[t].type);
+      for (size_t k = 0; k < rows; ++k) {
+        if (left ? k % 11 == 3 : k % 13 == 5) {
+          b.AppendNull();
+        } else {
+          SIRIUS_CHECK_OK(b.AppendScalar(
+              types[t].At(left ? k / kSweepValues : k % kSweepValues)));
+        }
+      }
+      fields.push_back({(left ? "l" : "r") + std::to_string(t), types[t].type});
+      cols.push_back(b.Finish());
+    }
+  }
+  return Table::Make(Schema(std::move(fields)), std::move(cols)).ValueOrDie();
+}
+
+TEST(ComparisonSweepTest, EveryOperatorMatchesReference) {
+  const std::vector<SweepType> types = SweepTypes();
+  const TablePtr t = SweepTable(types);
+  const int num_types = static_cast<int>(types.size());
+  int compared = 0;
+  auto check = [&](ExprPtr e) {
+    SIRIUS_CHECK_OK(Bind(e, t->schema()));
+    const std::string what = e->ToString();
+    auto got = Evaluate(*e, *t);
+    auto want = reference::Evaluate(*e, *t);
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << what << ": " << want.status().ToString();
+    ExpectSameBytes(*got.ValueOrDie(), *want.ValueOrDie(), what);
+    ++compared;
+  };
+  for (int op = static_cast<int>(BinaryOp::kEq); op <= static_cast<int>(BinaryOp::kGe);
+       ++op) {
+    const auto bop = static_cast<BinaryOp>(op);
+    for (int a = 0; a < num_types; ++a) {
+      for (int b = 0; b < num_types; ++b) {
+        auto left = [&] { return ColIdx(a, types[a].type); };
+        check(Binary(bop, left(), ColIdx(num_types + b, types[b].type)));
+        // Each value of b's type as a literal on either side, and its NULL.
+        std::vector<Scalar> literals = {Scalar::Null(types[b].type)};
+        for (size_t v = 0; v < kSweepValues; ++v) literals.push_back(types[b].At(v));
+        for (const Scalar& lit : literals) {
+          check(Binary(bop, left(), Lit(lit)));
+          check(Binary(bop, Lit(lit), left()));
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 6 * num_types * num_types * (1 + 2 * (1 + kSweepValues)));
+}
+
+// Every LIKE pattern against every word, a NULL row and a few more words
+// that only some '%'-only shapes tell apart, against the reference.
+TEST(LikeSweepTest, EveryPatternMatchesReference) {
+  format::ColumnBuilder b(format::String());
+  for (const std::string& w : Words()) b.AppendString(w);
+  for (const char* w : {"a", "aa", "aaaa", "abcd", "abxcd", "abcdcd", "ba", "aba"}) {
+    b.AppendString(w);
+  }
+  b.AppendNull();
+  const TablePtr t =
+      Table::Make(Schema({{"s", format::String()}}), {b.Finish()}).ValueOrDie();
+  for (const char* pattern : kLikePatterns) {
+    for (const bool negate : {false, true}) {
+      ExprPtr e = negate ? NotLike(ColRef("s"), pattern) : Like(ColRef("s"), pattern);
+      SIRIUS_CHECK_OK(Bind(e, t->schema()));
+      auto got = Evaluate(*e, *t).ValueOrDie();
+      auto want = reference::Evaluate(*e, *t).ValueOrDie();
+      ExpectSameBytes(*got, *want, e->ToString());
+      const Column& s = *t->column(0);
+      for (size_t k = 0; k + 1 < s.length(); ++k) {
+        EXPECT_EQ(got->data<uint8_t>()[k] != 0,
+                  LikeMatch(s.StringAt(k), pattern) != negate)
+            << "'" << s.StringAt(k) << "' " << e->ToString();
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

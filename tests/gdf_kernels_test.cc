@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <numeric>
 #include <random>
 
+#include "common/bitutil.h"
 #include "format/builder.h"
 #include "gdf/copying.h"
 #include "gdf/filter.h"
@@ -524,6 +526,39 @@ TEST(FilterTest, NullMaskEntriesAreFalse) {
   auto ctx = Ctx();
   auto out = ApplyBooleanMask(ctx, t, b.Finish()).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 2u);
+}
+
+TEST(FilterTest, MaskToIndicesMatchesPlainLoop) {
+  // Random masks with and without NULLs, all true and all false, at lengths
+  // on both sides of a validity byte. A true row may hold any nonzero byte.
+  enum Kind { kRandom, kRandomWithNulls, kAllTrue, kAllFalse };
+  std::mt19937_64 rng(25);
+  const Context ctx = Ctx();
+  for (size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 1000}) {
+    for (const Kind kind : {kRandom, kRandomWithNulls, kAllTrue, kAllFalse}) {
+      mem::Buffer data = mem::Buffer::Allocate(std::max<size_t>(1, n)).ValueOrDie();
+      mem::Buffer validity =
+          mem::Buffer::AllocateZeroed(std::max<size_t>(1, bit::BytesForBits(n)))
+              .ValueOrDie();
+      std::vector<index_t> want;
+      size_t null_count = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const uint8_t v = kind == kAllTrue    ? 1
+                          : kind == kAllFalse ? 0
+                                              : static_cast<uint8_t>(rng() % 3);
+        const bool valid = kind != kRandomWithNulls || rng() % 4 != 0;
+        data.data()[i] = v;
+        if (valid) bit::SetBit(validity.data(), i);
+        null_count += !valid;
+        if (v != 0 && valid) want.push_back(static_cast<index_t>(i));
+      }
+      if (null_count == 0) validity = mem::Buffer();
+      auto mask = Column::MakeFixed(format::Bool(), std::move(data), n,
+                                    std::move(validity), null_count);
+      EXPECT_EQ(MaskToIndices(ctx, mask).ValueOrDie(), want)
+          << "kind " << kind << " n " << n;
+    }
+  }
 }
 
 TEST(FilterTest, TypeAndLengthChecked) {
