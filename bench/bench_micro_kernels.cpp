@@ -1,8 +1,9 @@
 // Kernel-level microbenchmarks (google-benchmark, real wall time).
 //
 // These measure the GDF kernel library itself — the substrate both engines
-// share — rather than modeled device time: filter, gather, hash join, hash
-// and sort group-by, sort, partition. The scan->filter path also gets one
+// share — rather than modeled device time: filter, gather, hash join (also
+// a probe side streamed in slices, as the out-of-core scan streams batches),
+// hash and sort group-by, sort, partition. The scan->filter path also gets one
 // benchmark per part, on columns of a lineitem's length at SF 0.02: decode
 // of the caching region's codecs, a comparison against a literal, the
 // mask-to-indices compaction and a '%'-only LIKE.
@@ -236,6 +237,39 @@ void BM_HashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HashJoin)->Arg(1 << 14)->Arg(1 << 18);
+
+// A 2^18-row probe side in 16 slices against a 2^16-row build side, as an
+// out-of-core scan probes a join batch by batch: Arg 0 builds one table and
+// probes it per slice, Arg 1 calls HashJoin (build and probe) per slice.
+void BM_HashJoinBatches(benchmark::State& state) {
+  constexpr size_t kProbeRows = 1 << 18, kBuildRows = 1 << 16, kSlices = 16;
+  const bool per_slice_build = state.range(0) == 1;
+  auto probe = OneColumnTable(RandomInts(kProbeRows, kBuildRows, 3), "k");
+  auto build = RandomInts(kBuildRows, kBuildRows, 4);
+  gdf::Context ctx = Ctx();
+  std::vector<format::ColumnPtr> slices;
+  for (size_t offset = 0; offset < kProbeRows; offset += kProbeRows / kSlices) {
+    slices.push_back(
+        gdf::SliceTable(ctx, probe, {0}, offset, kProbeRows / kSlices).ValueOrDie()->column(0));
+  }
+  gdf::JoinOptions options;
+  for (auto _ : state) {
+    if (per_slice_build) {
+      for (const auto& slice : slices) {
+        auto out = gdf::HashJoin(ctx, {slice}, {build}, options).ValueOrDie();
+        benchmark::DoNotOptimize(out);
+      }
+    } else {
+      const gdf::JoinTable table = gdf::BuildJoinTable({build}).ValueOrDie();
+      for (const auto& slice : slices) {
+        auto out = gdf::ProbeJoinTable(ctx, table, {slice}, options).ValueOrDie();
+        benchmark::DoNotOptimize(out);
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kProbeRows);
+}
+BENCHMARK(BM_HashJoinBatches)->Arg(0)->Arg(1);
 
 // Two keys, int64 + int32: the partsupp (ps_partkey, ps_suppkey) shape. The
 // build side holds unique pairs; each probe row draws one of them.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <unordered_set>
 
 #include "gdf/asof.h"
@@ -327,7 +328,7 @@ class PipelineRunner {
       ctx.sim.NoteRead(PipelineResource(p.source_pipeline),
                        "source of pipeline " + std::to_string(p.id));
       SIRIUS_ASSIGN_OR_RETURN(
-          out, RunMorsel(p, std::move(source), ctx, /*batch=*/false));
+          out, RunMorsel(p, std::move(source), ctx, /*batch_tables=*/nullptr));
     } else {
       return Status::Internal("pipeline without source");
     }
@@ -360,11 +361,18 @@ class PipelineRunner {
     return Status::OK();
   }
 
+  /// One slot per chain step: a join step's hash table, built by the first
+  /// morsel that reaches the step and probed by every later morsel of the
+  /// same scan. The slots live as long as the scan's morsel loop, so no table
+  /// outlives its scan; an in-core morsel is a loop of one.
+  using JoinTables = std::vector<std::optional<gdf::JoinTable>>;
+
   /// Scan source. In core, the cached columns run through the chain and the
   /// sink as one morsel. Inputs that do not fit the caching region take the
   /// §3.4 out-of-core batch mode: each batch streams from host memory as its
-  /// own morsel (the morsel boundary is a materialization point), and the
-  /// sink runs once over the concatenated batch outputs.
+  /// own morsel (the morsel boundary is a materialization point) and probes
+  /// join tables the batch loop builds once, and the sink runs once over the
+  /// concatenated batch outputs.
   Result<TablePtr> RunScan(const Pipeline& p, const gdf::Context& ctx) {
     const PlanNode& scan = *p.source_scan;
     SIRIUS_ASSIGN_OR_RETURN(TablePtr host_table,
@@ -386,7 +394,7 @@ class PipelineRunner {
           TablePtr current,
           bm_->GetOrCacheColumns(scan.table_name, host_table,
                                  scan.scan_columns, ctx.sim));
-      return RunMorsel(p, std::move(current), ctx, /*batch=*/false);
+      return RunMorsel(p, std::move(current), ctx, /*batch_tables=*/nullptr);
     }
 
     // Batch execution: split the input so each modeled batch fits in half of
@@ -398,17 +406,20 @@ class PipelineRunner {
     const size_t rows_per_batch =
         (scanned->num_rows() + num_batches - 1) / num_batches;
     std::vector<TablePtr> outputs;
-    for (size_t offset = 0; offset < scanned->num_rows();
-         offset += rows_per_batch) {
-      SIRIUS_ASSIGN_OR_RETURN(
-          TablePtr batch, gdf::SliceTable(ctx, host_table, scan.scan_columns,
-                                          offset, rows_per_batch));
-      ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
-                            options_.host_link.TransferSeconds(
-                                batch->MemoryUsage(), ctx.sim.data_scale));
-      SIRIUS_ASSIGN_OR_RETURN(
-          TablePtr out, RunMorsel(p, std::move(batch), ctx, /*batch=*/true));
-      outputs.push_back(std::move(out));
+    {
+      JoinTables tables(p.steps.size());
+      for (size_t offset = 0; offset < scanned->num_rows();
+           offset += rows_per_batch) {
+        SIRIUS_ASSIGN_OR_RETURN(
+            TablePtr batch, gdf::SliceTable(ctx, host_table, scan.scan_columns,
+                                            offset, rows_per_batch));
+        ctx.sim.ChargeSeconds(sim::OpCategory::kScan,
+                              options_.host_link.TransferSeconds(
+                                  batch->MemoryUsage(), ctx.sim.data_scale));
+        SIRIUS_ASSIGN_OR_RETURN(TablePtr out,
+                                RunMorsel(p, std::move(batch), ctx, &tables));
+        outputs.push_back(std::move(out));
+      }
     }
     TablePtr all;
     if (outputs.size() == 1) {
@@ -425,13 +436,14 @@ class PipelineRunner {
   }
 
   /// Runs one morsel through the chain, then through the sink — or, for an
-  /// out-of-core `batch`, only up to the morsel-boundary gather. A fused
-  /// stage opens one register-residency scope for the chain and its sink; a
-  /// scanned morsel enters it resident (the scan read or the host-link
-  /// transfer already loaded the columns), a materialized source is read
-  /// cold.
+  /// out-of-core batch, only up to the morsel-boundary gather. A batch's
+  /// join steps use the scan's `batch_tables`; any other morsel is a loop of
+  /// one, whose tables are released before its sink. A fused stage opens one
+  /// register-residency scope for the chain and its sink; a scanned morsel
+  /// enters it resident (the scan read or the host-link transfer already
+  /// loaded the columns), a materialized source is read cold.
   Result<TablePtr> RunMorsel(const Pipeline& p, TablePtr input,
-                             const gdf::Context& ctx, bool batch) {
+                             const gdf::Context& ctx, JoinTables* batch_tables) {
     gdf::SelectionView view = gdf::SelectionView::FromTable(input);
     std::unordered_set<const format::Column*> resident;
     gdf::Context mctx = ctx;
@@ -441,8 +453,14 @@ class PipelineRunner {
       }
       mctx.fused_reads = &resident;
     }
-    SIRIUS_RETURN_NOT_OK(RunChain(p, &view, mctx));
-    if (batch) return GatherView(p, view, mctx);
+    if (batch_tables != nullptr) {
+      SIRIUS_RETURN_NOT_OK(RunChain(p, &view, mctx, batch_tables));
+      return GatherView(p, view, mctx);
+    }
+    {
+      JoinTables tables(p.steps.size());
+      SIRIUS_RETURN_NOT_OK(RunChain(p, &view, mctx, &tables));
+    }
     return RunSink(p, std::move(view), mctx);
   }
 
@@ -452,7 +470,7 @@ class PipelineRunner {
   /// collapse into one "fused-stage" span carrying `fused_ops`. Outside one
   /// every step is a standalone kernel that leaves a dense view behind.
   Status RunChain(const Pipeline& p, gdf::SelectionView* view,
-                  const gdf::Context& ctx) {
+                  const gdf::Context& ctx, JoinTables* tables) {
     const bool fused = ctx.fused_reads != nullptr;
     const double t0 = ctx.sim.TraceNow();
     gdf::Context step_ctx = ctx;
@@ -463,8 +481,8 @@ class PipelineRunner {
       launch.launches = 1;
       step_ctx.Charge(sim::OpCategory::kOther, launch);
     }
-    for (const auto& step : p.steps) {
-      SIRIUS_RETURN_NOT_OK(RunStep(p, step, view, step_ctx));
+    for (size_t i = 0; i < p.steps.size(); ++i) {
+      SIRIUS_RETURN_NOT_OK(RunStep(p, p.steps[i], view, step_ctx, &(*tables)[i]));
       // What the step leaves live must fit the processing region: the
       // gathered intermediate, or a fused pass's selection vectors.
       SIRIUS_RETURN_NOT_OK(CheckProcessingFit(
@@ -487,9 +505,11 @@ class PipelineRunner {
 
   /// One step over the view. Each kernel prices itself by `ctx`: inside a
   /// fused pass it composes into the view's selection vectors, outside one
-  /// it runs standalone and gathers a dense view.
+  /// it runs standalone and gathers a dense view. `join_table` is the step's
+  /// JoinTables slot.
   Status RunStep(const Pipeline& p, const Step& step,
-                 gdf::SelectionView* view, const gdf::Context& ctx) {
+                 gdf::SelectionView* view, const gdf::Context& ctx,
+                 std::optional<gdf::JoinTable>* join_table) {
     switch (step.kind) {
       case StepKind::kFilter: {
         SIRIUS_ASSIGN_OR_RETURN(
@@ -522,7 +542,7 @@ class PipelineRunner {
         return Status::OK();
       }
       case StepKind::kJoin:
-        return Join(p, step, view, ctx);
+        return Join(p, step, view, ctx, join_table);
     }
     return Status::Internal("unknown step kind");
   }
@@ -530,11 +550,12 @@ class PipelineRunner {
   /// Join step against the materialized build side. Probe keys gather
   /// through the view, and ApplyJoinToView applies the pair lists: inside a
   /// fused pass the probe side refines and the build side appends as a new
-  /// segment; outside one both sides gather into a dense table. Cross
-  /// joins, ASOF joins and residual predicates only run outside a fused
-  /// pass: the fused-stage compiler keeps their stages materialized.
+  /// segment; outside one both sides gather into a dense table. A hash join
+  /// builds `join_table` if no earlier morsel of the scan did, then probes
+  /// it. Cross joins, ASOF joins and residual predicates only run outside a
+  /// fused pass: the fused-stage compiler keeps their stages materialized.
   Status Join(const Pipeline& p, const Step& step, gdf::SelectionView* view,
-              const gdf::Context& ctx) {
+              const gdf::Context& ctx, std::optional<gdf::JoinTable>* join_table) {
     const PlanNode& node = *step.node;
     TablePtr build = results_[step.build_pipeline];
     if (build == nullptr) {
@@ -590,8 +611,12 @@ class PipelineRunner {
         joptions.left_table = view->dense();
         joptions.right_table = build;
       }
-      SIRIUS_ASSIGN_OR_RETURN(pairs,
-                              gdf::HashJoin(ctx, lkeys, rkeys, joptions));
+      if (!join_table->has_value()) {
+        SIRIUS_ASSIGN_OR_RETURN(gdf::JoinTable built, gdf::BuildJoinTable(rkeys));
+        join_table->emplace(std::move(built));
+      }
+      SIRIUS_ASSIGN_OR_RETURN(
+          pairs, gdf::ProbeJoinTable(ctx, **join_table, lkeys, joptions));
     }
     // uint64 <-> int32 index boundary on the join outputs (§3.2.3).
     std::vector<uint64_t> engine_left =

@@ -24,14 +24,12 @@ const char* JoinTypeName(JoinType t) {
   return "?";
 }
 
-namespace {
-
 /// Chained open-addressing hash table over build-side key rows. Each slot
 /// packs a chain's head row with its hash tag (PackSlot); rows with an equal
 /// key chain behind the head through `next_`.
-class BuildTable {
+class JoinTable::Chains {
  public:
-  explicit BuildTable(size_t num_rows)
+  explicit Chains(size_t num_rows)
       : mask_(bit::NextPow2(std::max<uint64_t>(16, num_rows * 2)) - 1),
         slots_(mask_ + 1, kEmptySlot),
         next_(num_rows, -1) {}
@@ -87,6 +85,13 @@ class BuildTable {
   std::vector<index_t> next_;
 };
 
+JoinTable::JoinTable(std::vector<ColumnPtr> keys, std::unique_ptr<const Chains> chains)
+    : keys_(std::move(keys)), chains_(std::move(chains)) {}
+JoinTable::JoinTable(JoinTable&&) noexcept = default;
+JoinTable::~JoinTable() = default;
+
+namespace {
+
 /// Evaluates the residual predicate over candidate pairs; returns a byte
 /// mask (1 = pair survives).
 Result<std::vector<uint8_t>> EvalResidual(const Context& ctx,
@@ -136,10 +141,22 @@ uint64_t KeyBytesPerRow(const std::vector<ColumnPtr>& keys) {
 
 }  // namespace
 
-Result<JoinResult> HashJoin(const Context& ctx,
-                            const std::vector<ColumnPtr>& left_keys,
-                            const std::vector<ColumnPtr>& right_keys,
-                            const JoinOptions& options) {
+Result<JoinTable> BuildJoinTable(const std::vector<ColumnPtr>& right_keys) {
+  if (right_keys.empty()) {
+    return Status::Invalid("HashJoin: key count mismatch or empty keys");
+  }
+  RowOps build_ops(right_keys);
+  auto chains = std::make_unique<JoinTable::Chains>(right_keys[0]->length());
+  WithRowEquality(build_ops, build_ops, [&](const auto& eq) {
+    chains->Build(build_ops, build_ops.HashAll(), eq);
+  });
+  return JoinTable(right_keys, std::move(chains));
+}
+
+Result<JoinResult> ProbeJoinTable(const Context& ctx, const JoinTable& table,
+                                  const std::vector<ColumnPtr>& left_keys,
+                                  const JoinOptions& options) {
+  const std::vector<ColumnPtr>& right_keys = table.keys();
   if (left_keys.size() != right_keys.size() || left_keys.empty()) {
     return Status::Invalid("HashJoin: key count mismatch or empty keys");
   }
@@ -149,10 +166,7 @@ Result<JoinResult> HashJoin(const Context& ctx,
 
   RowOps build_ops(right_keys);
   RowOps probe_ops(left_keys);
-  BuildTable ht(build_rows);
-  WithRowEquality(build_ops, build_ops, [&](const auto& eq) {
-    ht.Build(build_ops, build_ops.HashAll(), eq);
-  });
+  const JoinTable::Chains& ht = *table.chains_;
 
   // Candidate generation: probe order, then the head row and its chain.
   // Without a residual, a semi/anti join needs only the first candidate.
@@ -254,6 +268,14 @@ Result<JoinResult> HashJoin(const Context& ctx,
     }
   }
   return Status::Internal("unknown join type");
+}
+
+Result<JoinResult> HashJoin(const Context& ctx,
+                            const std::vector<ColumnPtr>& left_keys,
+                            const std::vector<ColumnPtr>& right_keys,
+                            const JoinOptions& options) {
+  SIRIUS_ASSIGN_OR_RETURN(JoinTable table, BuildJoinTable(right_keys));
+  return ProbeJoinTable(ctx, table, left_keys, options);
 }
 
 Result<JoinResult> CrossJoin(const Context& ctx, size_t left_rows,

@@ -4,7 +4,9 @@
 
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/result.h"
 #include "expr/expr.h"
@@ -43,10 +45,46 @@ struct JoinOptions {
   format::TablePtr right_table;
 };
 
-/// \brief Hash join: builds on `right_keys`, probes with `left_keys`.
+/// \brief A join's build side, hashed: the chained table together with the
+/// build keys it was built over. BuildJoinTable makes one, and any number of
+/// ProbeJoinTable calls read it, so a probe side streamed in batches (the
+/// §3.4 out-of-core scan) probes one table instead of rebuilding it per batch.
+class JoinTable {
+ public:
+  JoinTable(JoinTable&&) noexcept;
+  ~JoinTable();
+
+  /// The build-side key columns the table indexes.
+  const std::vector<format::ColumnPtr>& keys() const { return keys_; }
+
+ private:
+  class Chains;  ///< the open-addressing slots and duplicate chains (join.cc)
+  friend Result<JoinTable> BuildJoinTable(const std::vector<format::ColumnPtr>& right_keys);
+  friend Result<JoinResult> ProbeJoinTable(const Context& ctx, const JoinTable& table,
+                                           const std::vector<format::ColumnPtr>& left_keys,
+                                           const JoinOptions& options);
+  JoinTable(std::vector<format::ColumnPtr> keys, std::unique_ptr<const Chains> chains);
+
+  std::vector<format::ColumnPtr> keys_;
+  std::unique_ptr<const Chains> chains_;
+};
+
+/// Hashes `right_keys` into a table. NULL keys are left out (they never
+/// match). Charges nothing: each probe prices the build it relies on.
+Result<JoinTable> BuildJoinTable(const std::vector<format::ColumnPtr>& right_keys);
+
+/// \brief Probes `table` with `left_keys`, pairing left rows with build rows.
 ///
-/// Key columns must be positionally type-compatible. NULL keys never match
-/// (SQL join semantics). Charges kJoin with build + probe traffic.
+/// Key columns must be positionally type-compatible with the table's keys
+/// (a TypeError otherwise). NULL keys never match (SQL join semantics).
+/// Charges kJoin with build + probe traffic, as if the probe had built the
+/// table itself, so the model still prices one build per probe call.
+Result<JoinResult> ProbeJoinTable(const Context& ctx, const JoinTable& table,
+                                  const std::vector<format::ColumnPtr>& left_keys,
+                                  const JoinOptions& options);
+
+/// \brief Hash join: builds on `right_keys`, probes with `left_keys`
+/// (BuildJoinTable, then ProbeJoinTable).
 Result<JoinResult> HashJoin(const Context& ctx,
                             const std::vector<format::ColumnPtr>& left_keys,
                             const std::vector<format::ColumnPtr>& right_keys,

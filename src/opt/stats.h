@@ -50,6 +50,8 @@ double EstimateDistinct(const plan::PlanNode& node, int col,
                         const StatsProvider& stats);
 
 /// Annotates `estimated_rows` through the tree (for EXPLAIN and ordering).
+/// One walk derives each subtree's rows and distinct counts once, and each
+/// node gets exactly what EstimateRows returns for it.
 void AnnotateEstimates(plan::PlanNode* node, const StatsProvider& stats);
 
 }  // namespace sirius::opt

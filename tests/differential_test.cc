@@ -7,11 +7,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <numeric>
 #include <string>
 #include <tuple>
 
+#include "cell_compare.h"
 #include "engine/sirius.h"
 #include "host/database.h"
 #include "ssb/dbgen.h"
@@ -22,62 +21,7 @@
 namespace sirius {
 namespace {
 
-using format::Column;
 using format::Table;
-using format::TypeId;
-
-// Three-way cell comparison with exact double ordering; used only to put
-// both result tables into one canonical row order before pairing.
-int CompareCell(const Column& a, size_t i, const Column& b, size_t j) {
-  const bool na = a.IsNull(i);
-  const bool nb = b.IsNull(j);
-  if (na != nb) return na ? -1 : 1;
-  if (na) return 0;
-  auto cmp = [](auto x, auto y) { return x < y ? -1 : (y < x ? 1 : 0); };
-  switch (a.type().id) {
-    case TypeId::kBool:
-      return cmp(a.data<uint8_t>()[i], b.data<uint8_t>()[j]);
-    case TypeId::kInt32:
-    case TypeId::kDate32:
-      return cmp(a.data<int32_t>()[i], b.data<int32_t>()[j]);
-    case TypeId::kInt64:
-    case TypeId::kDecimal64:
-      return cmp(a.data<int64_t>()[i], b.data<int64_t>()[j]);
-    case TypeId::kFloat64:
-      return cmp(a.data<double>()[i], b.data<double>()[j]);
-    case TypeId::kString:
-      return cmp(a.StringAt(i), b.StringAt(j));
-    default:
-      return 0;
-  }
-}
-
-/// Type-aware equality: FLOAT64 cells compare within a relative epsilon
-/// (aggregation order differs between the device and host paths); every
-/// other type must match exactly.
-bool CellsAgree(const Column& a, size_t i, const Column& b, size_t j) {
-  if (a.type().id == TypeId::kFloat64 && !a.IsNull(i) && !b.IsNull(j)) {
-    const double x = a.data<double>()[i];
-    const double y = b.data<double>()[j];
-    const double eps = 1e-6 * std::max({1.0, std::fabs(x), std::fabs(y)});
-    return std::fabs(x - y) <= eps;
-  }
-  return CompareCell(a, i, b, j) == 0;
-}
-
-/// Row indices of `t` in canonical (all-columns lexicographic) order.
-std::vector<size_t> CanonicalOrder(const Table& t) {
-  std::vector<size_t> idx(t.num_rows());
-  std::iota(idx.begin(), idx.end(), size_t{0});
-  std::stable_sort(idx.begin(), idx.end(), [&](size_t x, size_t y) {
-    for (size_t c = 0; c < t.num_columns(); ++c) {
-      int r = CompareCell(*t.column(c), x, *t.column(c), y);
-      if (r != 0) return r < 0;
-    }
-    return false;
-  });
-  return idx;
-}
 
 host::Database* Db() {
   static host::Database* db = [] {
@@ -118,23 +62,7 @@ TEST_P(DifferentialTest, GpuMatchesCpuCellByCell) {
         << "Q" << q << " column " << col << " type mismatch";
   }
 
-  // Pair rows in canonical order (ORDER BY ties are not fully determined),
-  // then demand cell-level agreement.
-  std::vector<size_t> gi = CanonicalOrder(g);
-  std::vector<size_t> ci = CanonicalOrder(c);
-  int mismatches = 0;
-  for (size_t r = 0; r < g.num_rows() && mismatches < 5; ++r) {
-    for (size_t col = 0; col < g.num_columns(); ++col) {
-      if (!CellsAgree(*g.column(col), gi[r], *c.column(col), ci[r])) {
-        ++mismatches;
-        ADD_FAILURE() << "Q" << q << " row " << r << " column " << col
-                      << " (" << g.schema().field(col).name << "): gpu="
-                      << g.column(col)->GetScalar(gi[r]).ToString() << " cpu="
-                      << c.column(col)->GetScalar(ci[r]).ToString();
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0) << "Q" << q;
+  cells::ExpectSameCells(g, c, "Q" + std::to_string(q), "gpu", "cpu");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, DifferentialTest, ::testing::Range(1, 23),
@@ -213,22 +141,8 @@ TEST_P(SsbDifferentialTest, GpuMatchesCpuCellByCell) {
         << label << " column " << col << " type mismatch";
   }
 
-  std::vector<size_t> gi = CanonicalOrder(g);
-  std::vector<size_t> ci = CanonicalOrder(c);
-  int mismatches = 0;
-  for (size_t r = 0; r < g.num_rows() && mismatches < 5; ++r) {
-    for (size_t col = 0; col < g.num_columns(); ++col) {
-      // SSB money columns are Int64, so every cell comparison here is exact.
-      if (!CellsAgree(*g.column(col), gi[r], *c.column(col), ci[r])) {
-        ++mismatches;
-        ADD_FAILURE() << label << " row " << r << " column " << col << " ("
-                      << g.schema().field(col).name << "): gpu="
-                      << g.column(col)->GetScalar(gi[r]).ToString() << " cpu="
-                      << c.column(col)->GetScalar(ci[r]).ToString();
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0) << label;
+  // SSB money columns are Int64, so every cell comparison here is exact.
+  cells::ExpectSameCells(g, c, label, "gpu", "cpu");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -274,27 +188,6 @@ engine::SiriusEngine* GpuUnfused() {
   return engine;
 }
 
-void ExpectTablesAgree(const Table& f, const Table& m, const std::string& label) {
-  ASSERT_EQ(f.num_columns(), m.num_columns()) << label;
-  ASSERT_EQ(f.num_rows(), m.num_rows()) << label;
-  std::vector<size_t> fi = CanonicalOrder(f);
-  std::vector<size_t> mi = CanonicalOrder(m);
-  int mismatches = 0;
-  for (size_t r = 0; r < f.num_rows() && mismatches < 5; ++r) {
-    for (size_t col = 0; col < f.num_columns(); ++col) {
-      if (!CellsAgree(*f.column(col), fi[r], *m.column(col), mi[r])) {
-        ++mismatches;
-        ADD_FAILURE() << label << " row " << r << " column " << col << " ("
-                      << f.schema().field(col).name << "): fused="
-                      << f.column(col)->GetScalar(fi[r]).ToString()
-                      << " materialized="
-                      << m.column(col)->GetScalar(mi[r]).ToString();
-      }
-    }
-  }
-  EXPECT_EQ(mismatches, 0) << label;
-}
-
 class FusionDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FusionDifferentialTest, FusedMatchesMaterializedCellByCell) {
@@ -310,8 +203,8 @@ TEST_P(FusionDifferentialTest, FusedMatchesMaterializedCellByCell) {
   auto mat = GpuUnfused()->ExecutePlan(plan);
   ASSERT_TRUE(mat.ok()) << "Q" << q << ": " << mat.status().ToString();
 
-  ExpectTablesAgree(*fused.ValueOrDie().table, *mat.ValueOrDie().table,
-                    "Q" + std::to_string(q));
+  cells::ExpectSameCells(*fused.ValueOrDie().table, *mat.ValueOrDie().table,
+                         "Q" + std::to_string(q), "fused", "materialized");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, FusionDifferentialTest,
@@ -341,8 +234,8 @@ TEST_P(SsbFusionDifferentialTest, FusedMatchesMaterializedCellByCell) {
   ASSERT_TRUE(mat.ok()) << ssb::QueryName(q) << ": "
                         << mat.status().ToString();
 
-  ExpectTablesAgree(*fused.ValueOrDie().table, *mat.ValueOrDie().table,
-                    ssb::QueryName(q));
+  cells::ExpectSameCells(*fused.ValueOrDie().table, *mat.ValueOrDie().table,
+                         ssb::QueryName(q), "fused", "materialized");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, SsbFusionDifferentialTest,

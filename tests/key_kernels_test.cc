@@ -2,7 +2,9 @@
 // partition and ASOF join, each checked against the row-at-a-time reference
 // kernels in key_reference.cc over seeded random key sets. Hashes, join
 // index vectors (with their order), output bytes and the modeled seconds
-// charged per category must all be identical.
+// charged per category must all be identical. A join table built once and
+// probed slice by slice (as an out-of-core scan probes it batch by batch)
+// must answer each slice as a join of that slice alone.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "expr/expr.h"
 #include "format/builder.h"
 #include "gdf/asof.h"
+#include "gdf/copying.h"
 #include "gdf/groupby.h"
 #include "gdf/join.h"
 #include "gdf/partition.h"
@@ -264,9 +267,47 @@ TEST(KeyKernelPropertyTest, HashAllMatchesRowHashForLists) {
   EXPECT_EQ(hashes[0], hashes[2]);  // -0.0 inside a list hashes as 0.0
 }
 
+constexpr JoinType kJoinTypes[] = {JoinType::kInner, JoinType::kLeft, JoinType::kSemi,
+                                   JoinType::kAnti};
+
+/// One join case: random probe and build keys of a case's layout, each
+/// side's keys plus an INT64 value column as a table, and the residual
+/// `lv < rv` over (left keys, lv) ++ (right keys, rv).
+struct JoinCase {
+  JoinCase(Rng& rng, const Case& c, size_t probe_rows, size_t build_rows)
+      : lkeys(RandomKeys(rng, c, probe_rows)), rkeys(RandomKeys(rng, c, build_rows)) {
+    std::vector<ColumnPtr> lcols = lkeys, rcols = rkeys;
+    lcols.push_back(RandomValues(rng, format::Int64(), probe_rows, c.nulls));
+    rcols.push_back(RandomValues(rng, format::Int64(), build_rows, c.nulls));
+    lt = MakeTable(lcols, "l");
+    rt = MakeTable(rcols, "r");
+    Schema combined;
+    for (const auto& f : lt->schema().fields()) combined.AddField(f);
+    for (const auto& f : rt->schema().fields()) combined.AddField(f);
+    residual = expr::Lt(expr::ColRef("l" + std::to_string(lkeys.size())),
+                        expr::ColRef("r" + std::to_string(rkeys.size())));
+    SIRIUS_CHECK_OK(expr::Bind(residual, combined));
+  }
+
+  /// Options of a `type` join, with the residual over `left` (the probe
+  /// table or a slice of it) ++ the build table when `with_residual`.
+  JoinOptions Options(JoinType type, bool with_residual, const TablePtr& left) const {
+    JoinOptions options;
+    options.type = type;
+    if (with_residual) {
+      options.residual = residual.get();
+      options.left_table = left;
+      options.right_table = rt;
+    }
+    return options;
+  }
+
+  std::vector<ColumnPtr> lkeys, rkeys;
+  TablePtr lt, rt;
+  expr::ExprPtr residual;
+};
+
 TEST(KeyKernelPropertyTest, JoinsMatchReference) {
-  const JoinType kTypes[] = {JoinType::kInner, JoinType::kLeft, JoinType::kSemi,
-                             JoinType::kAnti};
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     Rng rng(seed);
     const Case c = MakeCase(seed, rng);
@@ -276,45 +317,70 @@ TEST(KeyKernelPropertyTest, JoinsMatchReference) {
     if (probe_rows > 0) {
       build_rows = std::min(build_rows, std::max<size_t>(1, 100000 * c.card / probe_rows));
     }
-    const std::vector<ColumnPtr> lkeys = RandomKeys(rng, c, probe_rows);
-    const std::vector<ColumnPtr> rkeys = RandomKeys(rng, c, build_rows);
-
-    // Residual `lv < rv` over (left keys, lv) ++ (right keys, rv).
-    std::vector<ColumnPtr> lcols = lkeys, rcols = rkeys;
-    lcols.push_back(RandomValues(rng, format::Int64(), probe_rows, c.nulls));
-    rcols.push_back(RandomValues(rng, format::Int64(), build_rows, c.nulls));
-    const TablePtr lt = MakeTable(lcols, "l");
-    const TablePtr rt = MakeTable(rcols, "r");
-    Schema combined;
-    for (const auto& f : lt->schema().fields()) combined.AddField(f);
-    for (const auto& f : rt->schema().fields()) combined.AddField(f);
-    expr::ExprPtr residual =
-        expr::Lt(expr::ColRef("l" + std::to_string(lkeys.size())),
-                 expr::ColRef("r" + std::to_string(rkeys.size())));
-    SIRIUS_CHECK_OK(expr::Bind(residual, combined));
-
-    for (JoinType type : kTypes) {
+    const JoinCase j(rng, c, probe_rows, build_rows);
+    for (JoinType type : kJoinTypes) {
       for (bool with_residual : {false, true}) {
-        JoinOptions options;
-        options.type = type;
-        if (with_residual) {
-          options.residual = residual.get();
-          options.left_table = lt;
-          options.right_table = rt;
-        }
+        const JoinOptions options = j.Options(type, with_residual, j.lt);
         const std::string what = c.what + " build " + std::to_string(build_rows) +
                                  " " + JoinTypeName(type) +
                                  (with_residual ? " residual" : "");
         Result<JoinResult> got = Unset(), want = Unset();
         const Charged got_cost = Meter([&](const Context& ctx) {
-          got = HashJoin(ctx, lkeys, rkeys, options);
+          got = HashJoin(ctx, j.lkeys, j.rkeys, options);
         });
         const Charged want_cost = Meter([&](const Context& ctx) {
-          want = reference::HashJoin(ctx, lkeys, rkeys, options);
+          want = reference::HashJoin(ctx, j.lkeys, j.rkeys, options);
         });
         ExpectSameJoin(got, want, what);
         EXPECT_TRUE(got_cost == want_cost) << what;
         if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(KeyKernelPropertyTest, BuiltTableProbedInSlicesMatchesReference) {
+  // One table per case, probed by the probe side cut into 1, 3 and 7 row
+  // slices: each slice must pair (and be charged) exactly as a join of that
+  // slice alone, so a table reused across batches answers every batch.
+  Context plain;  // slices the probe side without charging a metered context
+  plain.mr = mem::DefaultResource();
+  for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+    Rng rng(seed);
+    const Case c = MakeCase(seed, rng);
+    // Every slice rebuilds the reference's table, so both sides stay small.
+    const size_t probe_rows = std::min<size_t>(c.rows, 50);
+    const size_t build_rows = Pick(rng, 301);
+    const JoinCase j(rng, c, probe_rows, build_rows);
+    Result<JoinTable> table = BuildJoinTable(j.rkeys);
+    ASSERT_TRUE(table.ok()) << c.what << ": " << table.status().ToString();
+    std::vector<int> all_columns(j.lt->num_columns());
+    for (size_t k = 0; k < all_columns.size(); ++k) all_columns[k] = static_cast<int>(k);
+    for (size_t slice_rows : {1, 3, 7}) {
+      for (size_t offset = 0; offset < probe_rows; offset += slice_rows) {
+        const TablePtr slice =
+            SliceTable(plain, j.lt, all_columns, offset, slice_rows).ValueOrDie();
+        const std::vector<ColumnPtr> slice_keys(
+            slice->columns().begin(), slice->columns().begin() + j.lkeys.size());
+        for (JoinType type : kJoinTypes) {
+          for (bool with_residual : {false, true}) {
+            const JoinOptions options = j.Options(type, with_residual, slice);
+            const std::string what =
+                c.what + " build " + std::to_string(build_rows) + " slice " +
+                std::to_string(offset) + "+" + std::to_string(slice->num_rows()) + " " +
+                JoinTypeName(type) + (with_residual ? " residual" : "");
+            Result<JoinResult> got = Unset(), want = Unset();
+            const Charged got_cost = Meter([&](const Context& ctx) {
+              got = ProbeJoinTable(ctx, table.ValueOrDie(), slice_keys, options);
+            });
+            const Charged want_cost = Meter([&](const Context& ctx) {
+              want = reference::HashJoin(ctx, slice_keys, j.rkeys, options);
+            });
+            ExpectSameJoin(got, want, what);
+            EXPECT_TRUE(got_cost == want_cost) << what;
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
       }
     }
   }
@@ -486,6 +552,61 @@ TEST(KeyKernelTest, MismatchedKeyTypesAreTypeErrors) {
   EXPECT_EQ(AsofJoin(ctx, i64, i64, {d2}, {d4}).status().code(),
             StatusCode::kTypeError);
   EXPECT_TRUE(AsofJoin(ctx, i64, i64, {i64}, {i64}).ok());
+}
+
+TEST(KeyKernelTest, TablesOverEmptyOrAllNullBuildSidesMatchNothing) {
+  Context ctx;
+  ctx.mr = mem::DefaultResource();
+  const std::vector<ColumnPtr> probe = {Column::FromInt64({0, 1, 2, 0})};
+  format::ColumnBuilder nulls(format::Int64());
+  for (int i = 0; i < 5; ++i) nulls.AppendNull();
+  for (const ColumnPtr& build : {Column::FromInt64({}), nulls.Finish()}) {
+    const std::string what = "build of " + std::to_string(build->length()) + " rows";
+    auto table = BuildJoinTable({build});
+    ASSERT_TRUE(table.ok()) << what << ": " << table.status().ToString();
+    for (JoinType type : kJoinTypes) {
+      JoinOptions options;
+      options.type = type;
+      auto got = ProbeJoinTable(ctx, table.ValueOrDie(), probe, options);
+      ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+      const JoinResult& r = got.ValueOrDie();
+      // Inner and semi keep nothing; left and anti keep every probe row
+      // unmatched.
+      const bool keeps_all = type == JoinType::kLeft || type == JoinType::kAnti;
+      const std::vector<index_t> left =
+          keeps_all ? std::vector<index_t>{0, 1, 2, 3} : std::vector<index_t>{};
+      const std::vector<index_t> right = type == JoinType::kLeft
+                                             ? std::vector<index_t>(4, -1)
+                                             : std::vector<index_t>{};
+      EXPECT_EQ(r.left_indices, left) << what << " " << JoinTypeName(type);
+      EXPECT_EQ(r.right_indices, right) << what << " " << JoinTypeName(type);
+      auto want = reference::HashJoin(ctx, probe, {build}, options);
+      ExpectSameJoin(got, want, what);
+    }
+  }
+}
+
+TEST(KeyKernelTest, ProbingWithMismatchedKeyTypesIsTheTypeError) {
+  // A built table refuses probe keys stored differently from its own with
+  // the TypeError CheckKeyTypes gives, the one HashJoin returns.
+  Context ctx;
+  ctx.mr = mem::DefaultResource();
+  const ColumnPtr i64 = Column::FromInt64({1, 2, 3});
+  const ColumnPtr i32 = Column::FromInt32({1, 2});
+  const ColumnPtr d2 = Column::FromDecimal({100, 200}, 2);
+  const ColumnPtr d4 = Column::FromDecimal({10000, 20000}, 4);
+  for (const auto& [l, r] : std::vector<std::pair<std::vector<ColumnPtr>, std::vector<ColumnPtr>>>{
+           {{i64}, {i32}}, {{i32}, {i64}}, {{d2}, {d4}}, {{i64, i64}, {i64, i32}}}) {
+    auto table = BuildJoinTable(r);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const Status want = CheckKeyTypes("HashJoin", l, r);
+    ASSERT_EQ(want.code(), StatusCode::kTypeError);
+    auto got = ProbeJoinTable(ctx, table.ValueOrDie(), l, JoinOptions{});
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kTypeError);
+    EXPECT_EQ(got.status().message(), want.message());
+    EXPECT_EQ(HashJoin(ctx, l, r, JoinOptions{}).status().message(), want.message());
+  }
 }
 
 TEST(KeyKernelTest, KeysStoredAlikeJoinAcrossTypes) {

@@ -1,13 +1,16 @@
 // Unit tests for the optimizer: selectivity/cardinality/NDV estimation,
 // filter pushdown, cross-join elimination, join ordering, column pruning,
-// and the ClickHouse-mode planning policy.
+// the ClickHouse-mode planning policy, and the annotation walk's estimates.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 
+#include "common/hash.h"
 #include "host/database.h"
 #include "opt/optimizer.h"
+#include "plan/substrait.h"
+#include "ssb/queries.h"
 #include "tpch/queries.h"
 
 namespace sirius::opt {
@@ -209,6 +212,50 @@ TEST_F(TpchOptTest, ClickHouseModeKeepsSyntacticOrderButSameResults) {
 TEST_F(TpchOptTest, EstimatesAnnotated) {
   auto plan = db()->PlanSql(tpch::Query(5)).ValueOrDie();
   Walk(*plan, [&](const PlanNode& n) { EXPECT_GE(n.estimated_rows, 0.0); });
+}
+
+host::Database* SsbDb() {
+  static host::Database* instance = [] {
+    auto* d = new host::Database();  // sirius-lint: allow(raw-new-delete): leaked singleton
+    ssb::SsbOptions options;
+    options.sf = 0.002;
+    SIRIUS_CHECK_OK(ssb::LoadSsb(d, options));
+    return d;
+  }();
+  return instance;
+}
+
+TEST_F(TpchOptTest, AnnotatedEstimatesEqualFreshDerivations) {
+  // The annotation walk derives each subtree's estimate once; every node
+  // must still hold exactly what a fresh EstimateRows derives for it.
+  auto check = [](host::Database* d, const std::string& sql, const std::string& label) {
+    auto plan = d->PlanSql(sql).ValueOrDie();
+    Walk(*plan, [&](const PlanNode& n) {
+      EXPECT_EQ(n.estimated_rows, EstimateRows(n, d->catalog())) << label << "\n"
+                                                                 << n.ToString();
+    });
+  };
+  for (int q = 1; q <= tpch::NumQueries(); ++q) {
+    check(db(), tpch::Query(q), "Q" + std::to_string(q));
+  }
+  for (int q = 1; q <= ssb::NumQueries(); ++q) {
+    check(SsbDb(), ssb::Query(q), ssb::QueryName(q));
+  }
+}
+
+TEST_F(TpchOptTest, SerializedPlansArePinned) {
+  // SerializePlan carries every node's `rows` estimate (%.17g) besides the
+  // join order, so this pins both for the 22 TPC-H and 13 SSB plans.
+  uint64_t h = 0;
+  for (int q = 1; q <= tpch::NumQueries(); ++q) {
+    h = HashCombine(h, HashString(plan::SerializePlan(
+                           db()->PlanSql(tpch::Query(q)).ValueOrDie())));
+  }
+  for (int q = 1; q <= ssb::NumQueries(); ++q) {
+    h = HashCombine(h, HashString(plan::SerializePlan(
+                           SsbDb()->PlanSql(ssb::Query(q)).ValueOrDie())));
+  }
+  EXPECT_EQ(h, 0xff95b831ef64ff45ull) << std::hex << h;
 }
 
 TEST(OptimizerUnitTest, OrCommonFactorExtraction) {

@@ -3,15 +3,17 @@
 // retry-after shedding, asynchronous writeback/prefetch overlap on per-lane
 // horizons, hazard-tracker ordering edges, lifetime diagnostics when a tier
 // dies under a pinned extent, the typed failure causes the engine and the
-// server dispatch on (only a lost tier is kSpillTierLost), and the
-// serve-layer integration (quota and full-tier shed, tier-loss
-// re-admission).
+// server dispatch on (only a lost tier is kSpillTierLost), the results of
+// out-of-core batched scans against the host executor, and the serve-layer
+// integration (quota and full-tier shed, tier-loss re-admission).
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
+#include "cell_compare.h"
 #include "engine/sirius.h"
 #include "fault/fault_injector.h"
 #include "mem/buffer.h"
@@ -490,6 +492,73 @@ TEST(TierEngineTest, SpillGaugesArePublishedAfterExecution) {
   EXPECT_EQ(gauges.at("mem.tier.host.used_bytes"), 0.0);  // drained
   ASSERT_TRUE(gauges.count("mem.pinned_host.in_use_bytes"));
 }
+
+// ---------------------------------------------------------------------------
+// Out-of-core results: the out-of-core pin's configuration (SF 1000 modeled
+// on SF 0.01 data, SiriusEngineTest.OutOfCoreModeledNumbersArePinned) on the
+// engine's default task threads. Large scans stream in batches whose join
+// steps probe tables the batch loop built once, while other pipelines run;
+// every query must return what the host executor returns, cell by cell.
+// ---------------------------------------------------------------------------
+
+host::Database* OutOfCoreDb() {
+  static host::Database* db = [] {
+    host::Database::Options options;
+    options.data_scale = 1.0e5;
+    auto* d = new host::Database(options);  // sirius-lint: allow(raw-new-delete): leaked singleton
+    SIRIUS_CHECK_OK(tpch::LoadTpch(d, 0.01));
+    return d;
+  }();
+  return db;
+}
+
+/// Columns of `table` (by index) that some scan of it in `n` reads.
+void ScannedColumns(const plan::PlanNode& n, const std::string& table,
+                    std::set<int>* cols) {
+  if (n.kind == plan::PlanKind::kTableScan && n.table_name == table) {
+    cols->insert(n.scan_columns.begin(), n.scan_columns.end());
+  }
+  for (const auto& c : n.children) ScannedColumns(*c, table, cols);
+}
+
+class OutOfCoreResultTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OutOfCoreResultTest, BatchedScansMatchTheHostExecutor) {
+  const int q = GetParam();
+  const std::string label = "Q" + std::to_string(q);
+  engine::SiriusEngine::Options options;
+  options.data_scale = 1.0e5;
+  options.out_of_core = true;
+  engine::SiriusEngine engine(OutOfCoreDb(), options);
+  auto plan = OutOfCoreDb()->PlanSql(tpch::Query(q)).ValueOrDie();
+
+  auto gpu = engine.ExecutePlan(plan);
+  ASSERT_TRUE(gpu.ok()) << label << ": " << gpu.status().ToString();
+  auto cpu = OutOfCoreDb()->ExecutePlanCpu(plan);
+  ASSERT_TRUE(cpu.ok()) << label << ": " << cpu.status().ToString();
+  cells::ExpectSameCells(*gpu.ValueOrDie().table, *cpu.ValueOrDie().table, label,
+                         "out_of_core", "cpu");
+
+  // A batched scan leaves its columns uncached; an in-core scan caches them.
+  // Every lineitem scan of Q4 and Q18 reads 16 bytes a row, which fits the
+  // caching region; every other query that reads lineitem batches a scan
+  // of it.
+  std::set<int> cols;
+  ScannedColumns(*plan, "lineitem", &cols);
+  if (cols.empty()) return;
+  int uncached = 0;
+  for (int c : cols) uncached += engine.buffer_manager().IsCached("lineitem", c) ? 0 : 1;
+  if (q == 4 || q == 18) {
+    EXPECT_EQ(uncached, 0) << label;
+  } else {
+    EXPECT_GT(uncached, 0) << label << ": no lineitem scan batched";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllQueries, OutOfCoreResultTest, ::testing::Range(1, 23),
+                         [](const auto& info) {
+                           return "Q" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Serving layer: quota shed with retry-after, tier-loss re-admission
