@@ -152,11 +152,11 @@ struct DistState {
 
 class DistExecutor {
  public:
-  /// `trace` may be null (tracing off). `trace_base_s` places this attempt
-  /// on the simulated time axis; the executor maintains a per-node "ready"
-  /// clock from there, so the trace shows genuine overlap: a lightly-loaded
-  /// rank's downstream fragment starts before the collective's slowest rank
-  /// finishes.
+  /// `trace` is the query's recorder (never null). `trace_base_s` places
+  /// this attempt on the simulated time axis; the executor maintains a
+  /// per-node "ready" clock from there, so the trace shows genuine overlap:
+  /// a lightly-loaded rank's downstream fragment starts before the
+  /// collective's slowest rank finishes.
   DistExecutor(const DorisCluster::Options& options,
                std::vector<NodeState*> nodes, net::Communicator* comm,
                TempTableRegistry* registry, sim::Timeline* timeline,
@@ -170,15 +170,13 @@ class DistExecutor {
         injector_(injector),
         trace_(trace),
         node_ready_(nodes_.size(), trace_base_s) {
-    if (trace_ != nullptr) {
-      node_tracks_.resize(nodes_.size());
-      for (size_t i = 0; i < nodes_.size(); ++i) {
-        node_tracks_[i] =
-            trace_->RegisterTrack("node-" + std::to_string(nodes_[i]->rank));
-      }
-      link_track_ = trace_->RegisterTrack("link");
-      comm_->set_trace(trace_, link_track_);
+    node_tracks_.resize(nodes_.size());
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      node_tracks_[i] =
+          trace_->RegisterTrack("node-" + std::to_string(nodes_[i]->rank));
     }
+    link_track_ = trace_->RegisterTrack("link");
+    comm_->set_trace(trace_, link_track_);
   }
 
   /// Global rank of the node whose fragment failed, or -1. The coordinator
@@ -239,11 +237,9 @@ class DistExecutor {
     ctx.sim.engine = options_.engine;
     ctx.sim.timeline = t;
     ctx.sim.data_scale = options_.data_scale;
-    if (trace_ != nullptr) {
-      ctx.sim.trace = trace_;
-      ctx.sim.track = node_tracks_[local_rank];
-      ctx.sim.trace_base = node_ready_[local_rank];
-    }
+    ctx.sim.trace = trace_;
+    ctx.sim.track = node_tracks_[local_rank];
+    ctx.sim.trace_base = node_ready_[local_rank];
     return ctx;
   }
 
@@ -468,7 +464,7 @@ class DistExecutor {
   }
 
   obs::TrackId TrackFor(int local_rank) const {
-    return trace_ != nullptr ? node_tracks_[local_rank] : 0;
+    return node_tracks_[local_rank];
   }
 
   const DorisCluster::Options& options_;
@@ -509,11 +505,9 @@ Result<DistQueryResult> DorisCluster::RunAttempt(const DistributedPlan& dplan,
   DistQueryResult result;
   result.timeline.Charge(sim::OpCategory::kOther, options_.coordinator_overhead_s);
   const double exec_base_s = trace_base_s + options_.coordinator_overhead_s;
-  if (trace != nullptr) {
-    trace->AddComplete(trace->RegisterTrack("coordinator"),
-                       "coordinator-overhead", "coordinator", trace_base_s,
-                       exec_base_s, {});
-  }
+  trace->AddComplete(trace->RegisterTrack("coordinator"),
+                     "coordinator-overhead", "coordinator", trace_base_s,
+                     exec_base_s, {});
 
   DistExecutor executor(options_, std::move(active_nodes), &comm,
                         &temp_registry_, &result.timeline, injector(), trace,
@@ -564,12 +558,8 @@ Result<DistQueryResult> DorisCluster::Query(const std::string& sql) {
   // fragment failure or an expired heartbeat is marked dead, data is
   // re-partitioned onto the survivors, and the query re-runs once per unit
   // of retry budget. Anything that is not a node failure surfaces as-is.
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  obs::TrackId coord_track = 0;
-  if (options_.tracing) {
-    recorder = std::make_unique<obs::TraceRecorder>();
-    coord_track = recorder->RegisterTrack("coordinator");
-  }
+  obs::TraceRecorder recorder;
+  const obs::TrackId coord_track = recorder.RegisterTrack("coordinator");
   double trace_now = 0.0;  // simulated clock carried across attempts
 
   RecoveryStats recovery;
@@ -584,12 +574,10 @@ Result<DistQueryResult> DorisCluster::Query(const std::string& sql) {
             !injector()->Check(kSiteHeartbeat).ok()) {
           membership_.MarkDead(node->rank);
           ++recovery.node_failures;
-          if (recorder != nullptr) {
-            recorder->AddInstant(coord_track,
-                                 "recovery:node-" + std::to_string(node->rank) +
-                                     "-dead",
-                                 "recovery", trace_now);
-          }
+          recorder.AddInstant(coord_track,
+                              "recovery:node-" + std::to_string(node->rank) +
+                                  "-dead",
+                              "recovery", trace_now);
         }
       }
     }
@@ -602,14 +590,12 @@ Result<DistQueryResult> DorisCluster::Query(const std::string& sql) {
 
     int failed_rank = -1;
     double attempt_end_s = trace_now;
-    auto out = RunAttempt(dplan, &recovery, &failed_rank, recorder.get(),
+    auto out = RunAttempt(dplan, &recovery, &failed_rank, &recorder,
                           trace_now, &attempt_end_s);
     if (out.ok()) {
       DistQueryResult result = std::move(out).ValueOrDie();
       result.recovery = recovery;
-      if (recorder != nullptr) {
-        result.profile = std::make_shared<obs::QueryProfile>(recorder->Finish());
-      }
+      result.profile = std::make_shared<obs::QueryProfile>(recorder.Finish());
       return result;
     }
     trace_now = attempt_end_s;
@@ -619,20 +605,16 @@ Result<DistQueryResult> DorisCluster::Query(const std::string& sql) {
       membership_.MarkDead(failed_rank);
     }
     ++recovery.node_failures;
-    if (recorder != nullptr) {
-      recorder->AddInstant(
-          coord_track, "recovery:node-" + std::to_string(failed_rank) + "-dead",
-          "recovery", trace_now);
-    }
+    recorder.AddInstant(
+        coord_track, "recovery:node-" + std::to_string(failed_rank) + "-dead",
+        "recovery", trace_now);
     if (attempt >= budget) {
       return out.status().WithContext(
           "query retry budget (" + std::to_string(budget) + ") exhausted");
     }
     ++recovery.query_retries;
-    if (recorder != nullptr) {
-      recorder->AddInstant(coord_track, "recovery:query-retry", "recovery",
-                           trace_now);
-    }
+    recorder.AddInstant(coord_track, "recovery:query-retry", "recovery",
+                        trace_now);
   }
 }
 

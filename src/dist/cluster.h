@@ -116,8 +116,7 @@ struct DistQueryResult {
   double other_seconds = 0;     ///< coordinator: optimize/dispatch/results
   RecoveryStats recovery;       ///< recovery actions taken for this query
   /// Per-query trace: fragment spans per node, collective/retry spans on
-  /// the link lane, recovery events on the coordinator lane. Null when
-  /// Options::tracing is off.
+  /// the link lane, recovery events on the coordinator lane.
   std::shared_ptr<obs::QueryProfile> profile;
 };
 
@@ -145,9 +144,6 @@ class DorisCluster {
     /// Minimum alive nodes required to serve queries; below this Query()
     /// returns Status::Unavailable without touching the data plane.
     int quorum = 1;
-    /// Per-query tracing (DistQueryResult::profile). Same span budget as
-    /// the single-node engine.
-    bool tracing = true;
   };
 
   explicit DorisCluster(Options options);

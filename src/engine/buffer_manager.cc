@@ -7,11 +7,19 @@ namespace sirius::engine {
 using format::ColumnPtr;
 using format::TablePtr;
 
+namespace {
+
+/// Share of device memory pre-allocated as the caching region; the rest is
+/// the processing region (§4.1 splits device memory 50/50).
+constexpr double kCacheFraction = 0.5;
+
+}  // namespace
+
 BufferManager::BufferManager(Options options)
     : options_(options),
       cache_capacity_(static_cast<uint64_t>(
           static_cast<double>(options.device_capacity_bytes) *
-          options.cache_fraction)),
+          kCacheFraction)),
       processing_capacity_(options.device_capacity_bytes - cache_capacity_),
       pool_(mem::DefaultResource()),
       processing_reservations_(processing_capacity_, "processing-region") {}
@@ -30,10 +38,7 @@ bool SameSource(const std::weak_ptr<const format::Column>& entry_source,
 
 void BufferManager::DropEntry(CacheMap::iterator it,
                               sim::HazardTracker* hazards) {
-  // Retire the generation: any handle stamped with it is now stale, and
-  // validating one reports use-after-evict.
-  mem::LifetimeTracker::Global().OnFree(it->second.generation);
-  if (hazards != nullptr) hazards->ReleaseResource(it->second.generation);
+  if (hazards != nullptr) hazards->ReleaseResource(it->second.resource);
   cached_modeled_bytes_ -= it->second.modeled_bytes;
   lru_.erase(it->second.lru_pos);
   cache_.erase(it);
@@ -46,7 +51,7 @@ bool BufferManager::EvictUntilFits(uint64_t needed,
     for (const auto& p : pinned) {
       if (!(p < k) && !(k < p)) return true;
     }
-    return cache_.find(k)->second.pins > 0;
+    return false;
   };
   while (cached_modeled_bytes_ + needed > cache_capacity_) {
     // Find the least-recently-used unpinned entry.
@@ -125,15 +130,13 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
               " resident bytes of " + std::to_string(cache_capacity_) + ")");
           break;
         }
-        entry.generation = mem::LifetimeTracker::Global().OnAlloc(
-            entry.modeled_bytes,
-            name + "." + std::to_string(c) + " cache entry");
+        entry.resource = sim::NewResourceId();
         // The load populates the entry on this stream; record the event that
         // readers on other streams must order after (the stream-sync a real
         // device inserts after the H2D copy + decompress).
         if (sim.hazards != nullptr) {
-          sim.NoteWrite(entry.generation, "cold load " + name + "." +
-                                              std::to_string(c));
+          sim.NoteWrite(entry.resource,
+                        "cold load " + name + "." + std::to_string(c));
           entry.ready_event = sim.hazards->RecordEvent(sim.stream);
           entry.ready_tracker = sim.hazards->id();
         }
@@ -148,9 +151,6 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
         lru_.erase(it->second.lru_pos);
         lru_.push_front(keys[i]);
         it->second.lru_pos = lru_.begin();
-        mem::LifetimeTracker::Global().OnAccess(
-            it->second.generation,
-            "hot read " + name + "." + std::to_string(c));
         if (sim.hazards != nullptr) {
           // Only wait on the ready event if it belongs to the active
           // tracker; entries loaded by a previous query are ordered by the
@@ -160,7 +160,7 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
               it->second.ready_tracker == sim.hazards->id()) {
             sim.hazards->StreamWaitEvent(sim.stream, it->second.ready_event);
           }
-          sim.NoteRead(it->second.generation,
+          sim.NoteRead(it->second.resource,
                        "hot read " + name + "." + std::to_string(c));
         }
       }
@@ -205,77 +205,11 @@ Result<TablePtr> BufferManager::GetOrCacheColumns(
 size_t BufferManager::EvictAll() {
   std::lock_guard<std::mutex> lock(mu_);
   const size_t evicted = cache_.size();
-  for (const auto& [key, entry] : cache_) {
-    // OnFree flags free-while-pinned when a kernel still holds the column.
-    mem::LifetimeTracker::Global().OnFree(entry.generation);
-  }
   cache_.clear();
   lru_.clear();
   cached_modeled_bytes_ = 0;
   evictions_ += evicted;
   return evicted;
-}
-
-Result<BufferManager::ColumnHandle> BufferManager::HandleFor(
-    const std::string& name, int col) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find({name, col});
-  if (it == cache_.end()) {
-    return Status::KeyError("HandleFor: " + name + "." + std::to_string(col) +
-                            " is not cached");
-  }
-  return ColumnHandle{name, col, it->second.generation};
-}
-
-Status BufferManager::ValidateHandle(const ColumnHandle& handle) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find({handle.table, handle.column});
-    if (it != cache_.end() && it->second.generation == handle.generation) {
-      return Status::OK();
-    }
-  }
-  // Stale: the column was evicted (and possibly reloaded under a new
-  // generation). Report outside mu_ — the tracker may abort.
-  mem::LifetimeTracker::Global().OnAccess(
-      handle.generation, "handle " + handle.table + "." +
-                             std::to_string(handle.column));
-  return Status::ExecutionError(
-      "use-after-evict: " + handle.table + "." +
-      std::to_string(handle.column) + " generation " +
-      std::to_string(handle.generation) + " is no longer resident");
-}
-
-Status BufferManager::PinColumn(const std::string& name, int col) {
-  uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find({name, col});
-    if (it == cache_.end()) {
-      return Status::KeyError("PinColumn: " + name + "." +
-                              std::to_string(col) + " is not cached");
-    }
-    ++it->second.pins;
-    generation = it->second.generation;
-  }
-  mem::LifetimeTracker::Global().OnPin(generation);
-  return Status::OK();
-}
-
-Status BufferManager::UnpinColumn(const std::string& name, int col) {
-  uint64_t generation = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find({name, col});
-    if (it == cache_.end() || it->second.pins <= 0) {
-      return Status::KeyError("UnpinColumn: " + name + "." +
-                              std::to_string(col) + " has no pin to release");
-    }
-    --it->second.pins;
-    generation = it->second.generation;
-  }
-  mem::LifetimeTracker::Global().OnUnpin(generation);
-  return Status::OK();
 }
 
 bool BufferManager::IsCached(const std::string& name, int col) const {

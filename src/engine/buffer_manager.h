@@ -40,8 +40,6 @@ class BufferManager {
   struct Options {
     /// Modeled device memory, bytes (defaults from the device profile).
     uint64_t device_capacity_bytes = 92ull << 30;
-    /// Fraction of device memory pre-allocated for data caching (§4.1: 50%).
-    double cache_fraction = 0.5;
     /// Host<->device link used for cold loads.
     sim::Link host_link = sim::NvlinkC2c();
     /// When set, processing_resource() returns this instead of the built-in
@@ -70,42 +68,12 @@ class BufferManager {
                                              const sim::SimContext& sim);
 
   /// Drops every cached column (cold-run ablations, OOM recovery). Returns
-  /// the number of columns evicted. Evicting a pinned column is a diagnosed
-  /// lifetime violation (a kernel may still be reading it).
+  /// the number of columns evicted. A scan that already took a column keeps
+  /// reading its own shared copy.
   size_t EvictAll();
 
   /// True when column `col` of `name` is resident.
   bool IsCached(const std::string& name, int col = 0) const;
-
-  /// \name Generation-stamped column handles (debug lifetime checking).
-  ///
-  /// Every cache entry carries a LifetimeTracker generation minted when the
-  /// column is loaded and retired when it is evicted. A handle snapshots
-  /// that generation; validating the handle after an eviction — even if the
-  /// column was reloaded since — is a deterministic use-after-evict
-  /// diagnostic rather than a silent read of recycled memory.
-  /// @{
-
-  /// A stamped reference to a resident cached column.
-  struct ColumnHandle {
-    std::string table;
-    int column = 0;
-    uint64_t generation = 0;
-  };
-
-  /// Handle for a currently-resident column; KeyError if not cached.
-  Result<ColumnHandle> HandleFor(const std::string& name, int col) const;
-
-  /// Validates that the handle's generation is still the resident one.
-  /// Reports use-after-evict to the LifetimeTracker (which aborts in
-  /// abort-on-violation mode) and returns ExecutionError.
-  Status ValidateHandle(const ColumnHandle& handle) const;
-
-  /// Pins a resident column against eviction (kernel in flight). KeyError
-  /// if not cached. Balance with UnpinColumn.
-  Status PinColumn(const std::string& name, int col);
-  Status UnpinColumn(const std::string& name, int col);
-  /// @}
 
   /// Modeled compressed bytes resident in the caching region.
   uint64_t cached_modeled_bytes() const;
@@ -161,8 +129,9 @@ class BufferManager {
     std::weak_ptr<const format::Column> source;
     uint64_t modeled_bytes = 0;  ///< resident (compressed) bytes * data_scale
     std::list<CacheKey>::iterator lru_pos;
-    /// LifetimeTracker generation minted at load, retired at eviction.
-    uint64_t generation = 0;
+    /// Hazard-tracker resource id (sim::NewResourceId), minted at load; a
+    /// reload after an eviction is a new resource.
+    uint64_t resource = 0;
     /// Hazard-tracker event recorded by the loading stream; readers on other
     /// streams wait on it (the ordering edge a real device inserts with a
     /// stream sync after the H2D copy). Only meaningful while the tracker
@@ -170,19 +139,16 @@ class BufferManager {
     /// per-query trackers, and a stale EventId must not be waited on.
     sim::EventId ready_event = -1;
     uint64_t ready_tracker = 0;
-    /// Pins held through PinColumn (eviction policy; the LifetimeTracker
-    /// keeps the cross-checking count).
-    int pins = 0;
   };
   using CacheMap = std::map<CacheKey, CacheEntry>;
 
-  /// Caller holds mu_. Removes `it`: retires its generation, makes
-  /// `hazards` (may be null) forget it, and returns its bytes to the region.
+  /// Caller holds mu_. Removes `it`: makes `hazards` (may be null) forget
+  /// its resource and returns its bytes to the region.
   void DropEntry(CacheMap::iterator it, sim::HazardTracker* hazards);
 
-  /// Caller holds mu_. Evicts LRU entries (not in `pinned`, not pin-held)
-  /// until `needed` fits. Returns false if impossible. `hazards` (may be
-  /// null) forgets the evicted resources.
+  /// Caller holds mu_. Evicts LRU entries not in `pinned` (the columns of
+  /// the request being served) until `needed` fits. Returns false if
+  /// impossible. `hazards` (may be null) forgets the evicted resources.
   bool EvictUntilFits(uint64_t needed, const std::vector<CacheKey>& pinned,
                       sim::HazardTracker* hazards);
 
@@ -192,9 +158,8 @@ class BufferManager {
   mem::PoolMemoryResource pool_;
   mem::ReservationPool processing_reservations_;
 
-  /// Guards the cache bookkeeping below: lookup, load, LRU order, eviction,
-  /// generations, pins and hazard events. Decoding a cached column does not
-  /// need it.
+  /// Guards the cache bookkeeping below: lookup, load, LRU order, eviction
+  /// and hazard events. Decoding a cached column does not need it.
   mutable std::mutex mu_;
   CacheMap cache_;
   std::list<CacheKey> lru_;  ///< front = most recent

@@ -82,7 +82,6 @@ SiriusEngine::SiriusEngine(host::Database* host_db, Options options)
         BufferManager::Options bm;
         bm.device_capacity_bytes = static_cast<uint64_t>(
             options.device.mem_capacity_gib * (1ull << 30));
-        bm.cache_fraction = options.cache_fraction;
         bm.host_link = options.host_link;
         bm.processing_override = options.processing_override;
         return bm;
@@ -96,8 +95,8 @@ SiriusEngine::~SiriusEngine() = default;
 
 namespace {
 
-/// Hazard-tracker resource ids for materialized pipeline results live in a
-/// namespace disjoint from LifetimeTracker generations (cache entries).
+/// Hazard-tracker resource ids for materialized pipeline results live above
+/// the ids sim::NewResourceId mints (cache entries, spill extents).
 constexpr uint64_t kPipelineResourceBase = 1ull << 32;
 
 /// A-priori compression-ratio estimate of the caching region, used only for

@@ -62,8 +62,6 @@ class SiriusEngine : public host::Accelerator {
     sim::EngineProfile profile = sim::SiriusProfile();
     /// Modeled SF / loaded SF, forwarded to the cost model.
     double data_scale = 1.0;
-    /// Caching-region fraction of device memory (§4.1 uses 50/50).
-    double cache_fraction = 0.5;
     /// Host<->device link (NVLink-C2C on GH200, PCIe4 on the A100 cluster):
     /// prices cold loads, out-of-core batches and every spill's
     /// device<->host leg.

@@ -28,6 +28,11 @@ void Expr::CollectColumns(std::vector<int>* indices) const {
   for (const auto& c : children) c->CollectColumns(indices);
 }
 
+void RemapColumns(Expr* e, const std::function<int(int)>& fn) {
+  if (e->kind == ExprKind::kColumnRef) e->column_index = fn(e->column_index);
+  for (const auto& c : e->children) RemapColumns(c.get(), fn);
+}
+
 void Expr::CollectColumnNames(std::vector<std::string>* names) const {
   if (kind == ExprKind::kColumnRef && !column_name.empty()) {
     if (std::find(names->begin(), names->end(), column_name) == names->end()) {

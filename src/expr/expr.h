@@ -3,6 +3,7 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,6 +95,10 @@ struct Expr {
   /// Deep copy.
   ExprPtr Clone() const;
 };
+
+/// Rewrites every column reference's index `i` in the tree to `fn(i)`, in
+/// place. Callers check the indices their mapping produces.
+void RemapColumns(Expr* e, const std::function<int(int)>& fn);
 
 /// \name Factory helpers.
 /// @{

@@ -6,12 +6,6 @@ namespace sirius::fault {
 
 FaultInjector::FaultInjector(uint64_t seed) : rng_(seed) {}
 
-void FaultInjector::Reseed(uint64_t seed) {
-  std::lock_guard<std::mutex> lock(mu_);
-  rng_.seed(seed);
-  for (auto& [name, site] : sites_) site.counters = SiteStats{};
-}
-
 void FaultInjector::Arm(const std::string& site, FaultSpec spec) {
   std::lock_guard<std::mutex> lock(mu_);
   Site& s = sites_[site];
@@ -24,11 +18,6 @@ void FaultInjector::Disarm(const std::string& site) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sites_.find(site);
   if (it != sites_.end()) it->second.armed = false;
-}
-
-void FaultInjector::DisarmAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, site] : sites_) site.armed = false;
 }
 
 bool FaultInjector::IsArmed(const std::string& site) const {

@@ -58,14 +58,10 @@ class FaultInjector {
  public:
   explicit FaultInjector(uint64_t seed = 0x51b1e5);
 
-  /// Re-seeds the RNG and clears all counters (armed specs survive).
-  void Reseed(uint64_t seed);
-
   /// Arms `site`: subsequent Check() calls follow `spec`'s schedule.
   void Arm(const std::string& site, FaultSpec spec);
   /// Disarms `site`; its counters survive for post-mortem queries.
   void Disarm(const std::string& site);
-  void DisarmAll();
   bool IsArmed(const std::string& site) const;
 
   /// Master switch; a disabled injector never fires (default: enabled).

@@ -5,21 +5,6 @@
 
 namespace sirius::gdf {
 
-namespace {
-
-/// Rewrites every column reference through `remap` (old index -> compact
-/// index). The tree was cloned by the caller; mutation is safe.
-void RemapColumnRefs(expr::Expr* e,
-                     const std::unordered_map<int, int>& remap) {
-  if (e->kind == expr::ExprKind::kColumnRef) {
-    auto it = remap.find(e->column_index);
-    if (it != remap.end()) e->column_index = it->second;
-  }
-  for (const auto& child : e->children) RemapColumnRefs(child.get(), remap);
-}
-
-}  // namespace
-
 Result<format::ColumnPtr> ComputeColumn(const Context& ctx, const expr::Expr& e,
                                         const format::TablePtr& input,
                                         sim::OpCategory cat) {
@@ -74,7 +59,10 @@ Result<format::ColumnPtr> ComputeColumnView(const Context& ctx,
                           format::Table::Make(std::move(schema), compact));
 
   expr::ExprPtr remapped = e.Clone();
-  RemapColumnRefs(remapped.get(), remap);
+  expr::RemapColumns(remapped.get(), [&remap](int c) {
+    auto it = remap.find(c);
+    return it != remap.end() ? it->second : c;
+  });
 
   // Each input column is charged at its first touch only (identity
   // pass-throughs arrive unpriced from GatherViewColumn); after that its

@@ -62,11 +62,6 @@ double Catalog::ColumnDistinct(const std::string& table,
   return ndv;
 }
 
-bool Catalog::HasTable(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tables_.count(name) > 0;
-}
-
 std::vector<std::string> Catalog::TableNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;

@@ -27,7 +27,6 @@ class Catalog : public sql::CatalogInterface, public opt::StatsProvider {
   /// Exact distinct count, computed lazily on first request and cached.
   double ColumnDistinct(const std::string& table,
                         const std::string& column) const override;
-  bool HasTable(const std::string& name) const;
   std::vector<std::string> TableNames() const;
 
   /// Total bytes across all tables (sizing the cache region).

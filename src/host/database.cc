@@ -6,11 +6,15 @@ namespace sirius::host {
 
 Database::Database(Options options) : options_(std::move(options)) {}
 
-Result<plan::PlanPtr> Database::PlanSql(const std::string& sql) {
-  SIRIUS_ASSIGN_OR_RETURN(plan::PlanPtr bound, sql::SqlToPlan(sql, catalog_));
+Result<plan::PlanPtr> Database::Optimize(const plan::PlanPtr& plan) const {
   opt::OptimizerOptions opt_options;
   opt_options.reorder_joins = options_.engine.reorder_joins;
-  return opt::Optimize(bound, catalog_, opt_options);
+  return opt::Optimize(plan, catalog_, opt_options);
+}
+
+Result<plan::PlanPtr> Database::PlanSql(const std::string& sql) {
+  SIRIUS_ASSIGN_OR_RETURN(plan::PlanPtr bound, sql::SqlToPlan(sql, catalog_));
+  return Optimize(bound);
 }
 
 Result<std::string> Database::ExportSubstrait(const std::string& sql) {

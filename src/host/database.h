@@ -69,7 +69,12 @@ class Database {
     return catalog_.CreateTable(name, std::move(table));
   }
 
-  /// Parse + bind + optimize (join reordering honors the engine profile).
+  /// Optimizes a bound plan under this database's optimizer options (join
+  /// reordering honors the engine profile). Every front end (SQL,
+  /// DataFrame) plans through it.
+  Result<plan::PlanPtr> Optimize(const plan::PlanPtr& plan) const;
+
+  /// Parse + bind + Optimize.
   Result<plan::PlanPtr> PlanSql(const std::string& sql);
 
   /// The drop-in boundary: the optimized plan in wire format.

@@ -1,6 +1,5 @@
 #include "host/dataframe.h"
 
-#include "opt/optimizer.h"
 #include "plan/substrait.h"
 
 namespace sirius::host {
@@ -133,22 +132,17 @@ Result<DataFrame> DataFrame::Distinct() const {
 }
 
 Result<QueryResult> DataFrame::Collect() const {
-  opt::OptimizerOptions options;
-  options.reorder_joins = db_->options().engine.reorder_joins;
-  SIRIUS_ASSIGN_OR_RETURN(PlanPtr optimized,
-                          opt::Optimize(plan_, db_->catalog(), options));
+  SIRIUS_ASSIGN_OR_RETURN(PlanPtr optimized, db_->Optimize(plan_));
   return db_->ExecutePlanRouted(optimized);
 }
 
 Result<std::string> DataFrame::Explain() const {
-  SIRIUS_ASSIGN_OR_RETURN(PlanPtr optimized,
-                          opt::Optimize(plan_, db_->catalog(), {}));
+  SIRIUS_ASSIGN_OR_RETURN(PlanPtr optimized, db_->Optimize(plan_));
   return optimized->ToString();
 }
 
 Result<std::string> DataFrame::ToSubstrait() const {
-  SIRIUS_ASSIGN_OR_RETURN(PlanPtr optimized,
-                          opt::Optimize(plan_, db_->catalog(), {}));
+  SIRIUS_ASSIGN_OR_RETURN(PlanPtr optimized, db_->Optimize(plan_));
   return plan::SerializePlan(optimized);
 }
 

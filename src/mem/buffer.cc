@@ -1,186 +1,13 @@
 #include "mem/buffer.h"
 
-#include <cstdlib>
-
 namespace sirius::mem {
-
-const char* LifetimeViolationKindName(LifetimeTracker::ViolationKind kind) {
-  switch (kind) {
-    case LifetimeTracker::ViolationKind::kUseAfterFree:
-      return "use-after-free";
-    case LifetimeTracker::ViolationKind::kDoubleFree:
-      return "double-free";
-    case LifetimeTracker::ViolationKind::kFreeWhilePinned:
-      return "free-while-pinned";
-    case LifetimeTracker::ViolationKind::kUnbalancedUnpin:
-      return "unbalanced unpin";
-    case LifetimeTracker::ViolationKind::kUnknownGeneration:
-      return "unknown generation";
-  }
-  return "?";
-}
-
-LifetimeTracker& LifetimeTracker::Global() {
-  static LifetimeTracker* tracker = [] {
-    auto* t = new LifetimeTracker();
-    const char* v = std::getenv("SIRIUS_RACE_CHECK");
-    t->set_enabled(v != nullptr && v[0] != '\0' && v[0] != '0');
-    return t;
-  }();
-  return *tracker;
-}
-
-bool LifetimeTracker::enabled() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return enabled_;
-}
-
-void LifetimeTracker::set_abort_on_violation(bool abort_on_violation) {
-  std::unique_lock<std::mutex> lock(mu_);
-  abort_on_violation_ = abort_on_violation;
-}
-
-void LifetimeTracker::Report(std::unique_lock<std::mutex>& lock, Violation v) {
-  std::string msg = std::string("LifetimeTracker: ") +
-                    LifetimeViolationKindName(v.kind) + " of generation " +
-                    std::to_string(v.generation) +
-                    (v.detail.empty() ? "" : ": " + v.detail);
-  violations_.push_back(std::move(v));
-  if (abort_on_violation_) {
-    lock.unlock();
-    internal::AbortWithMessage(__FILE__, __LINE__, msg);
-  }
-}
-
-void LifetimeTracker::set_enabled(bool enabled) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (enabled && !enabled_) {
-    // Generations minted before enabling were never registered; retiring or
-    // accessing them must not be misread as double-free / use-after-free.
-    enabled_since_ = next_generation_;
-  }
-  enabled_ = enabled;
-}
-
-uint64_t LifetimeTracker::OnAlloc(uint64_t bytes, const std::string& what) {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Generations are minted even when disabled: callers use them as unique
-  // resource ids (hazard-tracker keys) independent of lifetime checking.
-  const uint64_t gen = next_generation_++;
-  if (enabled_) live_.emplace(gen, Entry{bytes, 0, what});
-  return gen;
-}
-
-void LifetimeTracker::OnFree(uint64_t generation) {
-  if (generation == 0) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_ || generation < enabled_since_) return;
-  auto it = live_.find(generation);
-  if (it == live_.end()) {
-    Violation v;
-    v.kind = ViolationKind::kDoubleFree;
-    v.generation = generation;
-    v.detail = "generation already retired (or never allocated)";
-    Report(lock, std::move(v));
-    return;
-  }
-  if (it->second.pins > 0) {
-    Violation v;
-    v.kind = ViolationKind::kFreeWhilePinned;
-    v.generation = generation;
-    v.detail = "\"" + it->second.what + "\" freed with " +
-               std::to_string(it->second.pins) + " pin(s) outstanding";
-    Report(lock, std::move(v));
-    // Fall through and retire anyway (the memory really is going away).
-  }
-  live_.erase(generation);
-}
-
-void LifetimeTracker::OnPin(uint64_t generation) {
-  if (generation == 0) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_ || generation < enabled_since_) return;
-  auto it = live_.find(generation);
-  if (it == live_.end()) {
-    Violation v;
-    v.kind = ViolationKind::kUnknownGeneration;
-    v.generation = generation;
-    v.detail = "pin of a generation that is not live";
-    Report(lock, std::move(v));
-    return;
-  }
-  ++it->second.pins;
-}
-
-void LifetimeTracker::OnUnpin(uint64_t generation) {
-  if (generation == 0) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_ || generation < enabled_since_) return;
-  auto it = live_.find(generation);
-  if (it == live_.end() || it->second.pins <= 0) {
-    Violation v;
-    v.kind = ViolationKind::kUnbalancedUnpin;
-    v.generation = generation;
-    v.detail = "unpin without a live matching pin";
-    Report(lock, std::move(v));
-    return;
-  }
-  --it->second.pins;
-}
-
-void LifetimeTracker::OnAccess(uint64_t generation, const std::string& what) {
-  if (generation == 0) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_ || generation < enabled_since_) return;
-  if (live_.find(generation) == live_.end()) {
-    Violation v;
-    v.kind = ViolationKind::kUseAfterFree;
-    v.generation = generation;
-    v.detail = "\"" + what + "\" accessed a retired generation (evicted or "
-               "freed since the handle was taken)";
-    Report(lock, std::move(v));
-  }
-}
-
-bool LifetimeTracker::IsLive(uint64_t generation) const {
-  if (generation == 0) return true;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_ || generation < enabled_since_) return true;
-  return live_.find(generation) != live_.end();
-}
-
-size_t LifetimeTracker::violation_count() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return violations_.size();
-}
-
-std::vector<LifetimeTracker::Violation> LifetimeTracker::violations() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return violations_;
-}
-
-size_t LifetimeTracker::live_count() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return live_.size();
-}
-
-void LifetimeTracker::Reset() {
-  std::unique_lock<std::mutex> lock(mu_);
-  live_.clear();
-  violations_.clear();
-  enabled_since_ = next_generation_;
-}
 
 Result<Buffer> Buffer::Allocate(size_t size, MemoryResource* resource) {
   if (resource == nullptr) resource = DefaultResource();
   Buffer b;
   b.resource_ = resource;
   b.size_ = size;
-  if (size > 0) {
-    SIRIUS_RETURN_NOT_OK(resource->Allocate(size, &b.data_));
-    b.generation_ = LifetimeTracker::Global().OnAlloc(
-        size, "Buffer(" + resource->name() + ")");
-  }
+  if (size > 0) SIRIUS_RETURN_NOT_OK(resource->Allocate(size, &b.data_));
   return b;
 }
 

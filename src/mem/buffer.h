@@ -1,115 +1,16 @@
-// RAII buffer over a MemoryResource (rmm::device_buffer equivalent), plus
-// the debug-mode lifetime checker for everything the device model allocates.
+// RAII buffer over a MemoryResource (rmm::device_buffer equivalent).
 
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "mem/memory_resource.h"
 
 namespace sirius::mem {
-
-/// \brief Debug-mode registry detecting use-after-free / use-after-evict,
-/// double-free, and unbalanced pin/unpin on device-model allocations.
-///
-/// Every tracked allocation (a Buffer, a buffer-manager cache entry, ...)
-/// gets a *generation*: a process-unique id minted at allocation time and
-/// retired exactly once when the memory is freed or evicted. Holders stamp
-/// the generation when they take a reference and revalidate it on access, so
-/// a stale handle — the column was evicted and possibly reloaded since — is
-/// caught deterministically instead of silently reading recycled memory.
-///
-/// Pins mark a generation as in active kernel use: retiring a pinned
-/// generation (evicting a buffer mid-kernel) is itself a violation.
-///
-/// Thread-safe. Disabled (default), every call is one branch.
-class LifetimeTracker {
- public:
-  enum class ViolationKind {
-    kUseAfterFree,       ///< access to a retired generation
-    kDoubleFree,         ///< generation retired twice
-    kFreeWhilePinned,    ///< retired while a pin is outstanding
-    kUnbalancedUnpin,    ///< unpin without a matching pin
-    kUnknownGeneration,  ///< pin/access of a generation never allocated
-  };
-
-  struct Violation {
-    ViolationKind kind;
-    uint64_t generation = 0;
-    std::string detail;
-  };
-
-  /// Process-wide tracker; enabled when SIRIUS_RACE_CHECK=1 is in the
-  /// environment (the same switch as the stream hazard checker).
-  static LifetimeTracker& Global();
-
-  LifetimeTracker() = default;
-
-  void set_enabled(bool enabled);
-  bool enabled() const;
-
-  /// When true (default) the first violation aborts with a diagnostic;
-  /// tests turn this off and inspect violations().
-  void set_abort_on_violation(bool abort_on_violation);
-
-  /// Mints a generation for a fresh allocation. `what` names it in
-  /// diagnostics ("lineitem.l_quantity cache entry"). A unique generation is
-  /// minted even when disabled (callers also use it as a unique resource id
-  /// for the hazard tracker); liveness is only tracked while enabled.
-  uint64_t OnAlloc(uint64_t bytes, const std::string& what);
-
-  /// Retires a generation (free / evict). Flags double-free and
-  /// free-while-pinned. Generation 0 (untracked) is ignored.
-  void OnFree(uint64_t generation);
-
-  /// Marks the generation as in active use (kernel argument, borrow).
-  void OnPin(uint64_t generation);
-  void OnUnpin(uint64_t generation);
-
-  /// Validates that the generation is still live; flags use-after-free.
-  /// `what` names the accessor in diagnostics.
-  void OnAccess(uint64_t generation, const std::string& what);
-
-  /// True when `generation` is live (minted and not retired). Untracked
-  /// generation 0 counts as live.
-  bool IsLive(uint64_t generation) const;
-
-  size_t violation_count() const;
-  std::vector<Violation> violations() const;
-  size_t live_count() const;
-
-  /// Forgets all live generations and violations (test isolation).
-  void Reset();
-
- private:
-  struct Entry {
-    uint64_t bytes = 0;
-    int pins = 0;
-    std::string what;
-  };
-
-  void Report(std::unique_lock<std::mutex>& lock, Violation v);
-
-  mutable std::mutex mu_;
-  bool enabled_ = false;
-  bool abort_on_violation_ = true;
-  uint64_t next_generation_ = 1;
-  /// Generations minted before this are exempt from checks (they predate
-  /// the tracker being enabled, so their alloc was never registered).
-  uint64_t enabled_since_ = 1;
-  std::unordered_map<uint64_t, Entry> live_;
-  std::vector<Violation> violations_;
-};
-
-const char* LifetimeViolationKindName(LifetimeTracker::ViolationKind kind);
 
 /// \brief Owning, resizable byte buffer bound to a MemoryResource.
 class Buffer {
@@ -124,11 +25,9 @@ class Buffer {
       resource_ = other.resource_;
       data_ = other.data_;
       size_ = other.size_;
-      generation_ = other.generation_;
       other.resource_ = nullptr;
       other.data_ = nullptr;
       other.size_ = 0;
-      other.generation_ = 0;
     }
     return *this;
   }
@@ -149,15 +48,6 @@ class Buffer {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Lifetime-tracker generation stamped at allocation (0 when tracking was
-  /// disabled at allocation time).
-  uint64_t generation() const { return generation_; }
-
-  /// Marks this buffer as in active kernel use; eviction/free of a pinned
-  /// buffer is a diagnosed violation. Balance with Unpin().
-  void Pin() const { LifetimeTracker::Global().OnPin(generation_); }
-  void Unpin() const { LifetimeTracker::Global().OnUnpin(generation_); }
-
   template <typename T>
   T* data_as() {
     return reinterpret_cast<T*>(data_);
@@ -170,18 +60,15 @@ class Buffer {
  private:
   void Release() {
     if (data_ != nullptr && resource_ != nullptr) {
-      LifetimeTracker::Global().OnFree(generation_);
       resource_->Deallocate(data_, size_);
     }
     data_ = nullptr;
     size_ = 0;
-    generation_ = 0;
   }
 
   MemoryResource* resource_ = nullptr;
   void* data_ = nullptr;
   size_t size_ = 0;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace sirius::mem

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "mem/buffer.h"
-
 namespace sirius::mem {
 
 SIRIUS_FAULT_DEFINE_SITE(kSiteSpillWrite, "mem.spill.write");
@@ -75,18 +73,13 @@ void TierManager::MarkLostLocked(Tier tier) {
   if (ts.lost) return;
   ts.lost = true;
   ++ts.losses;
-  // Void every resident extent: its bytes are gone with the tier. Balance
-  // the session's transfer pin before retiring so only extents some other
-  // holder still pins (staged data borrowed by a kernel) get flagged.
-  auto& tracker = LifetimeTracker::Global();
+  // Void every resident extent: its bytes are gone with the tier.
   for (auto it = extents_.begin(); it != extents_.end();) {
     if (it->second.tier != tier) {
       ++it;
       continue;
     }
     ReleaseBytesLocked(tier, it->second.bytes);
-    tracker.OnUnpin(it->first);
-    tracker.OnFree(it->first);
     it = extents_.erase(it);
   }
 }
@@ -127,7 +120,7 @@ void TierManager::PublishGauges(obs::MetricsRegistry* metrics) const {
                     static_cast<double>(PinnedHostInUse()));
 }
 
-Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t generation,
+Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t resource,
                                       int* write_retries_out) {
   std::lock_guard<std::mutex> lock(mu_);
   *write_retries_out = 0;
@@ -180,7 +173,7 @@ Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t generation,
     ++ts.spill_writes;
     ts.spilled_bytes += bytes;
     if (t == Tier::kHost) PinnedHostAlloc(bytes);
-    extents_[generation] = Extent{t, bytes};
+    extents_[resource] = Extent{t, bytes};
     return t;
   }
   if (saw_loss) {
@@ -201,13 +194,13 @@ Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t generation,
       StatusCause::kSpillRefused);
 }
 
-Result<int> TierManager::CompleteReadBack(uint64_t generation) {
+Result<int> TierManager::CompleteReadBack(uint64_t resource) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = extents_.find(generation);
+  auto it = extents_.find(resource);
   if (it == extents_.end()) {
     return Status::Unavailable(
-        "spill tier lost mid-spill: staged extent (generation " +
-            std::to_string(generation) + ") was voided when its tier failed",
+        "spill tier lost mid-spill: staged extent (resource " +
+            std::to_string(resource) + ") was voided when its tier failed",
         StatusCause::kSpillTierLost);
   }
   const Tier t = it->second.tier;
@@ -223,9 +216,6 @@ Result<int> TierManager::CompleteReadBack(uint64_t generation) {
   const uint64_t bytes = it->second.bytes;
   ReleaseBytesLocked(t, bytes);
   extents_.erase(it);
-  auto& tracker = LifetimeTracker::Global();
-  tracker.OnUnpin(generation);
-  tracker.OnFree(generation);
   if (!st.ok()) {
     return Status(st.code(), "spill read-back of " + std::to_string(bytes) +
                                  " bytes from " + TierName(t) +
@@ -235,15 +225,12 @@ Result<int> TierManager::CompleteReadBack(uint64_t generation) {
   return retries;
 }
 
-void TierManager::AbandonExtent(uint64_t generation) {
+void TierManager::AbandonExtent(uint64_t resource) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = extents_.find(generation);
+  auto it = extents_.find(resource);
   if (it == extents_.end()) return;
   ReleaseBytesLocked(it->second.tier, it->second.bytes);
   extents_.erase(it);
-  auto& tracker = LifetimeTracker::Global();
-  tracker.OnUnpin(generation);
-  tracker.OnFree(generation);
 }
 
 void TierManager::ReleaseBytesLocked(Tier t, uint64_t bytes) {
@@ -259,8 +246,8 @@ SpillSession::~SpillSession() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, lane] : lanes_) {
     for (const LaneExtent& e : lane.extents) {
-      tiers_->AbandonExtent(e.generation);
-      if (lane.hazards != nullptr) lane.hazards->ReleaseResource(e.generation);
+      tiers_->AbandonExtent(e.resource);
+      if (lane.hazards != nullptr) lane.hazards->ReleaseResource(e.resource);
     }
   }
 }
@@ -270,23 +257,17 @@ Result<SpillSession::Ticket> SpillSession::RoundTrip(
     sim::HazardTracker* hazards, sim::StreamId compute_stream) {
   std::lock_guard<std::mutex> lock(mu_);
   Lane& L = lanes_[lane];
-  auto& tracker = LifetimeTracker::Global();
-  const uint64_t gen = tracker.OnAlloc(
-      bytes, "spill extent (lane " + std::to_string(lane) + ")");
+  const uint64_t id = sim::NewResourceId();
 
   int write_retries = 0;
-  Result<Tier> placed = tiers_->PlaceExtent(bytes, gen, &write_retries);
-  if (!placed.ok()) {
-    tracker.OnFree(gen);  // the minted generation never held memory
-    return placed.status();
-  }
+  Result<Tier> placed = tiers_->PlaceExtent(bytes, id, &write_retries);
+  if (!placed.ok()) return placed.status();
   const Tier tier = placed.ValueOrDie();
-  tracker.OnPin(gen);  // in flight on the lane until Join
 
   if (quota != nullptr) {
     Status q = quota->Grow(bytes);
     if (!q.ok()) {
-      tiers_->AbandonExtent(gen);
+      tiers_->AbandonExtent(id);
       // Retry-after: the time for in-flight lanes to drain and this extent
       // to round-trip — when the tenant retries after that, its finished
       // queries have released their quota.
@@ -310,7 +291,7 @@ Result<SpillSession::Ticket> SpillSession::RoundTrip(
   Ticket tk;
   tk.tier = tier;
   tk.bytes = bytes;
-  tk.generation = gen;
+  tk.resource = id;
   tk.stall_s = wait;
   tk.write_start_s = now_s + wait;
   tk.write_end_s = tk.write_start_s + write_s;
@@ -326,13 +307,13 @@ Result<SpillSession::Ticket> SpillSession::RoundTrip(
     // compute -> writeback -> prefetch -> compute, all visible as edges.
     sim::EventId produced = hazards->RecordEvent(compute_stream);
     hazards->StreamWaitEvent(L.spill_stream, produced);
-    hazards->OnWrite(L.spill_stream, gen, "spill writeback");
-    hazards->OnRead(L.spill_stream, gen, "spill prefetch");
+    hazards->OnWrite(L.spill_stream, id, "spill writeback");
+    hazards->OnRead(L.spill_stream, id, "spill prefetch");
     sim::EventId restored = hazards->RecordEvent(L.spill_stream);
     hazards->StreamWaitEvent(compute_stream, restored);
   }
 
-  L.extents.push_back(LaneExtent{gen, bytes, tier});
+  L.extents.push_back(LaneExtent{id, bytes, tier});
   return tk;
 }
 
@@ -344,13 +325,13 @@ Result<double> SpillSession::Join(int lane, double now_s) {
   double extra_s = 0.0;
   Status bad = Status::OK();
   for (const LaneExtent& e : L.extents) {
-    Result<int> r = tiers_->CompleteReadBack(e.generation);
+    Result<int> r = tiers_->CompleteReadBack(e.resource);
     if (r.ok()) {
       extra_s += r.ValueOrDie() * tiers_->ReadSeconds(e.tier, e.bytes);
     } else if (bad.cause() != StatusCause::kSpillTierLost) {
       bad = r.status();  // a voided extent outranks a failed read-back
     }
-    if (L.hazards != nullptr) L.hazards->ReleaseResource(e.generation);
+    if (L.hazards != nullptr) L.hazards->ReleaseResource(e.resource);
   }
   L.extents.clear();
   const double busy = std::max(L.busy_until[0], L.busy_until[1]);

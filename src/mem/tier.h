@@ -23,8 +23,7 @@
 //   mem.spill.read   prefetch fails; retried in place (the data has a single
 //                    home, there is nowhere to fall back to).
 //   mem.tier.lost    the tier dies mid-spill; resident extents are voided
-//                    (the lifetime tracker flags any that a kernel still
-//                    pins) and the query's Join reports Unavailable with
+//                    and the query's Join reports Unavailable with
 //                    cause kSpillTierLost so the engine can revive + retry,
 //                    or the serving layer can re-admit the query on the
 //                    survivors. A read or write fault that outlasts its
@@ -103,10 +102,8 @@ class TierManager {
   double WriteSeconds(Tier t, uint64_t bytes) const;
   double ReadSeconds(Tier t, uint64_t bytes) const;
 
-  /// Marks `tier` failed and voids every extent resident on it. A voided
-  /// extent's lifetime generation is retired; the transfer pin the session
-  /// holds is balanced first, so only extents some *other* holder still pins
-  /// (a kernel borrowing staged data) are flagged free-while-pinned.
+  /// Marks `tier` failed and voids every extent resident on it: its bytes
+  /// are released and its read-back reports the loss.
   void MarkLost(Tier tier);
   bool lost(Tier t) const;
   /// Clears lost flags (the transient tier came back / was remounted); the
@@ -134,14 +131,14 @@ class TierManager {
   /// session charges an extra write per retry). Unavailable with
   /// kSpillTierLost when no surviving tier could take the extent;
   /// ResourceExhausted with kSpillRefused when every configured tier is full.
-  Result<Tier> PlaceExtent(uint64_t bytes, uint64_t generation,
+  Result<Tier> PlaceExtent(uint64_t bytes, uint64_t resource,
                            int* write_retries_out);
-  /// Completes the prefetch of `generation` and releases its tier bytes.
+  /// Completes the prefetch of `resource` and releases its tier bytes.
   /// Returns the transient read retries absorbed. Unavailable with
   /// kSpillTierLost when the extent was voided by a tier loss.
-  Result<int> CompleteReadBack(uint64_t generation);
+  Result<int> CompleteReadBack(uint64_t resource);
   /// Releases an extent without a read-back (quota refusal, session abort).
-  void AbandonExtent(uint64_t generation);
+  void AbandonExtent(uint64_t resource);
 
   void MarkLostLocked(Tier tier);
   void ReleaseBytesLocked(Tier t, uint64_t bytes);
@@ -150,7 +147,9 @@ class TierManager {
   fault::FaultInjector* const injector_;
   mutable std::mutex mu_;
   TierStats tiers_[kTierCount];
-  std::map<uint64_t, Extent> extents_;  ///< lifetime generation -> extent
+  /// Resident extents by resource id. An extent leaves it exactly once:
+  /// read back, abandoned or voided, each under mu_.
+  std::map<uint64_t, Extent> extents_;
 };
 
 /// \brief One query's spill state: per-pipeline DMA lanes over a shared
@@ -165,7 +164,7 @@ class SpillSession {
   struct Ticket {
     Tier tier = Tier::kHost;
     uint64_t bytes = 0;
-    uint64_t generation = 0;   ///< lifetime generation of the staged extent
+    uint64_t resource = 0;     ///< hazard-tracker id of the staged extent
     double stall_s = 0;        ///< backpressure to charge to compute now
     double write_start_s = 0;  ///< lane-clock transfer window (trace spans)
     double write_end_s = 0;
@@ -198,7 +197,7 @@ class SpillSession {
 
  private:
   struct LaneExtent {
-    uint64_t generation = 0;
+    uint64_t resource = 0;
     uint64_t bytes = 0;
     Tier tier = Tier::kHost;
   };

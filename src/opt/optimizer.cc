@@ -20,17 +20,18 @@ namespace {
 // Expression index utilities
 // ---------------------------------------------------------------------------
 
-void RemapColumns(Expr* e, const std::function<int(int)>& fn) {
-  if (e->kind == ExprKind::kColumnRef) {
-    e->column_index = fn(e->column_index);
-    SIRIUS_CHECK(e->column_index >= 0);
-  }
-  for (const auto& c : e->children) RemapColumns(c.get(), fn);
+/// expr::RemapColumns, checking that every index `fn` produces is valid.
+void RemapChecked(Expr* e, const std::function<int(int)>& fn) {
+  expr::RemapColumns(e, [&fn](int i) {
+    const int mapped = fn(i);
+    SIRIUS_CHECK(mapped >= 0);
+    return mapped;
+  });
 }
 
 ExprPtr CloneShifted(const Expr& e, int delta) {
   ExprPtr out = e.Clone();
-  RemapColumns(out.get(), [delta](int i) { return i + delta; });
+  RemapChecked(out.get(), [delta](int i) { return i + delta; });
   return out;
 }
 
@@ -203,7 +204,7 @@ class RegionPlanner {
         int rid = touched.empty() ? 0 : *touched.begin();
         ExprPtr local = c->Clone();
         int off = static_cast<int>(rels[rid].offset);
-        RemapColumns(local.get(), [off](int i) { return i - off; });
+        RemapChecked(local.get(), [off](int i) { return i - off; });
         rels[rid].filters.push_back(std::move(local));
         continue;
       }
@@ -247,7 +248,7 @@ class RegionPlanner {
 
     auto remap_post = [&](const ExprPtr& pred) {
       ExprPtr out = pred->Clone();
-      RemapColumns(out.get(), [&](int g) {
+      RemapChecked(out.get(), [&](int g) {
         int rid = RelOfColumn(rels, g);
         return position[rid] + (g - static_cast<int>(rels[rid].offset));
       });

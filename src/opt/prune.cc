@@ -18,14 +18,15 @@ using plan::PlanPtr;
 
 namespace {
 
-void RemapColumns(Expr* e, const std::vector<int>& old_to_new) {
-  if (e->kind == expr::ExprKind::kColumnRef) {
-    SIRIUS_CHECK(e->column_index >= 0 &&
-                 static_cast<size_t>(e->column_index) < old_to_new.size());
-    e->column_index = old_to_new[e->column_index];
-    SIRIUS_CHECK(e->column_index >= 0);
-  }
-  for (const auto& c : e->children) RemapColumns(c.get(), old_to_new);
+/// The expr::RemapColumns mapping through `old_to_new`; every referenced
+/// column must survive pruning.
+std::function<int(int)> Through(const std::vector<int>& old_to_new) {
+  return [&old_to_new](int i) {
+    SIRIUS_CHECK(i >= 0 && static_cast<size_t>(i) < old_to_new.size());
+    const int mapped = old_to_new[i];
+    SIRIUS_CHECK(mapped >= 0);
+    return mapped;
+  };
 }
 
 void CollectExprColumns(const ExprPtr& e, std::set<int>* out) {
@@ -76,7 +77,7 @@ Result<PlanPtr> Prune(const PlanPtr& node, const std::set<int>& needed,
       SIRIUS_ASSIGN_OR_RETURN(PlanPtr child,
                               Prune(node->children[0], child_needed, &child_map));
       ExprPtr pred = node->predicate->Clone();
-      RemapColumns(pred.get(), child_map);
+      expr::RemapColumns(pred.get(), Through(child_map));
       *old_to_new = child_map;  // filter passes its child's schema through
       return plan::MakeFilter(child, std::move(pred));
     }
@@ -104,7 +105,7 @@ Result<PlanPtr> Prune(const PlanPtr& node, const std::set<int>& needed,
       std::vector<std::string> names;
       for (int i : kept) {
         ExprPtr e = node->projections[i]->Clone();
-        RemapColumns(e.get(), child_map);
+        expr::RemapColumns(e.get(), Through(child_map));
         exprs.push_back(std::move(e));
         names.push_back(node->projection_names[i]);
       }
@@ -161,7 +162,7 @@ Result<PlanPtr> Prune(const PlanPtr& node, const std::set<int>& needed,
               rmap[i] < 0 ? -1 : rmap[i] + static_cast<int>(new_lw);
         }
         residual = node->residual->Clone();
-        RemapColumns(residual.get(), combined);
+        expr::RemapColumns(residual.get(), Through(combined));
       }
       PlanPtr join;
       if (node->join_type == plan::JoinType::kAsof) {

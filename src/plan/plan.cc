@@ -84,8 +84,6 @@ const char* ExchangeKindName(ExchangeKind k) {
   return "?";
 }
 
-namespace {
-
 format::DataType AggResultType(AggFunc f, const DataType& in) {
   switch (f) {
     case AggFunc::kSum:
@@ -101,6 +99,8 @@ format::DataType AggResultType(AggFunc f, const DataType& in) {
       return format::Int64();
   }
 }
+
+namespace {
 
 void RenderTree(const PlanNode& node, int depth, std::ostringstream* out) {
   *out << std::string(static_cast<size_t>(depth) * 2, ' ') << PlanKindName(node.kind);

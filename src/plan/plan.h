@@ -49,6 +49,11 @@ const char* JoinTypeName(JoinType t);
 const char* AggFuncName(AggFunc f);
 const char* ExchangeKindName(ExchangeKind k);
 
+/// Output type of aggregate `f` over an argument of type `in`: SUM keeps
+/// FLOAT64 and DECIMAL and widens the rest to INT64, MIN/MAX keep `in`, AVG
+/// is FLOAT64, and the counts are INT64.
+format::DataType AggResultType(AggFunc f, const format::DataType& in);
+
 /// \brief One aggregate computed by an Aggregate node.
 struct AggItem {
   AggFunc func = AggFunc::kCountStar;

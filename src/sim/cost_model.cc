@@ -80,11 +80,10 @@ EngineProfile ClickHouseProfile() {
   e.agg_eff = 2.0;
   e.groupby_eff = 2.0;
   // ...but "not optimized for join-heavy workloads" (§4.2): right-side
-  // builds without reordering, full materialization, no semi-join rewrites,
-  // and distributed joins that replicate the whole right table.
+  // builds without reordering, full materialization, and distributed joins
+  // that replicate the whole right table.
   e.join_eff = 0.22;
   e.reorder_joins = false;
-  e.semi_join_rewrites = false;
   e.distributed_broadcast_joins = true;
   e.fixed_query_overhead_s = 0.008;
   return e;

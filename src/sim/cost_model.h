@@ -84,8 +84,6 @@ struct EngineProfile {
   /// Cost-based join reordering (off reproduces ClickHouse's syntactic-order
   /// behaviour the paper calls out in §4.2).
   bool reorder_joins = true;
-  /// IN/EXISTS -> semi/anti join rewrites available.
-  bool semi_join_rewrites = true;
   /// Distributed joins replicate the entire right input to every node
   /// instead of shuffling (ClickHouse's distributed-join behaviour, which
   /// the paper's Table 2 Q3 exposes).

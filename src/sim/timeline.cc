@@ -77,9 +77,14 @@ const char* HazardViolationKindName(HazardTracker::ViolationKind kind) {
 
 namespace {
 std::atomic<uint64_t> g_next_tracker_id{1};
+std::atomic<uint64_t> g_next_resource_id{1};
 }  // namespace
 
 HazardTracker::HazardTracker() : id_(g_next_tracker_id.fetch_add(1)) {}
+
+uint64_t NewResourceId() {
+  return g_next_resource_id.fetch_add(1, std::memory_order_relaxed);
+}
 
 void HazardTracker::set_enabled(bool enabled) {
   std::unique_lock<std::mutex> lock(mu_);

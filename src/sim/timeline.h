@@ -81,7 +81,8 @@ using EventId = int32_t;
 /// Semantics follow CUDA streams: work on one stream is ordered; cross-stream
 /// ordering exists only through RecordEvent / StreamWaitEvent edges.
 ///
-/// Thread-safe. Disabled trackers cost one branch per call.
+/// Thread-safe. A disabled tracker records nothing, but each call still
+/// takes its mutex; the engine builds no tracker when race checking is off.
 class HazardTracker {
  public:
   /// What went wrong, in machine-checkable form (tests assert on this).
@@ -188,5 +189,11 @@ class HazardTracker {
 };
 
 const char* HazardViolationKindName(HazardTracker::ViolationKind kind);
+
+/// Mints a nonzero HazardTracker resource id for state that outlives one
+/// query: a buffer-manager cache entry or a spill extent. Both draw from
+/// this one lock-free, process-wide counter, so no two of them ever share
+/// an id within a run. Thread-safe; an id is never handed out twice.
+uint64_t NewResourceId();
 
 }  // namespace sirius::sim

@@ -97,22 +97,6 @@ struct AggCollector {
   }
 };
 
-DataType AggResultTypeOf(AggFunc f, const DataType& in) {
-  switch (f) {
-    case AggFunc::kSum:
-      if (in.id == TypeId::kFloat64) return format::Float64();
-      if (in.is_decimal()) return in;
-      return format::Int64();
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      return in;
-    case AggFunc::kAvg:
-      return format::Float64();
-    default:
-      return format::Int64();
-  }
-}
-
 bool IsAggName(const std::string& n) {
   return n == "sum" || n == "avg" || n == "min" || n == "max" || n == "count";
 }
@@ -1200,7 +1184,7 @@ Result<ExprPtr> Binder::Convert(const AstExprPtr& ast, ConvCtx& ctx) {
         rendered += arg->ToString();
       }
       rendered += ")";
-      DataType out = AggResultTypeOf(func, arg_type);
+      DataType out = plan::AggResultType(func, arg_type);
       int pos = ctx.agg->AddAgg(func, std::move(arg), rendered, out);
       return ColIdx(static_cast<int>(ctx.agg->group_exprs.size()) + pos, out);
     }

@@ -12,27 +12,30 @@ namespace {
 
 using format::Column;
 
+/// Registers `sales` (5 rows) and `items` (2 rows) in `db`.
+void AddSalesAndItems(Database* db) {
+  auto sales =
+      format::Table::Make(
+          format::Schema({{"region", format::String()},
+                          {"item", format::Int64()},
+                          {"amount", format::Decimal(2)}}),
+          {Column::FromStrings({"east", "west", "east", "west", "east"}),
+           Column::FromInt64({1, 1, 2, 2, 1}),
+           Column::FromDecimal({1000, 2000, 1500, 500, 3000}, 2)})
+          .ValueOrDie();
+  auto items = format::Table::Make(
+                   format::Schema({{"item_id", format::Int64()},
+                                   {"label", format::String()}}),
+                   {Column::FromInt64({1, 2}),
+                    Column::FromStrings({"widget", "gadget"})})
+                   .ValueOrDie();
+  SIRIUS_CHECK_OK(db->CreateTable("sales", sales));
+  SIRIUS_CHECK_OK(db->CreateTable("items", items));
+}
+
 class DataFrameTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    auto sales =
-        format::Table::Make(
-            format::Schema({{"region", format::String()},
-                            {"item", format::Int64()},
-                            {"amount", format::Decimal(2)}}),
-            {Column::FromStrings({"east", "west", "east", "west", "east"}),
-             Column::FromInt64({1, 1, 2, 2, 1}),
-             Column::FromDecimal({1000, 2000, 1500, 500, 3000}, 2)})
-            .ValueOrDie();
-    auto items = format::Table::Make(
-                     format::Schema({{"item_id", format::Int64()},
-                                     {"label", format::String()}}),
-                     {Column::FromInt64({1, 2}),
-                      Column::FromStrings({"widget", "gadget"})})
-                     .ValueOrDie();
-    SIRIUS_CHECK_OK(db_.CreateTable("sales", sales));
-    SIRIUS_CHECK_OK(db_.CreateTable("items", items));
-  }
+  void SetUp() override { AddSalesAndItems(&db_); }
 
   host::Database db_;
 };
@@ -141,6 +144,26 @@ TEST_F(DataFrameTest, ExplainAndSubstrait) {
   EXPECT_NE(explained.find("TableScan sales"), std::string::npos);
   auto wire = df.ToSubstrait().ValueOrDie();
   EXPECT_NE(wire.find("sirius-substrait-1"), std::string::npos);
+}
+
+TEST(DataFrameProfileTest, ExplainAndSubstraitShowThePlanCollectRuns) {
+  // ClickHouse keeps the syntactic join order (reorder_joins = false), so
+  // this join builds on its larger right input; the cost-based order would
+  // build on the smaller left one.
+  Database::Options options;
+  options.engine = sim::ClickHouseProfile();
+  Database db(options);
+  AddSalesAndItems(&db);
+  auto items = DataFrame::Scan(&db, "items").ValueOrDie();
+  auto sales = DataFrame::Scan(&db, "sales").ValueOrDie();
+  auto joined = items.Join(sales, {"item_id"}, {"item"}).ValueOrDie();
+
+  auto collected = joined.Collect().ValueOrDie();
+  EXPECT_EQ(collected.table->num_rows(), 5u);
+  EXPECT_EQ(joined.Explain().ValueOrDie(),
+            collected.optimized_plan->ToString());
+  EXPECT_EQ(joined.ToSubstrait().ValueOrDie(),
+            plan::SerializePlan(collected.optimized_plan));
 }
 
 TEST_F(DataFrameTest, AsofJoinVerb) {

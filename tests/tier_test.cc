@@ -1,8 +1,8 @@
 // Tests for the tiered spill subsystem (HBM -> pinned host -> simulated
 // NVMe): placement and fallback order, per-tenant quota governance with
 // retry-after shedding, asynchronous writeback/prefetch overlap on per-lane
-// horizons, hazard-tracker ordering edges, lifetime diagnostics when a tier
-// dies under a pinned extent, the typed failure causes the engine and the
+// horizons, hazard-tracker ordering edges, extents voided when a tier
+// dies mid-spill, the typed failure causes the engine and the
 // server dispatch on (only a lost tier is kSpillTierLost), the results of
 // out-of-core batched scans against the host executor, and the serve-layer
 // integration (quota and full-tier shed, tier-loss re-admission).
@@ -16,7 +16,6 @@
 #include "cell_compare.h"
 #include "engine/sirius.h"
 #include "fault/fault_injector.h"
-#include "mem/buffer.h"
 #include "mem/reservation.h"
 #include "mem/tier.h"
 #include "serve/serve.h"
@@ -211,13 +210,13 @@ TEST(TierManagerTest, WritebackPrefetchOrderingIsVisibleToHazardTracker) {
 
   // The round trip recorded edges compute -> spill stream -> compute, so a
   // compute-stream read of the staged extent is ordered after the prefetch.
-  hazards.OnRead(compute, rt.generation, "consume staged extent");
+  hazards.OnRead(compute, rt.resource, "consume staged extent");
   EXPECT_EQ(hazards.violation_count(), 0u);
 
   // A stream with no edge to the spill stream races the writeback: the
   // tracker must flag it deterministically.
   const sim::StreamId rogue = hazards.CreateStream("rogue");
-  hazards.OnRead(rogue, rt.generation, "unordered read of staged extent");
+  hazards.OnRead(rogue, rt.resource, "unordered read of staged extent");
   ASSERT_EQ(hazards.violation_count(), 1u);
   EXPECT_EQ(hazards.violations()[0].kind,
             sim::HazardTracker::ViolationKind::kWriteReadRace);
@@ -304,47 +303,27 @@ TEST(TierManagerTest, PersistentReadFaultExhaustsItsBudgetCleanly) {
   EXPECT_EQ(tiers.stats(Tier::kHost).used_bytes, 0u);
 }
 
-TEST(TierManagerTest, TierLossVoidsExtentsAndFlagsKernelHeldOnes) {
-  auto& tracker = mem::LifetimeTracker::Global();
-  const bool was_enabled = tracker.enabled();
-  tracker.Reset();
-  tracker.set_enabled(true);
-  tracker.set_abort_on_violation(false);
+TEST(TierManagerTest, TierLossVoidsExtents) {
+  TierManager tiers(SmallTiers(8 * kMiB, 0), sim::NvlinkC2c());
+  SpillSession session(&tiers);
+  ASSERT_TRUE(session.RoundTrip(0, kMiB, 0.0).ok());
+  ASSERT_TRUE(session.RoundTrip(0, kMiB, 0.0).ok());
 
-  {
-    TierManager tiers(SmallTiers(8 * kMiB, 0), sim::NvlinkC2c());
-    SpillSession session(&tiers);
-    auto a = session.RoundTrip(0, kMiB, 0.0).ValueOrDie();
-    ASSERT_TRUE(session.RoundTrip(0, kMiB, 0.0).ok());
+  tiers.MarkLost(Tier::kHost);
+  EXPECT_TRUE(tiers.lost(Tier::kHost));
+  EXPECT_EQ(tiers.stats(Tier::kHost).losses, 1u);
+  EXPECT_EQ(tiers.stats(Tier::kHost).used_bytes, 0u);  // voided
 
-    // A kernel still borrows extent `a` when the tier dies mid-spill.
-    tracker.OnPin(a.generation);
-    tiers.MarkLost(Tier::kHost);
-    EXPECT_TRUE(tiers.lost(Tier::kHost));
-    EXPECT_EQ(tiers.stats(Tier::kHost).losses, 1u);
-    EXPECT_EQ(tiers.stats(Tier::kHost).used_bytes, 0u);  // voided
+  // The lane's Join reports the loss so the engine can revive and retry.
+  auto join = session.Join(0, 1.0);
+  ASSERT_FALSE(join.ok());
+  EXPECT_TRUE(join.status().IsUnavailable());
+  EXPECT_NE(join.status().message().find("spill tier lost"),
+            std::string::npos);
+  EXPECT_EQ(join.status().cause(), StatusCause::kSpillTierLost);
 
-    // Only the kernel-held extent is a free-while-pinned violation; the
-    // session's own transfer pins were balanced before the void.
-    ASSERT_EQ(tracker.violation_count(), 1u);
-    EXPECT_EQ(tracker.violations()[0].kind,
-              mem::LifetimeTracker::ViolationKind::kFreeWhilePinned);
-
-    // The lane's Join reports the loss so the engine can revive and retry.
-    auto join = session.Join(0, 1.0);
-    ASSERT_FALSE(join.ok());
-    EXPECT_TRUE(join.status().IsUnavailable());
-    EXPECT_NE(join.status().message().find("spill tier lost"),
-              std::string::npos);
-    EXPECT_EQ(join.status().cause(), StatusCause::kSpillTierLost);
-
-    tiers.ReviveLostTiers();
-    EXPECT_FALSE(tiers.lost(Tier::kHost));
-  }
-
-  tracker.Reset();
-  tracker.set_enabled(was_enabled);
-  tracker.set_abort_on_violation(true);
+  tiers.ReviveLostTiers();
+  EXPECT_FALSE(tiers.lost(Tier::kHost));
 }
 
 TEST(TierManagerTest, JoinReportsTierLossOverALaterReadFault) {
