@@ -82,35 +82,24 @@ ServeCluster::ServeCluster(host::Database* db,
   nodes_.reserve(static_cast<size_t>(options_.num_nodes));
   for (int n = 0; n < options_.num_nodes; ++n) {
     serve::ServeOptions node_opts = options_.node;
-    switch (options_.cache_mode) {
-      case CacheMode::kNone:
-        node_opts.result_cache = false;
-        break;
-      case CacheMode::kCoordinatorOnly:
-        node_opts.result_cache = (n == 0);
-        break;
-      case CacheMode::kReplicated:
-        node_opts.result_cache = true;
-        break;
-    }
-    if (options_.cache_mode != CacheMode::kNone) {
-      // Record every cacheable completion for replication. Runs under the
-      // node's DES lock: append only, flushed later with no locks held.
-      // In coordinator mode node 0's fills stay local (it owns the region);
-      // remote fills unicast to it.
-      node_opts.on_result_fill = [this, n](const serve::ResultFillEvent& e) {
-        if (options_.cache_mode == CacheMode::kCoordinatorOnly && n == 0) {
-          return;
-        }
-        PendingMsg m;
-        m.origin = n;
-        m.normalized_sql = e.normalized_sql;
-        m.version = e.catalog_version;
-        m.result = e.result;
-        m.ready_s = e.completed_at_s;
-        pending_.push_back(std::move(m));
-      };
-    }
+    node_opts.result_cache =
+        options_.cache_mode == CacheMode::kReplicated || n == 0;
+    // Record every cacheable completion for replication. Runs under the
+    // node's DES lock: append only, flushed later with no locks held.
+    // In coordinator mode node 0's fills stay local (it owns the region);
+    // remote fills unicast to it.
+    node_opts.on_result_fill = [this, n](const serve::ResultFillEvent& e) {
+      if (options_.cache_mode == CacheMode::kCoordinatorOnly && n == 0) {
+        return;
+      }
+      PendingMsg m;
+      m.origin = n;
+      m.normalized_sql = e.normalized_sql;
+      m.version = e.catalog_version;
+      m.result = e.result;
+      m.ready_s = e.completed_at_s;
+      pending_.push_back(std::move(m));
+    };
     nodes_.push_back(std::make_unique<serve::QueryServer>(
         db_, engines[static_cast<size_t>(n)], node_opts));
     node_tracks_.push_back(trace_.RegisterTrack("node-" + std::to_string(n)));
@@ -155,7 +144,6 @@ void ServeCluster::MaybeEnqueueInvalidation() {
   const uint64_t v = db_->catalog().version();
   if (v == last_catalog_version_) return;
   last_catalog_version_ = v;
-  if (options_.cache_mode == CacheMode::kNone) return;
   // A catalog write invalidates by stamp everywhere; the eager multicast
   // only drops stale entries from replica occupancy sooner. It is issued by
   // the control plane (origin -1), never tied to a node's life.

@@ -69,7 +69,6 @@ namespace sirius::cluster {
 
 /// How the cluster treats the result-cache region.
 enum class CacheMode {
-  kNone,             ///< no result caching anywhere
   kCoordinatorOnly,  ///< node 0 owns the only cache; remote hits pay the wire
   kReplicated,       ///< hit-anywhere: fills multicast to every replica
 };

@@ -135,7 +135,6 @@ class [[nodiscard]] Status {
   double retry_after_s() const { return ok() ? 0 : state_->retry_after_s; }
 
   bool IsInvalid() const { return code() == StatusCode::kInvalidArgument; }
-  bool IsNotImplemented() const { return code() == StatusCode::kNotImplemented; }
   bool IsOutOfMemory() const { return code() == StatusCode::kOutOfMemory; }
   bool IsUnsupportedOnDevice() const {
     return code() == StatusCode::kUnsupportedOnDevice;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engine/device_support.h"
 #include "gdf/copying.h"
 #include "gdf/partition.h"
 #include "host/cpu_executor.h"
@@ -543,7 +544,7 @@ Result<DistQueryResult> DorisCluster::Query(const std::string& sql) {
 
   // Coordinator: parse + optimize on global metadata (§3.3).
   SIRIUS_ASSIGN_OR_RETURN(PlanPtr plan, coordinator_.PlanSql(sql));
-  SIRIUS_RETURN_NOT_OK(options_.capabilities.Check(*plan));
+  SIRIUS_RETURN_NOT_OK(engine::CheckDeviceSupport(*plan));
 
   FragmenterOptions frag;
   frag.broadcast_threshold_bytes = options_.engine.distributed_broadcast_joins

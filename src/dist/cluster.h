@@ -19,7 +19,6 @@
 #include "dist/fragmenter.h"
 #include "dist/membership.h"
 #include "engine/buffer_manager.h"
-#include "engine/capabilities.h"
 #include "fault/fault_injector.h"
 #include "host/database.h"
 #include "net/sccl.h"
@@ -133,9 +132,6 @@ class DorisCluster {
     uint64_t broadcast_threshold_bytes = 16ull << 20;
     /// Fixed coordinator-side time per query ("Other" in Table 2).
     double coordinator_overhead_s = 0.045;
-    /// SQL feature coverage of the per-node engine; the paper's distributed
-    /// Sirius supports a subset of the single-node engine (§3.4).
-    engine::Capabilities capabilities;
     /// Fault injector consulted by the exchange layer and the per-fragment
     /// execution sites; nullptr uses the (disarmed) global injector.
     fault::FaultInjector* injector = nullptr;

@@ -236,33 +236,13 @@ Status BufferManager::ReserveProcessing(uint64_t modeled_bytes) const {
   return Status::OK();
 }
 
-Result<std::vector<gdf::index_t>> BufferManager::ToGdfIndices(
-    const std::vector<uint64_t>& rows, const sim::SimContext& sim) {
-  std::vector<gdf::index_t> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i] > static_cast<uint64_t>(INT32_MAX)) {
-      return Status::Invalid("row index " + std::to_string(rows[i]) +
-                             " exceeds the GDF int32 index range");
-    }
-    out[i] = static_cast<gdf::index_t>(rows[i]);
-  }
-  // The uint64->int32 narrowing is a real copy in Sirius (§3.2.3).
+void BufferManager::ChargeIndexBoundary(size_t rows,
+                                        const sim::SimContext& sim) {
   sim::KernelCost cost;
-  cost.seq_bytes = rows.size() * (sizeof(uint64_t) + sizeof(gdf::index_t));
-  cost.rows = rows.size();
-  sim.Charge(sim::OpCategory::kOther, cost);
-  return out;
-}
-
-std::vector<uint64_t> BufferManager::FromGdfIndices(
-    const std::vector<gdf::index_t>& rows, const sim::SimContext& sim) {
-  std::vector<uint64_t> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) out[i] = static_cast<uint64_t>(rows[i]);
-  sim::KernelCost cost;
-  cost.seq_bytes = rows.size() * (sizeof(uint64_t) + sizeof(gdf::index_t));
-  cost.rows = rows.size();
-  sim.Charge(sim::OpCategory::kOther, cost);
-  return out;
+  cost.seq_bytes = rows * (sizeof(uint64_t) + sizeof(gdf::index_t));
+  cost.rows = rows;
+  sim.Charge(sim::OpCategory::kOther, cost);  // int32 -> uint64
+  sim.Charge(sim::OpCategory::kOther, cost);  // uint64 -> int32
 }
 
 }  // namespace sirius::engine

@@ -103,14 +103,12 @@ class BufferManager {
                : &pool_;
   }
 
-  /// \brief uint64 engine row ids -> int32 GDF indices (libcudf uses int32;
-  /// Sirius uses uint64 — §3.2.3). Charges the conversion copy to `sim`.
-  static Result<std::vector<gdf::index_t>> ToGdfIndices(
-      const std::vector<uint64_t>& rows, const sim::SimContext& sim);
-
-  /// int32 GDF indices -> uint64 engine row ids.
-  static std::vector<uint64_t> FromGdfIndices(
-      const std::vector<gdf::index_t>& rows, const sim::SimContext& sim);
+  /// \brief Prices §3.2.3's row-index boundary for a selection of `rows`
+  /// indices: Sirius keeps uint64 row ids and libcudf takes int32, so each
+  /// selection is widened to uint64 and narrowed back. Charges both copies
+  /// to `sim` (kOther, 12 bytes a row and one launch each); the int32
+  /// indices themselves are used as they are.
+  static void ChargeIndexBoundary(size_t rows, const sim::SimContext& sim);
 
  private:
   struct CacheKey {

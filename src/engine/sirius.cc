@@ -6,6 +6,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "engine/device_support.h"
 #include "gdf/asof.h"
 #include "gdf/bloom.h"
 #include "gdf/compute.h"
@@ -162,7 +163,6 @@ class PipelineRunner {
       // proves every cross-pipeline access is ordered — deterministically,
       // whatever the host thread pool's actual interleaving was.
       tracker_ = std::make_unique<sim::HazardTracker>();
-      tracker_->set_enabled(true);
       tracker_->set_abort_on_violation(options_.race_check_abort);
       stream_ids_.resize(n);
       for (size_t i = 0; i < n; ++i) {
@@ -519,10 +519,7 @@ class PipelineRunner {
                                 gdf::MaskToIndices(ctx, mask));
         // Engine-side row ids are uint64; GDF gathers take int32
         // (§3.2.3's stated conversion boundary).
-        std::vector<uint64_t> engine_rows =
-            BufferManager::FromGdfIndices(sel, ctx.sim);
-        SIRIUS_ASSIGN_OR_RETURN(
-            sel, BufferManager::ToGdfIndices(engine_rows, ctx.sim));
+        BufferManager::ChargeIndexBoundary(sel.size(), ctx.sim);
         return gdf::RefineView(ctx, view, sel, sim::OpCategory::kFilter);
       }
       case StepKind::kProject: {
@@ -618,10 +615,7 @@ class PipelineRunner {
           pairs, gdf::ProbeJoinTable(ctx, **join_table, lkeys, joptions));
     }
     // uint64 <-> int32 index boundary on the join outputs (§3.2.3).
-    std::vector<uint64_t> engine_left =
-        BufferManager::FromGdfIndices(pairs.left_indices, ctx.sim);
-    SIRIUS_ASSIGN_OR_RETURN(pairs.left_indices,
-                            BufferManager::ToGdfIndices(engine_left, ctx.sim));
+    BufferManager::ChargeIndexBoundary(pairs.left_indices.size(), ctx.sim);
 
     return gdf::ApplyJoinToView(ctx, view, pairs, build, node.output_schema,
                                 host::JoinEmitsRight(node.join_type),
@@ -815,7 +809,7 @@ Result<host::QueryResult> SiriusEngine::ExecuteSubstrait(
 
 Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
                                                     const ExecLimits& limits) {
-  SIRIUS_RETURN_NOT_OK(options_.capabilities.Check(*plan));
+  SIRIUS_RETURN_NOT_OK(CheckDeviceSupport(*plan));
   std::vector<Pipeline> pipelines;
   SIRIUS_ASSIGN_OR_RETURN(int result_id,
                           PipelineCompiler::Compile(plan, &pipelines));

@@ -16,7 +16,6 @@
 #include "mem/tier.h"
 #include "common/thread_pool.h"
 #include "engine/buffer_manager.h"
-#include "engine/capabilities.h"
 #include "engine/pipeline.h"
 #include "fault/fault_injector.h"
 #include "gdf/vector_search.h"
@@ -76,7 +75,6 @@ class SiriusEngine : public host::Accelerator {
     mem::TierManager::Options tier;
     /// Worker threads pulling pipeline tasks from the global queue.
     int num_task_threads = 4;
-    Capabilities capabilities;
     /// §3.4 "predicate transfer" optimization [29, 30]: build a Bloom filter
     /// on each inner-join build side and pre-filter the probe input with it
     /// when the build side is selective.
@@ -131,13 +129,15 @@ class SiriusEngine : public host::Accelerator {
   SiriusEngine(host::Database* host_db, Options options);
   ~SiriusEngine() override;
 
-  /// The drop-in entry point: deserializes the Substrait plan, gates it on
-  /// capabilities, and executes it on the device.
+  /// The drop-in entry point: deserializes the Substrait plan and executes
+  /// it on the device (ExecutePlan).
   Result<host::QueryResult> ExecuteSubstrait(const std::string& plan_text) override;
 
   /// Executes an already-deserialized plan under per-query `limits`
   /// (deadline / cancel flag / memory reservation; the serving layer sets
-  /// them).
+  /// them). A plan CheckDeviceSupport declines returns its
+  /// UnsupportedOnDevice status before anything is charged, and the caller
+  /// runs it on the host instead.
   ///
   /// Re-entrant: any number of threads may execute plans against one engine
   /// concurrently. Pipeline tasks from every in-flight query share the

@@ -1,6 +1,6 @@
 // Scalar user-defined functions (paper §3.4 lists UDFs as planned Sirius
-// coverage; until device-side UDFs exist, plans containing them gracefully
-// fall back to the CPU host engine — see engine::Capabilities::udf).
+// coverage). No device-side UDF exists: engine::CheckDeviceSupport declines
+// every plan that calls one, and the host runs it on its CPU engine.
 
 #pragma once
 

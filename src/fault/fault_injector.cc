@@ -26,21 +26,11 @@ bool FaultInjector::IsArmed(const std::string& site) const {
   return it != sites_.end() && it->second.armed;
 }
 
-void FaultInjector::set_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = enabled;
-}
-
-bool FaultInjector::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
-}
-
 Status FaultInjector::Check(const std::string& site) {
   std::lock_guard<std::mutex> lock(mu_);
   Site& s = sites_[site];
   ++s.counters.hits;
-  if (!enabled_ || !s.armed) return Status::OK();
+  if (!s.armed) return Status::OK();
 
   const FaultSpec& spec = s.spec;
   if (s.counters.hits <= spec.skip_first) return Status::OK();

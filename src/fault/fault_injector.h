@@ -64,10 +64,6 @@ class FaultInjector {
   void Disarm(const std::string& site);
   bool IsArmed(const std::string& site) const;
 
-  /// Master switch; a disabled injector never fires (default: enabled).
-  void set_enabled(bool enabled);
-  bool enabled() const;
-
   /// The injection point: returns OK to proceed, or the scheduled failure.
   /// Counts a hit against `site` either way.
   Status Check(const std::string& site);
@@ -100,10 +96,9 @@ class FaultInjector {
   mutable std::mutex mu_;
   std::mt19937_64 rng_;
   std::map<std::string, Site> sites_;
-  bool enabled_ = true;
 };
 
-/// \brief RAII arm/disarm of one site (scoped enable/disable).
+/// \brief RAII arm/disarm of one site.
 class ScopedFault {
  public:
   /// `injector` == nullptr arms on the global injector.

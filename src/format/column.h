@@ -68,10 +68,6 @@ class Column {
   const T* data() const {
     return data_.data_as<T>();
   }
-  template <typename T>
-  T* mutable_data() {
-    return data_.data_as<T>();
-  }
 
   /// Bytes in the values buffer (the offsets, for strings and lists).
   size_t data_size() const { return data_.size(); }

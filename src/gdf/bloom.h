@@ -26,8 +26,6 @@ class BloomFilter {
   /// Membership test for row `i` of `key` (false -> definitely absent).
   bool MightContain(const format::Column& key, size_t i) const;
 
-  size_t size_bytes() const { return bits_.size(); }
-
  private:
   static constexpr int kProbes = 4;
   void Insert(uint64_t hash);

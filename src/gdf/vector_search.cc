@@ -5,18 +5,6 @@
 
 namespace sirius::gdf {
 
-const char* MetricName(Metric m) {
-  switch (m) {
-    case Metric::kL2:
-      return "l2";
-    case Metric::kDot:
-      return "dot";
-    case Metric::kCosine:
-      return "cosine";
-  }
-  return "?";
-}
-
 Result<TopKResult> VectorTopK(const Context& ctx,
                               const format::ColumnPtr& embeddings,
                               const std::vector<double>& query, size_t k,

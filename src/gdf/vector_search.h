@@ -15,8 +15,6 @@ enum class Metric : uint8_t {
   kCosine,  ///< cosine similarity
 };
 
-const char* MetricName(Metric m);
-
 /// \brief Top-k rows of a brute-force similarity scan.
 struct TopKResult {
   /// Row indices, best first.

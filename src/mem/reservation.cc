@@ -1,6 +1,5 @@
 #include "mem/reservation.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace sirius::mem {
@@ -18,7 +17,6 @@ Status ReservationPool::TryReserve(uint64_t bytes) {
         std::to_string(capacity_) + " reserved)");
   }
   reserved_ += bytes;
-  high_water_ = std::max(high_water_, reserved_);
   ++granted_;
   return Status::OK();
 }
@@ -37,11 +35,6 @@ uint64_t ReservationPool::reserved() const {
 uint64_t ReservationPool::available() const {
   std::lock_guard<std::mutex> lock(mu_);
   return capacity_ - reserved_;
-}
-
-uint64_t ReservationPool::high_water() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return high_water_;
 }
 
 uint64_t ReservationPool::total_granted() const {

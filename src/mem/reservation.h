@@ -34,8 +34,6 @@ class ReservationPool {
   uint64_t capacity() const { return capacity_; }
   uint64_t reserved() const;
   uint64_t available() const;
-  /// Highest concurrent reservation seen (sizing diagnostics).
-  uint64_t high_water() const;
   /// Reservations granted / refused since construction.
   uint64_t total_granted() const;
   uint64_t total_refused() const;
@@ -45,7 +43,6 @@ class ReservationPool {
   const std::string name_;
   mutable std::mutex mu_;
   uint64_t reserved_ = 0;
-  uint64_t high_water_ = 0;
   uint64_t granted_ = 0;
   uint64_t refused_ = 0;
 };

@@ -451,7 +451,8 @@ class QueryServer : public QueryService {
   QueryId next_query_id_ = 1;
   SessionId next_session_id_ = 1;
   double now_s_ = 0;
-  /// Decaying mean of charged solo durations (retry-after hints).
+  /// Mean of every completed execution's charged solo duration, over all
+  /// of them (backlog estimates and retry-after hints).
   double mean_exec_s_ = 0;
   uint64_t exec_samples_ = 0;
 

@@ -38,7 +38,6 @@ double EngineProfile::EffFor(OpCategory c) const {
     case OpCategory::kOrderBy:
       return sort_eff;
     case OpCategory::kExchange:
-      return exchange_eff;
     case OpCategory::kOther:
       return 1.0;
   }

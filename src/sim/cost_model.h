@@ -80,7 +80,6 @@ struct EngineProfile {
   double groupby_eff = 1.0;
   double agg_eff = 1.0;
   double sort_eff = 1.0;
-  double exchange_eff = 1.0;
   /// Cost-based join reordering (off reproduces ClickHouse's syntactic-order
   /// behaviour the paper calls out in §4.2).
   bool reorder_joins = true;
@@ -92,6 +91,8 @@ struct EngineProfile {
   /// seconds. Dominates "Other" in Table 2.
   double fixed_query_overhead_s = 0.0;
 
+  /// The multiplier for `c`; exchange and other work run at 1.0 in every
+  /// engine.
   double EffFor(OpCategory c) const;
 };
 

@@ -65,7 +65,6 @@ class DeviceGroup {
   /// Latest occupancy end across all alive devices.
   double Horizon() const;
 
-  const Link& fabric() const { return options_.fabric; }
   int streams_per_device() const { return devices_[0].num_streams(); }
 
  private:

@@ -37,13 +37,6 @@ void Timeline::Charge(OpCategory category, double seconds) {
   by_category_[category] += seconds;
 }
 
-void Timeline::AdvanceTo(double t_seconds) {
-  if (t_seconds > total_) {
-    by_category_[OpCategory::kExchange] += t_seconds - total_;
-    total_ = t_seconds;
-  }
-}
-
 double Timeline::seconds(OpCategory category) const {
   auto it = by_category_.find(category);
   return it == by_category_.end() ? 0.0 : it->second;
@@ -84,16 +77,6 @@ HazardTracker::HazardTracker() : id_(g_next_tracker_id.fetch_add(1)) {}
 
 uint64_t NewResourceId() {
   return g_next_resource_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-void HazardTracker::set_enabled(bool enabled) {
-  std::unique_lock<std::mutex> lock(mu_);
-  enabled_ = enabled;
-}
-
-bool HazardTracker::enabled() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return enabled_;
 }
 
 void HazardTracker::set_abort_on_violation(bool abort_on_violation) {
@@ -148,7 +131,6 @@ StreamId HazardTracker::CreateStream(const std::string& name) {
 
 EventId HazardTracker::RecordEvent(StreamId stream) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_) return -1;
   if (!CheckStream(lock, stream, "RecordEvent")) return -1;
   StreamState& st = streams_[static_cast<size_t>(stream)];
   // Recording is itself a step in the stream's local order, so later waiters
@@ -164,7 +146,6 @@ EventId HazardTracker::RecordEvent(StreamId stream) {
 
 void HazardTracker::StreamWaitEvent(StreamId stream, EventId event) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_) return;
   if (!CheckStream(lock, stream, "StreamWaitEvent")) return;
   if (event < 0 || static_cast<size_t>(event) >= events_.size()) {
     Violation v;
@@ -186,7 +167,6 @@ void HazardTracker::StreamWaitEvent(StreamId stream, EventId event) {
 void HazardTracker::OnAccess(StreamId stream, uint64_t resource, bool is_write,
                              const std::string& what) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!enabled_) return;
   if (!CheckStream(lock, stream, "OnAccess")) return;
   StreamState& st = streams_[static_cast<size_t>(stream)];
   if (st.clock.size() <= static_cast<size_t>(stream)) {
@@ -252,15 +232,6 @@ size_t HazardTracker::violation_count() const {
 std::vector<HazardTracker::Violation> HazardTracker::violations() const {
   std::unique_lock<std::mutex> lock(mu_);
   return violations_;
-}
-
-void HazardTracker::Reset() {
-  std::unique_lock<std::mutex> lock(mu_);
-  streams_.assign(1, {std::string("default"), Clock{}});
-  events_.clear();
-  event_clocks_.clear();
-  resources_.clear();
-  violations_.clear();
 }
 
 }  // namespace sirius::sim

@@ -30,15 +30,13 @@ const char* OpCategoryName(OpCategory c);
 
 /// \brief Accumulates simulated seconds, bucketed by operator category.
 ///
-/// One Timeline per (query execution x device). Distributed execution uses
-/// one per node and synchronizes them at exchange boundaries.
+/// One Timeline per (query execution x device). Distributed execution keeps
+/// one per node and merges them into the query's Timeline at each exchange
+/// barrier, then charges the exchange itself.
 class Timeline {
  public:
   /// Charges `seconds` of simulated time to `category`.
   void Charge(OpCategory category, double seconds);
-
-  /// Advances the clock to at least `t_seconds` (exchange barrier sync).
-  void AdvanceTo(double t_seconds);
 
   /// Total simulated seconds elapsed.
   double total_seconds() const { return total_; }
@@ -81,8 +79,9 @@ using EventId = int32_t;
 /// Semantics follow CUDA streams: work on one stream is ordered; cross-stream
 /// ordering exists only through RecordEvent / StreamWaitEvent edges.
 ///
-/// Thread-safe. A disabled tracker records nothing, but each call still
-/// takes its mutex; the engine builds no tracker when race checking is off.
+/// Thread-safe. A tracker records from construction. The engine builds one
+/// per query only when race checking is on, so with it off every hook is a
+/// null-pointer test (SimContext::hazards).
 class HazardTracker {
  public:
   /// What went wrong, in machine-checkable form (tests assert on this).
@@ -109,10 +108,6 @@ class HazardTracker {
   /// tracker lifetimes (e.g. buffer-manager entries surviving a query) must
   /// stamp it with this id and discard it when the tracker changes.
   uint64_t id() const { return id_; }
-
-  /// When false (default) every call is a no-op; flip on for checked runs.
-  void set_enabled(bool enabled);
-  bool enabled() const;
 
   /// When true (default) the first violation aborts the process with a
   /// diagnostic; tests turn this off and inspect violations() instead.
@@ -145,9 +140,6 @@ class HazardTracker {
   size_t violation_count() const;
   std::vector<Violation> violations() const;
 
-  /// Drops all streams, events, resources, and recorded violations.
-  void Reset();
-
  private:
   /// Vector clock indexed by StreamId; missing tail entries are zero.
   using Clock = std::vector<uint64_t>;
@@ -179,7 +171,6 @@ class HazardTracker {
 
   mutable std::mutex mu_;
   const uint64_t id_;
-  bool enabled_ = false;
   bool abort_on_violation_ = true;
   std::vector<StreamState> streams_{{std::string("default"), Clock{}}};
   std::vector<Epoch> events_;  ///< EventId -> snapshot; clock in event_clocks_

@@ -449,10 +449,6 @@ const std::vector<std::string>& TableNames() {
 
 int NumDateRows() { return static_cast<int>(Calendar().size()); }
 
-int64_t DateKeyAt(int index) {
-  return DateKey(Calendar().at(static_cast<size_t>(index)));
-}
-
 Result<TablePtr> GenerateTable(const std::string& name,
                                const SsbOptions& options) {
   const Cardinalities cards = CardsFor(options.sf);

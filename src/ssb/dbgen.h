@@ -66,7 +66,4 @@ const std::vector<std::string>& TableNames();
 /// Number of days in the date dimension (1992-01-01 .. 1998-12-31).
 int NumDateRows();
 
-/// d_datekey (yyyymmdd) of day `index` in [0, NumDateRows()).
-int64_t DateKeyAt(int index);
-
 }  // namespace sirius::ssb

@@ -353,7 +353,6 @@ TEST(ServeClusterTest, CoordinatorModePaysTheWireAndLoadsNodeZero) {
 
 TEST(ServeClusterTest, BackpressureReroutesToNextPreferredReplica) {
   ClusterOptions options = BaseOptions();
-  options.cache_mode = CacheMode::kNone;
   options.node.num_streams = 1;
   options.node.execution_threads = 2;
   options.node.max_queue_depth = 1;
@@ -384,7 +383,6 @@ TEST(ServeClusterTest, BackpressureReroutesToNextPreferredReplica) {
 
 TEST(ServeClusterTest, AllReplicasShedSurfacesMinRetryAfter) {
   ClusterOptions options = BaseOptions();
-  options.cache_mode = CacheMode::kNone;
   options.node.num_streams = 1;
   options.node.execution_threads = 2;
   options.node.max_queue_depth = 1;

@@ -8,6 +8,7 @@
 #include "dist/cluster.h"
 #include "dist/fragmenter.h"
 #include "net/sccl.h"
+#include "scoped_udf.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -265,13 +266,13 @@ TEST(DorisClusterTest, PartitionsCoverAllRows) {
 }
 
 TEST(DorisClusterTest, CapabilityGateRejects) {
+  ScopedUdf clamp(ClampUdf());  // no device-side UDF exists (§3.4)
   dist::DorisCluster::Options options;
   options.num_nodes = 2;
-  options.capabilities.avg = false;  // §3.4 distributed restriction
   dist::DorisCluster cluster(options);
   auto orders = tpch::GenerateTable("orders", 0.002).ValueOrDie();
   SIRIUS_CHECK_OK(cluster.LoadPartitioned("orders", orders));
-  auto r = cluster.Query("select avg(o_totalprice) from orders");
+  auto r = cluster.Query("select sum(clamp100(o_custkey)) from orders");
   EXPECT_TRUE(r.status().IsUnsupportedOnDevice());
 }
 

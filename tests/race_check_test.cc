@@ -38,7 +38,6 @@ class HazardTrackerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     tracker_.set_abort_on_violation(false);
-    tracker_.set_enabled(true);
   }
   HazardTracker tracker_;
 };
@@ -132,15 +131,6 @@ TEST_F(HazardTrackerTest, ReleaseResourceForgetsHistory) {
   EXPECT_EQ(tracker_.violation_count(), 0u);
 }
 
-TEST_F(HazardTrackerTest, DisabledTrackerIsSilent) {
-  tracker_.set_enabled(false);
-  const StreamId a = tracker_.CreateStream("a");
-  const StreamId b = tracker_.CreateStream("b");
-  tracker_.OnWrite(a, 7, "w");
-  tracker_.OnWrite(b, 7, "w");
-  EXPECT_EQ(tracker_.violation_count(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Resource ids: one process-wide space for cache entries and spill extents
 // ---------------------------------------------------------------------------
@@ -175,7 +165,6 @@ TEST(ResourceIdTest, CacheEntriesAndSpillExtentsNeverShareAnId) {
   // that an entry and an extent share can show up as a race.
   HazardTracker hazards;
   hazards.set_abort_on_violation(false);
-  hazards.set_enabled(true);
   sim::Timeline timeline;
   sim::SimContext sim;
   sim.timeline = &timeline;
@@ -223,7 +212,6 @@ TEST_F(BufferManagerHazardTest, StaleEventIdFromDeadTrackerIsIgnored) {
 
   HazardTracker first;
   first.set_abort_on_violation(false);
-  first.set_enabled(true);
   sim::SimContext sim;
   sim.timeline = &timeline;
   sim.hazards = &first;
@@ -233,7 +221,6 @@ TEST_F(BufferManagerHazardTest, StaleEventIdFromDeadTrackerIsIgnored) {
 
   HazardTracker second;
   second.set_abort_on_violation(false);
-  second.set_enabled(true);
   sim.hazards = &second;
   sim.stream = second.CreateStream("q2-pipeline");
   ASSERT_TRUE(bm.GetOrCacheColumns("nation", NationTable(), {0}, sim).ok());

@@ -1,10 +1,11 @@
 // Tests for the serving layer: admission control sheds with retry hints and
 // never leaks reservations; the fair scheduler converges to tenant weights;
 // deadlines cancel queries mid-pipeline (engine-side) and in the queue;
-// the result cache short-circuits repeated SQL and invalidates on catalog
-// writes; latency histograms are deterministic for a fixed seed; and the
-// headline acceptance: a 64-client closed loop on one simulated GH200
-// sustains >= 1.5x the queries-per-simulated-second of a serialized server.
+// a plan the device declines completes on the CPU engine; the result cache
+// short-circuits repeated SQL and invalidates on catalog writes; latency
+// histograms are deterministic for a fixed seed; and the headline
+// acceptance: a 64-client closed loop on one simulated GH200 sustains
+// >= 1.5x the queries-per-simulated-second of a serialized server.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "cell_compare.h"
 #include "engine/sirius.h"
 #include "obs/trace.h"
 #include "serve/load_gen.h"
 #include "serve/query_cache.h"
 #include "serve/scheduler.h"
 #include "serve/serve.h"
+#include "scoped_udf.h"
 #include "tpch/queries.h"
 
 namespace sirius {
@@ -292,6 +295,32 @@ TEST(ServeTraceTest, RecordsQuerySpansShedsTimeoutsAndPlacements) {
     EXPECT_EQ(place->name.rfind("place acme dev0", 0), 0u) << place->name;
     EXPECT_EQ(place->Attr("device", -1), 0.0);
   }
+}
+
+TEST(ServeFallbackTest, DeclinedPlanRunsOnTheCpuEngine) {
+  // No device-side UDF exists (§3.4): the engine declines the plan and the
+  // execution task runs it on the host's CPU engine instead.
+  ScopedUdf clamp(ClampUdf());
+  const std::string sql =
+      "select p_brand, count(*) as n, sum(clamp100(p_size * 3)) as capped "
+      "from part group by p_brand order by p_brand";
+  QueryServer server(SharedDb(), SharedEngine(), ServeOptions{});
+  SubmitOptions sub;
+  sub.keep_result = true;
+  auto id = server.Submit(server.OpenSession("acme"), sql, sub);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto out = server.Resolve(id.ValueOrDie());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const QueryOutcome& o = out.ValueOrDie();
+  ASSERT_EQ(o.state, QueryState::kCompleted) << o.status.ToString();
+  EXPECT_TRUE(o.fell_back);
+  ASSERT_NE(o.table, nullptr);
+
+  auto cpu = SharedDb()->ExecutePlanCpu(SharedDb()->PlanSql(sql).ValueOrDie());
+  ASSERT_TRUE(cpu.ok()) << cpu.status().ToString();
+  EXPECT_EQ(o.result_rows, cpu.ValueOrDie().table->num_rows());
+  cells::ExpectSameCells(*o.table, *cpu.ValueOrDie().table, "fallback",
+                         "served", "cpu");
 }
 
 TEST(ServeCacheTest, ResultCacheHitSkipsExecution) {

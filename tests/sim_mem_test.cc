@@ -131,16 +131,6 @@ TEST(TimelineTest, AppendAndReset) {
   EXPECT_DOUBLE_EQ(a.total_seconds(), 0.0);
 }
 
-TEST(TimelineTest, AdvanceToSynchronizes) {
-  sim::Timeline t;
-  t.Charge(sim::OpCategory::kScan, 1.0);
-  t.AdvanceTo(3.0);  // barrier: waiting counts as exchange
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 3.0);
-  EXPECT_DOUBLE_EQ(t.seconds(sim::OpCategory::kExchange), 2.0);
-  t.AdvanceTo(1.0);  // never goes backwards
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 3.0);
-}
-
 TEST(InterconnectTest, TransferTimesOrdered) {
   uint64_t gb = 1ull << 30;
   EXPECT_GT(sim::Pcie3x16().TransferSeconds(gb), sim::Pcie4x16().TransferSeconds(gb));

@@ -8,7 +8,10 @@
 #include <iterator>
 #include <numeric>
 
+#include "engine/device_support.h"
 #include "engine/sirius.h"
+#include "scoped_udf.h"
+#include "ssb/queries.h"
 #include "tpch/queries.h"
 
 namespace sirius {
@@ -83,18 +86,20 @@ TEST(SiriusEngineTest, GpuIsFasterThanCpuOnModeledTime) {
 }
 
 TEST(SiriusEngineTest, GracefulFallbackOnUnsupportedFeature) {
+  // No device-side UDF exists (§3.4), so the device declines the plan.
+  ScopedUdf clamp(ClampUdf());
+  const std::string sql =
+      "select l_returnflag, sum(clamp100(l_linenumber * 30)) as capped "
+      "from lineitem group by l_returnflag order by l_returnflag";
   host::Database* db = SharedDb();
-  engine::SiriusEngine::Options options;
-  options.capabilities.avg = false;  // distributed-mode restriction (§3.4)
-  engine::SiriusEngine limited(db, options);
-  db->SetAccelerator(&limited);
-  auto r = db->Query(tpch::Query(1));  // Q1 uses avg
+  db->SetAccelerator(SharedEngine());
+  auto r = db->Query(sql);
   db->SetAccelerator(nullptr);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r.ValueOrDie().fell_back);
   EXPECT_FALSE(r.ValueOrDie().accelerated);
   // The fallback result still matches the CPU engine.
-  auto cpu = db->Query(tpch::Query(1)).ValueOrDie();
+  auto cpu = db->Query(sql).ValueOrDie();
   EXPECT_TRUE(cpu.table->Equals(*r.ValueOrDie().table));
 }
 
@@ -389,41 +394,43 @@ TEST(SiriusEngineTest, PipelineBreakdownMatchesPushModel) {
   EXPECT_NE(explained.find("limit"), std::string::npos) << explained;
 }
 
-TEST(BufferManagerTest, IndexConversionRoundTrip) {
-  sim::SimContext sim;
-  std::vector<uint64_t> rows = {0, 5, 17, 1000000};
-  auto gdf_idx = engine::BufferManager::ToGdfIndices(rows, sim).ValueOrDie();
-  EXPECT_EQ(gdf_idx.size(), 4u);
-  EXPECT_EQ(gdf_idx[3], 1000000);
-  auto back = engine::BufferManager::FromGdfIndices(gdf_idx, sim);
-  EXPECT_EQ(back, rows);
-}
+TEST(DeviceSupportTest, DeclinesUdfsAndAcceptsEveryBenchmarkPlan) {
+  ScopedUdf clamp(ClampUdf());
+  const format::Schema left({{"a", format::Int64()}});
+  const format::Schema right({{"b", format::Int64()}});
+  auto scan = [](const char* name, const format::Schema& schema) {
+    return plan::MakeScan(name, schema, {}).ValueOrDie();
+  };
+  auto clamp_of = [](const char* column) {
+    return expr::Udf("clamp100", {expr::ColRef(column)});
+  };
+  const std::vector<std::pair<std::string, plan::PlanPtr>> with_udf = {
+      {"filter", plan::MakeFilter(scan("l", left),
+                                  expr::Lt(clamp_of("a"), expr::LitInt(50)))
+                     .ValueOrDie()},
+      {"projection",
+       plan::MakeProject(scan("l", left), {clamp_of("a")}, {"c"}).ValueOrDie()},
+      {"join residual",
+       plan::MakeJoin(scan("l", left), scan("r", right), plan::JoinType::kLeft,
+                      {0}, {0}, expr::Lt(clamp_of("b"), expr::LitInt(50)))
+           .ValueOrDie()},
+  };
+  for (const auto& [where, p] : with_udf) {
+    const Status st = engine::CheckDeviceSupport(*p);
+    EXPECT_TRUE(st.IsUnsupportedOnDevice()) << where << ": " << st.ToString();
+    EXPECT_EQ(st.message(), "UDF 'clamp100' not supported on device") << where;
+  }
 
-TEST(BufferManagerTest, IndexConversionRejectsOverflow) {
-  sim::SimContext sim;
-  std::vector<uint64_t> rows = {uint64_t{1} << 40};
-  EXPECT_FALSE(engine::BufferManager::ToGdfIndices(rows, sim).ok());
-}
-
-TEST(CapabilitiesTest, DetectsUnsupportedAvg) {
-  host::Database* db = SharedDb();
-  auto plan = db->PlanSql(tpch::Query(1)).ValueOrDie();
-  engine::Capabilities caps;
-  EXPECT_TRUE(caps.Check(*plan).ok());
-  caps.avg = false;
-  Status st = caps.Check(*plan);
-  EXPECT_TRUE(st.IsUnsupportedOnDevice()) << st.ToString();
-}
-
-TEST(CapabilitiesTest, DetectsStringsAndLike) {
-  host::Database* db = SharedDb();
-  auto plan = db->PlanSql(tpch::Query(13)).ValueOrDie();  // uses NOT LIKE
-  engine::Capabilities caps;
-  caps.like = false;
-  EXPECT_TRUE(caps.Check(*plan).IsUnsupportedOnDevice());
-  caps.like = true;
-  caps.strings = false;
-  EXPECT_TRUE(caps.Check(*plan).IsUnsupportedOnDevice());
+  for (int q = 1; q <= 22; ++q) {
+    auto p = SharedDb()->PlanSql(tpch::Query(q)).ValueOrDie();
+    EXPECT_TRUE(engine::CheckDeviceSupport(*p).ok()) << "Q" << q;
+  }
+  host::Database ssb_db;
+  SIRIUS_CHECK_OK(ssb::LoadSsb(&ssb_db, ssb::SsbOptions{}));
+  for (int q = 1; q <= ssb::NumQueries(); ++q) {
+    auto p = ssb_db.PlanSql(ssb::Query(q)).ValueOrDie();
+    EXPECT_TRUE(engine::CheckDeviceSupport(*p).ok()) << ssb::QueryName(q);
+  }
 }
 
 }  // namespace

@@ -199,7 +199,6 @@ TEST(TierManagerTest, NvmeExtentsPayBothLinks) {
 
 TEST(TierManagerTest, WritebackPrefetchOrderingIsVisibleToHazardTracker) {
   sim::HazardTracker hazards;
-  hazards.set_enabled(true);
   hazards.set_abort_on_violation(false);
   const sim::StreamId compute = hazards.CreateStream("compute");
 

@@ -1,5 +1,5 @@
 // Tests for scalar UDFs (§3.4): registry, binding, evaluation, SQL
-// integration, device-side capability gating with graceful fallback.
+// integration, and graceful CPU fallback of the plans that call them.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "expr/udf.h"
 #include "format/builder.h"
 #include "host/database.h"
+#include "scoped_udf.h"
 
 namespace sirius {
 namespace {
@@ -15,31 +16,6 @@ namespace {
 using expr::UdfDefinition;
 using expr::UdfRegistry;
 using format::Column;
-using format::Scalar;
-
-/// RAII registration so tests do not leak UDFs into each other.
-class ScopedUdf {
- public:
-  explicit ScopedUdf(UdfDefinition def) : name_(def.name) {
-    SIRIUS_CHECK_OK(UdfRegistry::Global()->Register(std::move(def)));
-  }
-  ~ScopedUdf() { (void)UdfRegistry::Global()->Unregister(name_); }
-
- private:
-  std::string name_;
-};
-
-UdfDefinition ClampUdf() {
-  UdfDefinition def;
-  def.name = "clamp100";
-  def.arity = 1;
-  def.return_type = format::Int64();
-  def.fn = [](const std::vector<Scalar>& args) -> Result<Scalar> {
-    if (args[0].is_null()) return Scalar::Null(format::Int64());
-    return Scalar::FromInt64(std::min<int64_t>(100, args[0].int_value()));
-  };
-  return def;
-}
 
 TEST(UdfRegistryTest, RegisterLookupUnregister) {
   ScopedUdf udf(ClampUdf());
@@ -136,23 +112,6 @@ TEST(UdfEngineTest, FallsBackToHostByDefault) {
   db.SetAccelerator(nullptr);
   EXPECT_TRUE(r.fell_back);
   EXPECT_FALSE(r.accelerated);
-  EXPECT_EQ(r.table->column(0)->data<int64_t>()[2], 100);
-}
-
-TEST(UdfEngineTest, RunsOnDeviceWhenCapabilityEnabled) {
-  ScopedUdf udf(ClampUdf());
-  host::Database db;
-  SIRIUS_CHECK_OK(db.CreateTable(
-      "t", format::Table::Make(format::Schema({{"v", format::Int64()}}),
-                               {Column::FromInt64({10, 2000, 70})})
-               .ValueOrDie()));
-  engine::SiriusEngine::Options options;
-  options.capabilities.udf = true;  // pretend a compiled device UDF exists
-  engine::SiriusEngine eng(&db, options);
-  db.SetAccelerator(&eng);
-  auto r = db.Query("select clamp100(v) as c from t order by c").ValueOrDie();
-  db.SetAccelerator(nullptr);
-  EXPECT_TRUE(r.accelerated);
   EXPECT_EQ(r.table->column(0)->data<int64_t>()[2], 100);
 }
 
