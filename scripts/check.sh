@@ -49,6 +49,21 @@ ensure_build() {
   cmake --build "$BUILD" -j "$JOBS"
 }
 
+# gate_bench <target> <snapshot>: builds one bench, runs it into a fresh
+# directory and gates its JSON against the one committed snapshot it writes
+# (bench/<snapshot>) alone; the full cross-bench gate is the bench-gate
+# stage. Fails when the build, the bench or the gate fails.
+gate_bench() {
+  local target=$1 snapshot=$2
+  local out="$BUILD/bench-json-${target#bench_}"
+  local base="$BUILD/bench-baseline-${target#bench_}"
+  rm -rf "$out" "$base" && mkdir -p "$out" "$base" || return 1
+  cp "bench/$snapshot" "$base/" || return 1
+  cmake --build "$BUILD" -j "$JOBS" --target "$target" >/dev/null || return 1
+  SIRIUS_BENCH_JSON_DIR="$out" "$BUILD/bench/$target" || return 1
+  python3 scripts/bench_gate.py --fresh "$out" --baseline "$base"
+}
+
 stage_build() {
   ensure_build
   ctest --test-dir "$BUILD" --output-on-failure --no-tests=error -j "$JOBS"
@@ -83,15 +98,9 @@ stage_fusion() {
   ensure_build
   # The fused-execution surface in one stage: the selection-view contract
   # units, the engine fusion suite (compiler/explain/fallback/out-of-core),
-  # and the fused-vs-materialized ablation bench gated against its committed
-  # snapshot alone (the full cross-bench gate is the bench-gate stage).
-  ctest --test-dir "$BUILD" -L fusion --output-on-failure --no-tests=error -j "$JOBS"
-  local out="$BUILD/bench-json-fusion" base="$BUILD/bench-baseline-fusion"
-  rm -rf "$out" "$base" && mkdir -p "$out" "$base"
-  cp bench/BENCH_ablation_fusion.json "$base/"
-  cmake --build "$BUILD" -j "$JOBS" --target bench_ablation_fusion >/dev/null
-  SIRIUS_BENCH_JSON_DIR="$out" "$BUILD/bench/bench_ablation_fusion"
-  python3 scripts/bench_gate.py --fresh "$out" --baseline "$base"
+  # and the fused-vs-materialized ablation bench against its snapshot.
+  ctest --test-dir "$BUILD" -L fusion --output-on-failure --no-tests=error -j "$JOBS" || return 1
+  gate_bench bench_ablation_fusion BENCH_ablation_fusion.json
 }
 
 stage_ssb() {
@@ -99,16 +108,10 @@ stage_ssb() {
   # Everything SSB-specific in one stage: generator determinism (golden
   # checksums), the randomized skew/string-length property sweeps, the
   # GPU-vs-CPU differential across all variants, and the mixed-tenant bench
-  # gated against its committed snapshot alone (the full cross-bench gate is
-  # the bench-gate stage).
+  # against its snapshot.
   ctest --test-dir "$BUILD" -R 'Ssb|DbgenDeterminism' \
-    --output-on-failure --no-tests=error -j "$JOBS"
-  local out="$BUILD/bench-json-ssb" base="$BUILD/bench-baseline-ssb"
-  rm -rf "$out" "$base" && mkdir -p "$out" "$base"
-  cp bench/BENCH_ssb.json "$base/"
-  cmake --build "$BUILD" -j "$JOBS" --target bench_ssb >/dev/null
-  SIRIUS_BENCH_JSON_DIR="$out" "$BUILD/bench/bench_ssb"
-  python3 scripts/bench_gate.py --fresh "$out" --baseline "$base"
+    --output-on-failure --no-tests=error -j "$JOBS" || return 1
+  gate_bench bench_ssb BENCH_ssb.json
 }
 
 stage_serve() {
@@ -120,15 +123,9 @@ stage_cluster() {
   ensure_build
   # The federated tier in one stage: routing/replication/invalidation units,
   # the cluster.* chaos sweeps, and the hit-anywhere-vs-coordinator bench
-  # gated against its committed snapshot alone (the full cross-bench gate is
-  # the bench-gate stage).
-  ctest --test-dir "$BUILD" -L cluster --output-on-failure --no-tests=error -j "$JOBS"
-  local out="$BUILD/bench-json-cluster" base="$BUILD/bench-baseline-cluster"
-  rm -rf "$out" "$base" && mkdir -p "$out" "$base"
-  cp bench/BENCH_serve_cluster.json "$base/"
-  cmake --build "$BUILD" -j "$JOBS" --target bench_serve_cluster >/dev/null
-  SIRIUS_BENCH_JSON_DIR="$out" "$BUILD/bench/bench_serve_cluster"
-  python3 scripts/bench_gate.py --fresh "$out" --baseline "$base"
+  # against its snapshot.
+  ctest --test-dir "$BUILD" -L cluster --output-on-failure --no-tests=error -j "$JOBS" || return 1
+  gate_bench bench_serve_cluster BENCH_serve_cluster.json
 }
 
 stage_spill() {

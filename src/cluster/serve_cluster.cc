@@ -74,11 +74,7 @@ ServeCluster::ServeCluster(host::Database* db,
       node_sessions_(static_cast<size_t>(options.num_nodes)),
       fill_egress_s_(static_cast<size_t>(options.num_nodes), 0.0),
       last_catalog_version_(db->catalog().version()),
-      trace_([&] {
-        obs::TraceRecorder::Options t;
-        t.enabled = options.tracing;
-        return t;
-      }()) {
+      trace_(obs::TraceRecorder::Options{/*unbounded=*/true}) {
   nodes_.reserve(static_cast<size_t>(options_.num_nodes));
   for (int n = 0; n < options_.num_nodes; ++n) {
     serve::ServeOptions node_opts = options_.node;

@@ -94,7 +94,7 @@ struct ClusterOptions {
   bool tracing = false;
 };
 
-/// Cluster counters since the last metrics().Reset(): a view over the
+/// Cluster counters since the cluster was built: a view over the
 /// `cluster.*` registry counters (see stats()).
 struct ClusterStats {
   uint64_t routed = 0;          ///< submits admitted on some node
@@ -179,7 +179,7 @@ class ServeCluster : public serve::QueryService {
   serve::QueryServer& node(int i) { return *nodes_[static_cast<size_t>(i)]; }
   int num_nodes() const { return options_.num_nodes; }
   const ClusterOptions& options() const { return options_; }
-  /// Reads the `cluster.*` counters of metrics(), so a Reset() rebases it.
+  /// Reads the `cluster.*` counters of metrics().
   ClusterStats stats() const;
   /// Per-node serving load so far (terminal outcomes + wire charges).
   std::vector<NodeLoad> node_loads() const;

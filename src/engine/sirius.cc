@@ -49,7 +49,6 @@ constexpr std::pair<uint64_t Stats::*, const char*> kStatCounters[] = {
     {&Stats::spill_host, "engine.spill.host"},
     {&Stats::spill_nvme, "engine.spill.nvme"},
     {&Stats::tier_loss_retries, "engine.tier_loss_retries"},
-    {&Stats::race_violations, "engine.race_violations"},
     {&Stats::deadline_cancels, "engine.deadline_cancels"},
     {&Stats::fused_stages, "engine.fused_stages"},
     {&Stats::fusion_fallbacks, "engine.fusion_fallbacks"},
@@ -163,7 +162,6 @@ class PipelineRunner {
       // proves every cross-pipeline access is ordered — deterministically,
       // whatever the host thread pool's actual interleaving was.
       tracker_ = std::make_unique<sim::HazardTracker>();
-      tracker_->set_abort_on_violation(options_.race_check_abort);
       stream_ids_.resize(n);
       for (size_t i = 0; i < n; ++i) {
         stream_ids_[i] =
@@ -187,17 +185,7 @@ class PipelineRunner {
     {
       std::unique_lock<std::mutex> lock(mu_);
       done_cv_.wait(lock, [&] { return inflight_ == 0; });
-      if (tracker_ != nullptr) {
-        Bump(metrics_, &Stats::race_violations, tracker_->violation_count());
-      }
       SIRIUS_RETURN_NOT_OK(error_);
-      if (tracker_ != nullptr && tracker_->violation_count() > 0) {
-        const auto v = tracker_->violations().front();
-        return Status::ExecutionError(
-            std::string("race check: ") +
-            sim::HazardViolationKindName(v.kind) + " on resource " +
-            std::to_string(v.resource) + ": " + v.detail);
-      }
     }
 
     // Merge per-pipeline timelines deterministically (id order). Simulated
@@ -876,7 +864,6 @@ Result<host::QueryResult> SiriusEngine::ExecutePlan(const PlanPtr& plan,
     table = runner.Run(pipelines, stages, result_id, &result.timeline,
                        &result.kernels, result.timeline.total_seconds());
   }
-  tiers_.PublishGauges(&metrics_);
   SIRIUS_ASSIGN_OR_RETURN(result.table, std::move(table));
   SIRIUS_ASSIGN_OR_RETURN(result.table, CopyOutResult(result.table));
   result.accelerated = true;
@@ -898,8 +885,6 @@ SiriusEngine::Stats SiriusEngine::stats() const {
   }
   return s;
 }
-
-void SiriusEngine::ResetStats() { metrics_.Reset(); }
 
 Result<format::TablePtr> SiriusEngine::VectorSearch(
     const std::string& table_name, const std::string& embedding_column,

@@ -95,20 +95,20 @@ class SiriusEngine : public host::Accelerator {
     /// dependency edges as recorded/awaited events, and verify with a
     /// vector-clock happens-before relation that no two pipelines touch a
     /// shared resource (materialized result, cache entry) without an
-    /// ordering edge. Defaults on when SIRIUS_RACE_CHECK=1 is set.
+    /// ordering edge. A violation aborts with a diagnostic. Defaults on
+    /// when SIRIUS_RACE_CHECK=1 is set.
     bool race_check = sim::RaceCheckRequestedByEnv();
-    /// When race_check finds a violation: abort with a diagnostic (true,
-    /// the production-debug default) or record it (tests inspect counters).
-    bool race_check_abort = true;
     /// Per-query tracing (spans over simulated time, exposed as
     /// host::QueryResult::profile). On by default; allocation-light — the
-    /// span buffer is preallocated to obs::TraceRecorder::Options' capacity
-    /// and overflow spans are dropped (and counted).
+    /// span buffer is preallocated to obs::kSpanCapacity and overflow spans
+    /// are dropped (and counted). Off, a query builds no recorder.
     bool tracing = true;
   };
 
   /// \brief Engine counters — a view over the metrics registry (snapshot;
-  /// see stats()). Each field reads one "engine.*" registry counter.
+  /// see stats()). Each field reads one "engine.*" registry counter, a
+  /// monotone total since the engine was built; a reader that wants a
+  /// window subtracts two stats().
   struct Stats {
     uint64_t queries = 0;            ///< plans executed (attempts not counted)
     uint64_t oom_events = 0;         ///< OutOfMemory statuses seen from the device
@@ -118,7 +118,6 @@ class SiriusEngine : public host::Accelerator {
     uint64_t spill_host = 0;         ///< spill round trips to pinned host
     uint64_t spill_nvme = 0;         ///< spill round trips to simulated NVMe
     uint64_t tier_loss_retries = 0;  ///< re-runs after a mid-spill tier loss
-    uint64_t race_violations = 0;    ///< hazards flagged by the race checker
     uint64_t deadline_cancels = 0;   ///< mid-pipeline ExecLimits cancellations
     uint64_t fused_stages = 0;       ///< fused single-pass stage executions
     uint64_t fusion_fallbacks = 0;   ///< fused compiles degraded to materialized
@@ -152,17 +151,12 @@ class SiriusEngine : public host::Accelerator {
   const Options& options() const { return options_; }
 
   /// The spill-tier hierarchy backing the §3.4 out-of-core path. Shared by
-  /// every query on this engine; the serving layer publishes its gauges.
+  /// every query on this engine.
   mem::TierManager& tiers() { return tiers_; }
   const mem::TierManager& tiers() const { return tiers_; }
 
-  /// Snapshot of the recovery counters. All fields are read under one lock,
-  /// so the view is consistent even while pipelines are running.
+  /// Snapshot of the engine counters; safe while pipelines are running.
   Stats stats() const;
-  /// Rebases the counters so subsequent stats() start from zero. Safe to
-  /// call concurrently with running queries: the underlying counters are
-  /// monotone, so no increment is torn or lost.
-  void ResetStats();
 
   /// The engine-lifetime metrics registry backing stats().
   obs::MetricsRegistry& metrics() { return metrics_; }

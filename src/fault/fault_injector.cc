@@ -64,19 +64,6 @@ uint64_t FaultInjector::injected(const std::string& site) const {
   return stats(site).injected;
 }
 
-std::vector<std::string> FaultInjector::sites() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(sites_.size());
-  for (const auto& [name, site] : sites_) out.push_back(name);
-  return out;
-}
-
-void FaultInjector::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, site] : sites_) site.counters = SiteStats{};
-}
-
 double FaultInjector::Uniform() {
   std::lock_guard<std::mutex> lock(mu_);
   std::uniform_real_distribution<double> dist(0.0, 1.0);

@@ -72,10 +72,6 @@ class FaultInjector {
   SiteStats stats(const std::string& site) const;
   /// Shorthand: injections fired at `site`.
   uint64_t injected(const std::string& site) const;
-  /// Every site this injector has seen (armed or checked), sorted.
-  std::vector<std::string> sites() const;
-  /// Clears counters only; armed specs and the RNG state survive.
-  void ResetStats();
 
   /// One draw from the injector's seeded RNG, uniform in [0, 1). Retry
   /// layers use this for backoff jitter so schedules replay under a seed.

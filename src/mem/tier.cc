@@ -99,27 +99,6 @@ TierManager::TierStats TierManager::stats(Tier t) const {
   return tiers_[static_cast<int>(t)];
 }
 
-void TierManager::PublishGauges(obs::MetricsRegistry* metrics) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int i = 0; i < kTierCount; ++i) {
-    const Tier t = static_cast<Tier>(i);
-    const TierStats& ts = tiers_[i];
-    const std::string p = std::string("mem.tier.") + TierName(t) + ".";
-    metrics->SetGauge(p + "capacity_bytes",
-                      static_cast<double>(ts.capacity_bytes));
-    metrics->SetGauge(p + "used_bytes", static_cast<double>(ts.used_bytes));
-    metrics->SetGauge(p + "high_water_bytes",
-                      static_cast<double>(ts.high_water_bytes));
-    metrics->SetGauge(p + "spill_writes", static_cast<double>(ts.spill_writes));
-    metrics->SetGauge(p + "spill_reads", static_cast<double>(ts.spill_reads));
-    metrics->SetGauge(p + "spilled_bytes",
-                      static_cast<double>(ts.spilled_bytes));
-    metrics->SetGauge(p + "lost", ts.lost ? 1.0 : 0.0);
-  }
-  metrics->SetGauge("mem.pinned_host.in_use_bytes",
-                    static_cast<double>(PinnedHostInUse()));
-}
-
 Result<Tier> TierManager::PlaceExtent(uint64_t bytes, uint64_t resource,
                                       int* write_retries_out) {
   std::lock_guard<std::mutex> lock(mu_);

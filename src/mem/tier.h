@@ -40,7 +40,6 @@
 #include "common/result.h"
 #include "fault/fault_injector.h"
 #include "mem/reservation.h"
-#include "obs/metrics.h"
 #include "sim/interconnect.h"
 #include "sim/timeline.h"
 
@@ -113,9 +112,6 @@ class TierManager {
 
   /// A copy of `t`'s record.
   TierStats stats(Tier t) const;
-
-  /// Publishes mem.tier.<name>.* and mem.pinned_host.in_use_bytes gauges.
-  void PublishGauges(obs::MetricsRegistry* metrics) const;
 
  private:
   friend class SpillSession;

@@ -144,13 +144,6 @@ std::string ToTextSummary(const QueryProfile& profile, size_t top_n) {
       os << buf;
     }
   }
-  if (!profile.gauges.empty()) {
-    os << "gauges:\n";
-    for (const auto& [name, value] : profile.gauges) {
-      std::snprintf(buf, sizeof(buf), "  %-32s %.6g\n", name.c_str(), value);
-      os << buf;
-    }
-  }
   return os.str();
 }
 

@@ -17,7 +17,7 @@ namespace sirius::obs {
 std::string ToChromeTraceJson(const QueryProfile& profile);
 
 /// Human-readable summary: per-category simulated-time totals, the slowest
-/// spans, and the counter/gauge block. `top_n` bounds the span list.
+/// spans, and the counter block. `top_n` bounds the span list.
 std::string ToTextSummary(const QueryProfile& profile, size_t top_n = 10);
 
 }  // namespace sirius::obs

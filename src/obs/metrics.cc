@@ -9,31 +9,11 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-void MetricsRegistry::SetGauge(const std::string& name, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  gauges_[name] = value;
-}
-
 std::map<std::string, uint64_t> MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, uint64_t> out;
-  for (const auto& [name, counter] : counters_) {
-    out[name] = counter->raw() - counter->baseline_;
-  }
+  for (const auto& [name, counter] : counters_) out[name] = counter->raw();
   return out;
-}
-
-std::map<std::string, double> MetricsRegistry::Gauges() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gauges_;
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) {
-    counter->baseline_ = counter->raw();
-  }
-  gauges_.clear();
 }
 
 }  // namespace sirius::obs

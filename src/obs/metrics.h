@@ -1,12 +1,9 @@
 // Process-lifetime metrics registry.
 //
 // Counters are monotonically increasing atomics that writers bump without a
-// lock. Reset() does not zero them — it captures per-counter baselines under
-// the registry mutex, and Snapshot() reports value-minus-baseline under the
-// same mutex. That makes Reset/Snapshot atomic with respect to each other,
-// so a reset concurrent with a running query can never produce a torn view
-// (some counters reset, others not) or a lost increment: the underlying
-// totals only ever grow. SiriusEngine::Stats is a view over one of these.
+// lock; nothing ever lowers them. Snapshot() reads every counter under the
+// registry mutex. A reader that wants the counts of a window subtracts two
+// snapshots. SiriusEngine::Stats is a view over one of these.
 
 #pragma once
 
@@ -26,41 +23,29 @@ class Counter {
   void Add(uint64_t delta = 1) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  /// Raw monotone total, ignoring baselines. Mostly for tests.
+  /// The monotone total.
   uint64_t raw() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<uint64_t> value_{0};
-  uint64_t baseline_ = 0;  ///< guarded by the registry mutex
 };
 
-/// \brief Named counters and gauges with snapshot-consistent reset.
+/// \brief Named monotone counters.
 ///
-/// Thread-safe. Counter writers never contend with readers; Snapshot() and
-/// Reset() serialize on one mutex.
+/// Thread-safe. Counter writers never contend with readers; GetCounter() and
+/// Snapshot() serialize on one mutex.
 class MetricsRegistry {
  public:
   /// Returns the counter named `name`, creating it on first use. The
   /// returned pointer is stable; hot paths should cache it.
   Counter* GetCounter(const std::string& name);
 
-  /// Sets a gauge to its latest value.
-  void SetGauge(const std::string& name, double value);
-
-  /// Counter values since the last Reset(), all read under one lock.
+  /// Every counter's total, all read under one lock.
   std::map<std::string, uint64_t> Snapshot() const;
-  /// Latest gauge values.
-  std::map<std::string, double> Gauges() const;
-
-  /// Rebases every counter so subsequent Snapshot()s start from zero.
-  /// Atomic with respect to Snapshot(); safe while writers are running.
-  void Reset();
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, double> gauges_;
 };
 
 }  // namespace sirius::obs

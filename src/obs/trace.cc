@@ -50,11 +50,8 @@ double QueryProfile::MaxEnd() const {
 
 TraceRecorder::TraceRecorder() : TraceRecorder(Options()) {}
 
-TraceRecorder::TraceRecorder(Options options)
-    : enabled_(options.enabled),
-      unbounded_(options.unbounded),
-      capacity_(options.capacity) {
-  if (enabled_ && !unbounded_) spans_.reserve(capacity_);
+TraceRecorder::TraceRecorder(Options options) : unbounded_(options.unbounded) {
+  if (!unbounded_) spans_.reserve(kSpanCapacity);
 }
 
 TrackId TraceRecorder::RegisterTrack(const std::string& name) {
@@ -68,9 +65,8 @@ TrackId TraceRecorder::RegisterTrack(const std::string& name) {
 
 SpanId TraceRecorder::BeginSpan(TrackId track, std::string name,
                                 std::string category, double start_s) {
-  if (!enabled_) return kInvalidSpan;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!unbounded_ && spans_.size() >= capacity_) {
+  if (!unbounded_ && spans_.size() >= kSpanCapacity) {
     ++dropped_;
     return kInvalidSpan;
   }
@@ -103,9 +99,8 @@ void TraceRecorder::SetAttr(SpanId span, const std::string& key, double value) {
 void TraceRecorder::AddComplete(
     TrackId track, std::string name, std::string category, double start_s,
     double end_s, std::vector<std::pair<std::string, double>> attrs) {
-  if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!unbounded_ && spans_.size() >= capacity_) {
+  if (!unbounded_ && spans_.size() >= kSpanCapacity) {
     ++dropped_;
     return;
   }
@@ -121,9 +116,8 @@ void TraceRecorder::AddComplete(
 
 void TraceRecorder::AddInstant(TrackId track, std::string name,
                                std::string category, double at_s) {
-  if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!unbounded_ && spans_.size() >= capacity_) {
+  if (!unbounded_ && spans_.size() >= kSpanCapacity) {
     ++dropped_;
     return;
   }
@@ -138,15 +132,8 @@ void TraceRecorder::AddInstant(TrackId track, std::string name,
 }
 
 void TraceRecorder::AddCounter(const std::string& name, uint64_t delta) {
-  if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
   counters_[name] += delta;
-}
-
-void TraceRecorder::SetGauge(const std::string& name, double value) {
-  if (!enabled_) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  gauges_[name] = value;
 }
 
 uint64_t TraceRecorder::dropped_spans() const {
@@ -161,7 +148,6 @@ QueryProfile TraceRecorder::Finish() const {
     profile.tracks = tracks_;
     profile.spans = spans_;
     profile.counters = counters_;
-    profile.gauges = gauges_;
     profile.dropped_spans = dropped_;
   }
   // Deterministic order: thread-pool interleaving permutes insertion order

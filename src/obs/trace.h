@@ -1,12 +1,13 @@
 // Per-query tracing over simulated time.
 //
 // A TraceRecorder collects spans (named intervals on a named track) and
-// per-query counters/gauges. All timestamps are *simulated* seconds — the
+// per-query counters. All timestamps are *simulated* seconds — the
 // recorder never reads a wall clock; callers stamp spans from whatever
 // simulated clock they own (engine pipelines use their sim::Timeline via
 // obs::Clock). Recording is thread-safe and allocation-light: the span
-// buffer is preallocated to `Options::capacity` and further spans are
-// dropped (and counted) unless `Options::unbounded` is set.
+// buffer is preallocated to kSpanCapacity and further spans are dropped
+// (and counted) unless `Options::unbounded` is set. A recorder always
+// records; a caller that does not trace holds none, or does not call it.
 //
 // Spans are expected to be scoped: construct an obs::Span guard, which ends
 // the span when it leaves scope. sirius_lint's `raii-span` rule enforces
@@ -29,6 +30,8 @@ using TrackId = int32_t;
 using SpanId = int64_t;
 
 inline constexpr SpanId kInvalidSpan = -1;
+/// Span slots a bounded recorder preallocates; spans past it are dropped.
+inline constexpr size_t kSpanCapacity = 8192;
 
 /// \brief A simulated-time source for stamping spans.
 ///
@@ -71,7 +74,6 @@ struct QueryProfile {
   std::vector<std::string> tracks;  ///< name by TrackId
   std::vector<SpanRecord> spans;
   std::map<std::string, uint64_t> counters;
-  std::map<std::string, double> gauges;
   uint64_t dropped_spans = 0;
 
   /// All spans in `category` (every category when empty).
@@ -89,11 +91,8 @@ struct QueryProfile {
 class TraceRecorder {
  public:
   struct Options {
-    bool enabled = true;
-    /// Preallocated span slots; spans beyond this are dropped and counted.
-    size_t capacity = 8192;
-    /// Grow without bound instead of dropping (the serving layer's
-    /// server-wide trace).
+    /// Grow without bound instead of dropping spans past kSpanCapacity (the
+    /// serving tiers' server-lifetime traces).
     bool unbounded = false;
   };
 
@@ -103,13 +102,11 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  bool enabled() const { return enabled_; }
-
   /// Registers a lane ("stream-0", "node-2", "link"). Returns its id; a
   /// repeated name returns the existing id.
   TrackId RegisterTrack(const std::string& name);
 
-  /// Opens a span at `start_s`. Returns kInvalidSpan when disabled or full.
+  /// Opens a span at `start_s`. Returns kInvalidSpan when full.
   SpanId BeginSpan(TrackId track, std::string name, std::string category,
                    double start_s);
   /// Closes `span` at `end_s`. Safe on kInvalidSpan.
@@ -128,8 +125,6 @@ class TraceRecorder {
 
   /// Bumps a named per-query counter ("buffer.hits", "sccl.retries").
   void AddCounter(const std::string& name, uint64_t delta = 1);
-  /// Sets a named gauge to its latest value.
-  void SetGauge(const std::string& name, double value);
 
   uint64_t dropped_spans() const;
 
@@ -138,21 +133,18 @@ class TraceRecorder {
   QueryProfile Finish() const;
 
  private:
-  const bool enabled_;
   const bool unbounded_;
-  const size_t capacity_;
 
   mutable std::mutex mu_;
   std::vector<std::string> tracks_;
   std::vector<SpanRecord> spans_;
   std::map<std::string, uint64_t> counters_;
-  std::map<std::string, double> gauges_;
   uint64_t dropped_ = 0;
 };
 
 /// \brief RAII guard for a span: ends it (stamped from `clock`) on scope
 /// exit. Movable, not copyable; default-constructed guards are inert, so
-/// tracing call sites stay branch-free when the recorder is null/disabled.
+/// tracing call sites stay branch-free when the recorder is null.
 class Span {
  public:
   Span() = default;

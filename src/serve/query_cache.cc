@@ -39,7 +39,7 @@ QueryCache::Entry* QueryCache::FindLive(const std::string& key,
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   if (it->second.version != version) {
-    ++stats_.invalidations;
+    ++invalidations_;
     lru_.erase(it->second.lru_it);
     entries_.erase(it);
     return nullptr;
@@ -54,7 +54,7 @@ QueryCache::Entry* QueryCache::Touch(const std::string& key,
   if (it != entries_.end()) {
     if (it->second.version != version) {
       // Rebuilt under a newer catalog: start the entry over in place.
-      ++stats_.invalidations;
+      ++invalidations_;
       auto lru_it = it->second.lru_it;
       it->second = Entry{};
       it->second.lru_it = lru_it;
@@ -66,7 +66,6 @@ QueryCache::Entry* QueryCache::Touch(const std::string& key,
     while (entries_.size() > kMaxEntries && !lru_.empty()) {
       entries_.erase(lru_.back());
       lru_.pop_back();
-      ++stats_.evictions;
     }
   }
   it->second.version = version;
@@ -78,12 +77,7 @@ plan::PlanPtr QueryCache::LookupPlan(const std::string& normalized_sql,
                                      uint64_t catalog_version) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry* e = FindLive(normalized_sql, catalog_version);
-  if (e == nullptr || e->plan == nullptr) {
-    ++stats_.plan_misses;
-    return nullptr;
-  }
-  ++stats_.plan_hits;
-  return e->plan;
+  return e == nullptr ? nullptr : e->plan;
 }
 
 void QueryCache::InsertPlan(const std::string& normalized_sql,
@@ -98,11 +92,7 @@ bool QueryCache::LookupResult(const std::string& normalized_sql,
   if (!cache_results_) return false;
   std::lock_guard<std::mutex> lock(mu_);
   Entry* e = FindLive(normalized_sql, catalog_version);
-  if (e == nullptr || !e->has_result) {
-    ++stats_.result_misses;
-    return false;
-  }
-  ++stats_.result_hits;
+  if (e == nullptr || !e->has_result) return false;
   *out = e->result;
   return true;
 }
@@ -130,7 +120,7 @@ size_t QueryCache::EvictStale(uint64_t current_version) {
     if (it->second.version < current_version) {
       lru_.erase(it->second.lru_it);
       it = entries_.erase(it);
-      ++stats_.invalidations;
+      ++invalidations_;
       ++dropped;
     } else {
       ++it;
@@ -139,9 +129,9 @@ size_t QueryCache::EvictStale(uint64_t current_version) {
   return dropped;
 }
 
-QueryCache::Stats QueryCache::stats() const {
+uint64_t QueryCache::invalidations() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return invalidations_;
 }
 
 size_t QueryCache::size() const {

@@ -33,15 +33,6 @@ std::string NormalizeSql(const std::string& sql);
 /// against the catalog. Thread-safe.
 class QueryCache {
  public:
-  struct Stats {
-    uint64_t plan_hits = 0;
-    uint64_t plan_misses = 0;
-    uint64_t result_hits = 0;
-    uint64_t result_misses = 0;
-    uint64_t invalidations = 0;  ///< entries discarded for a stale version
-    uint64_t evictions = 0;      ///< entries discarded by LRU capacity
-  };
-
   /// One cached result: the table plus the simulated execution cost the
   /// original run charged (reports attribute saved device-seconds to hits).
   struct CachedResult {
@@ -69,7 +60,7 @@ class QueryCache {
   /// True when a live (version-matching) entry exists for `normalized_sql`
   /// — plan or result. The placement policy reads this as "this statement
   /// ran recently against the current catalog", one of the warm-device
-  /// signals; it does not touch LRU order or hit/miss counters.
+  /// signals; it does not touch LRU order.
   bool HasLiveEntry(const std::string& normalized_sql,
                     uint64_t catalog_version) const;
 
@@ -80,7 +71,9 @@ class QueryCache {
   /// fabric so replica occupancy reflects live entries only.
   size_t EvictStale(uint64_t current_version);
 
-  Stats stats() const;
+  /// Entries discarded for a stale catalog version, lazily on lookup or
+  /// eagerly through EvictStale.
+  uint64_t invalidations() const;
   size_t size() const;
 
  private:
@@ -106,7 +99,7 @@ class QueryCache {
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
   std::list<std::string> lru_;  ///< front = most recent
-  Stats stats_;
+  uint64_t invalidations_ = 0;
 };
 
 }  // namespace sirius::serve

@@ -61,8 +61,7 @@ QueryServer::QueryServer(host::Database* db, engine::SiriusEngine* engine,
           options.fabric}),
       cache_(options.result_cache),
       exec_pool_(static_cast<size_t>(std::max(1, options.execution_threads))),
-      trace_(obs::TraceRecorder::Options{options.tracing, 8192,
-                                         /*unbounded=*/true}) {
+      trace_(obs::TraceRecorder::Options{/*unbounded=*/true}) {
   SIRIUS_CHECK(db_ != nullptr && engine_ != nullptr);
   scheds_.resize(static_cast<size_t>(devices_.num_devices()));
   if (devices_.num_devices() == 1 && options_.admission_budget_bytes == 0) {
@@ -230,32 +229,6 @@ bool QueryServer::InputsResident(const plan::PlanPtr& plan,
   // inputs that were resident then.
   if (cache_.HasLiveEntry(norm, version)) return true;
   return ScansResident(plan, engine_->buffer_manager());
-}
-
-void QueryServer::UpdateDeviceGauges() {
-  size_t total_depth = 0;
-  for (const auto& sched : scheds_) total_depth += sched.depth();
-  metrics_.SetGauge("serve.queue_depth", static_cast<double>(total_depth));
-  metrics_.SetGauge("serve.reserved_bytes",
-                    static_cast<double>(total_reserved_bytes()));
-  // Per-tier spill gauges ride along with the device gauges: the engine's
-  // tier hierarchy is a shared resource the operator watches next to the
-  // queues (mem.tier.host.*, mem.tier.nvme.*, mem.pinned_host.in_use_bytes).
-  engine_->tiers().PublishGauges(&metrics_);
-  if (devices_.num_devices() == 1) return;
-  for (int d = 0; d < devices_.num_devices(); ++d) {
-    const std::string prefix = "serve.device." + std::to_string(d);
-    metrics_.SetGauge(prefix + ".queue_depth",
-                      static_cast<double>(scheds_[static_cast<size_t>(d)].depth()));
-    metrics_.SetGauge(
-        prefix + ".reserved_bytes",
-        static_cast<double>(pools_[static_cast<size_t>(d)]->reserved()));
-    metrics_.SetGauge(prefix + ".busy_streams",
-                      static_cast<double>(devices_.BusyAt(d, now_s_)));
-    metrics_.SetGauge(prefix + ".busy_until_s",
-                      devices_.lost(d) ? 0.0
-                                       : devices_.streams(d).Horizon());
-  }
 }
 
 void QueryServer::LoseDevice(int device, double at_s) {
@@ -469,7 +442,6 @@ Result<QueryId> QueryServer::Submit(SessionId session, const std::string& sql,
 
   scheds_[dev].Enqueue(
       QueuedEntry{entry->outcome.id, tenant, sub.priority, arrival});
-  UpdateDeviceGauges();
   Pump(arrival);
   return entry->outcome.id;
 }
@@ -578,7 +550,6 @@ QueryServer::Entry* QueryServer::DispatchNext(double until_s) {
 void QueryServer::Pump(double until_s) {
   while (DispatchNext(until_s) != nullptr) {
   }
-  UpdateDeviceGauges();
 }
 
 QueryServer::ExecResult QueryServer::JoinExecution(Entry* entry, bool cancel) {
@@ -796,7 +767,6 @@ Result<QueryOutcome> QueryServer::Resolve(QueryId id) {
                               " is neither queued nor terminal");
     }
   }
-  UpdateDeviceGauges();
   return target->outcome;
 }
 
@@ -811,7 +781,6 @@ Result<QueryOutcome> QueryServer::Step() {
   std::lock_guard<std::mutex> lock(mu_);
   Entry* entry = DispatchNext(kInf);
   if (entry == nullptr) return Status::Invalid("Step: nothing queued");
-  UpdateDeviceGauges();
   return entry->outcome;
 }
 

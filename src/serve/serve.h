@@ -296,7 +296,8 @@ class QueryServer : public QueryService {
   /// Admission refusals across every device pool.
   uint64_t total_refused() const;
   obs::MetricsRegistry& metrics() { return metrics_; }
-  QueryCache::Stats cache_stats() const { return cache_.stats(); }
+  /// Result-cache entries discarded for a stale catalog version.
+  uint64_t cache_invalidations() const { return cache_.invalidations(); }
   const ServeOptions& options() const { return options_; }
 
   /// \name Replicated-cache hooks (cluster tier).
@@ -419,8 +420,6 @@ class QueryServer : public QueryService {
   /// entries on the survivors (shedding those the survivor pools refuse).
   /// Caller holds mu_.
   void LoseDevice(int device, double at_s);
-  /// Publishes per-device gauges. Caller holds mu_.
-  void UpdateDeviceGauges();
   /// `tenant`'s spill-quota pool, created lazily from the configured quota
   /// (UINT64_MAX capacity when unlimited). Caller holds mu_.
   mem::ReservationPool* SpillPoolFor(const std::string& tenant);

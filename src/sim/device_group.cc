@@ -1,6 +1,5 @@
 #include "sim/device_group.h"
 
-#include <algorithm>
 #include <limits>
 
 namespace sirius::sim {
@@ -37,26 +36,6 @@ double DeviceGroup::EarliestStart(int device, double ready_s) const {
 
 double DeviceGroup::MigrateSeconds(uint64_t bytes) const {
   return options_.fabric.TransferSeconds(bytes);
-}
-
-int DeviceGroup::BusyAt(int device, double t) const {
-  if (lost(device)) return 0;
-  return devices_[static_cast<size_t>(device)].BusyAt(t);
-}
-
-int DeviceGroup::BusyAt(double t) const {
-  int busy = 0;
-  for (int d = 0; d < num_devices(); ++d) busy += BusyAt(d, t);
-  return busy;
-}
-
-double DeviceGroup::Horizon() const {
-  double h = 0;
-  for (int d = 0; d < num_devices(); ++d) {
-    if (lost_[static_cast<size_t>(d)]) continue;
-    h = std::max(h, devices_[static_cast<size_t>(d)].Horizon());
-  }
-  return h;
 }
 
 }  // namespace sirius::sim

@@ -58,13 +58,6 @@ class DeviceGroup {
   /// Seconds to move `bytes` between two devices over the fabric.
   double MigrateSeconds(uint64_t bytes) const;
 
-  /// Busy streams at `t` on one device (0 for a lost device).
-  int BusyAt(int device, double t) const;
-  /// Busy streams at `t` summed over alive devices.
-  int BusyAt(double t) const;
-  /// Latest occupancy end across all alive devices.
-  double Horizon() const;
-
   int streams_per_device() const { return devices_[0].num_streams(); }
 
  private:

@@ -47,10 +47,4 @@ int StreamSet::BusyAt(double t) const {
   return busy;
 }
 
-double StreamSet::Horizon() const {
-  double h = 0;
-  for (double f : free_at_) h = std::max(h, f);
-  return h;
-}
-
 }  // namespace sirius::sim

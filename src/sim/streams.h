@@ -61,9 +61,6 @@ class StreamSet {
   int BusyAt(double t) const;
 
   int num_streams() const { return static_cast<int>(free_at_.size()); }
-  double solo_utilization() const { return options_.solo_utilization; }
-  /// Latest occupancy end across all streams (the device-busy horizon).
-  double Horizon() const;
 
  private:
   Options options_;

@@ -294,10 +294,10 @@ TEST(ClusterChaosTest, NodeLossMidFillSparesSurvivorEntries) {
   EXPECT_GE(cl.stats().fills_dropped, 1u) << "mid-fill loss kept the fill";
   EXPECT_GE(cl.metrics().Snapshot().at("cluster.fill.origin_lost"), 1u);
   // Node loss is not a catalog write: no invalidation was multicast, and
-  // the survivors' cache stats show zero version-stamp invalidations.
+  // the survivors' caches count zero version-stamp invalidations.
   EXPECT_EQ(cl.stats().invalidations_sent, 0u);
   for (int n : cl.membership().AliveRanks()) {
-    EXPECT_EQ(cl.node(n).cache_stats().invalidations, 0u)
+    EXPECT_EQ(cl.node(n).cache_invalidations(), 0u)
         << "node loss invalidated survivor entries on node " << n;
   }
 
@@ -359,7 +359,7 @@ TEST(ClusterChaosTest, NodeLostSiteReroutesWithinRetryBudget) {
   // every entry they installed (write-version stamps untouched).
   EXPECT_EQ(cl.stats().invalidations_sent, 0u);
   for (int n : cl.membership().AliveRanks()) {
-    EXPECT_EQ(cl.node(n).cache_stats().invalidations, 0u)
+    EXPECT_EQ(cl.node(n).cache_invalidations(), 0u)
         << "node loss invalidated survivor entries on node " << n;
   }
 }

@@ -294,13 +294,6 @@ TEST(ServeClusterTest, StatsReadTheRegistry) {
     }
     EXPECT_EQ(stats.*field, sum) << names[0];
   }
-
-  // A registry reset rebases the view with it.
-  cl.metrics().Reset();
-  const ClusterStats reset = cl.stats();
-  for (const auto& [field, names] : fields) {
-    EXPECT_EQ(reset.*field, 0u) << names[0];
-  }
 }
 
 TEST(ServeClusterTest, CompressedFillsShrinkWireBytes) {

@@ -352,7 +352,7 @@ TEST(ServeCacheTest, ResultCacheHitSkipsExecution) {
   EXPECT_DOUBLE_EQ(o2.latency_s(), server.options().cache_hit_cost_s);
   // No execution reached the engine.
   EXPECT_EQ(SharedEngine()->stats().queries, queries_before);
-  EXPECT_GE(server.cache_stats().result_hits, 1u);
+  EXPECT_GE(server.metrics().Snapshot().at("serve.cache_hits"), 1u);
 }
 
 TEST(ServeCacheTest, CatalogWriteInvalidatesCachedResults) {
@@ -378,7 +378,7 @@ TEST(ServeCacheTest, CatalogWriteInvalidatesCachedResults) {
   auto out = server.Resolve(second.ValueOrDie());
   ASSERT_TRUE(out.ok());
   EXPECT_FALSE(out.ValueOrDie().cache_hit);
-  EXPECT_GE(server.cache_stats().invalidations, 1u);
+  EXPECT_GE(server.cache_invalidations(), 1u);
 }
 
 TEST(ServeFairnessTest, DeviceTimeConvergesToTenantWeights) {

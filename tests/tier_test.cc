@@ -457,18 +457,17 @@ TEST(TierEngineTest, SpillGaugesArePublishedAfterExecution) {
   oom.code = StatusCode::kOutOfMemory;
   oom.max_triggers = 1;
   inj.Arm("engine.reserve", oom);
+  const uint64_t pinned_before = mem::PinnedHostInUse();
 
   SpillDb()->SetAccelerator(&engine);
   auto r = SpillDb()->Query(tpch::Query(6));
   SpillDb()->SetAccelerator(nullptr);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
-  const auto gauges = engine.metrics().Gauges();
-  ASSERT_TRUE(gauges.count("mem.tier.host.spilled_bytes"));
-  EXPECT_GT(gauges.at("mem.tier.host.spilled_bytes"), 0.0);
-  ASSERT_TRUE(gauges.count("mem.tier.host.used_bytes"));
-  EXPECT_EQ(gauges.at("mem.tier.host.used_bytes"), 0.0);  // drained
-  ASSERT_TRUE(gauges.count("mem.pinned_host.in_use_bytes"));
+  const TierManager::TierStats host = engine.tiers().stats(Tier::kHost);
+  EXPECT_GT(host.spilled_bytes, 0u);
+  EXPECT_EQ(host.used_bytes, 0u);  // drained
+  EXPECT_EQ(mem::PinnedHostInUse(), pinned_before);
 }
 
 // ---------------------------------------------------------------------------
